@@ -25,7 +25,7 @@ from .distributions import (
     GAUSSIAN,
     RADEMACHER,
     discrete,
-    sample,
+    sample,  # unused here; benchmarks/workloads.py wraps this name
 )
 from .rng import derive_stream, derive_substream_seed
 from .small_ball import (
@@ -36,6 +36,7 @@ from .small_ball import (
     exact_concentration,
     halasz_integral_bound,
     halasz_profile_bound,
+    sample_sums,
 )
 from .sphere_profile import PartitionParams, classify_profile, sample_spread_direction
 
@@ -103,15 +104,8 @@ def exact_value(query: BoundQuery) -> float:
     """Exact (or deterministic-estimator) concentration paired with a query."""
     if query.bound == "regular_smallball":
         rng = derive_stream(query.mc_seed, 0)
-        n = query.x.size
-        total = np.zeros(_MC_SAMPLES)
-        done = 0
-        block = max(1, 5_000_000 // n)
-        while done < _MC_SAMPLES:
-            b = min(block, _MC_SAMPLES - done)
-            total[done : done + b] = sample(query.dist, rng, size=(b, n)) @ query.x
-            done += b
-        return empirical_sup_concentration(total, query.t)
+        sums = np.concatenate(list(sample_sums(query.dist, query.x, _MC_SAMPLES, rng)))
+        return empirical_sup_concentration(sums, query.t)
     if not query.dist.finite_support:
         A = float(np.linalg.norm(query.x))
         return float(ndtr((query.v + query.t) / A) - ndtr((query.v - query.t) / A))

@@ -6,11 +6,16 @@ directions (E2b), the linear small-ball law on regular vectors (E3),
 allocation concentration (E4), a sphere-partition census (E5), and bound
 calibration audits (E6).
 
-Determinism contract: trial i draws from an RNG stream derived from
-(master_seed, i) by a fixed 64-bit mix, so rows are a pure function of the
-config; serial and parallel execution produce identical rows, and re-emitting
-a result yields byte-identical CSV. Wall-clock runtime lives only in the JSON
-summary and is excluded from that contract.
+Every family has the same shape, one `_Experiment` entry in `_RUNNERS`:
+its CSV columns; tasks(config), the list of task payloads, each led by its
+trial index; run(config, payload), the rows of one task; and
+summarize(config, rows), the JSON summary built from the rows alone.
+
+Determinism contract: rows must be a pure function of (config, trial index).
+Trial i draws from an RNG stream derived from (master_seed, i) by a fixed
+64-bit mix, so serial and parallel execution produce identical rows, and
+re-emitting a result yields byte-identical CSV. Wall-clock runtime lives only
+in the JSON summary and is excluded from that contract.
 """
 from __future__ import annotations
 
@@ -19,15 +24,17 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import calibration, constants
-from .distributions import EntryDistribution, RADEMACHER, parse_dist_spec, sample
+from .distributions import EntryDistribution, RADEMACHER, parse_dist_spec
+from .distributions import sample  # unused here; benchmarks/workloads.py wraps this name
 from .errors import ConfigError, RegimeError
 from .matrices import operator_norm, sample_matrix, spectral_summary
 from .rng import derive_stream, derive_substream_seed
-from .small_ball import clopper_pearson, empirical_sup_concentration
+from .small_ball import clopper_pearson, empirical_sup_concentration, sample_sums
 from .sphere_profile import (
     PartitionParams,
     classify_profile,
@@ -179,6 +186,11 @@ def _freq(count: int, total: int) -> dict:
     return {"count": int(count), "freq": count / total, "ci95": [lo, hi]}
 
 
+def _per_n(config, rows, entry) -> dict:
+    """One summary entry per dimension: entry(n, the rows with n in column 1)."""
+    return {str(n): entry(n, [r for r in rows if r[1] == n]) for n in config.n_list}
+
+
 def _linfit(ts, qs) -> dict:
     t = np.asarray(ts, dtype=float)
     y = np.asarray(qs, dtype=float)
@@ -207,6 +219,10 @@ def _tasks_matrix(config: ExperimentConfig):
     return [(i, n) for i, n in enumerate(n for n in config.n_list for _ in range(config.trials))]
 
 
+def _tasks_trials(config: ExperimentConfig):
+    return [(i,) for i in range(config.trials)]
+
+
 def _run_e1(config, payload):
     idx, n = payload
     seed = derive_substream_seed(config.master_seed, idx)
@@ -228,20 +244,19 @@ def _run_e1(config, payload):
 def _summary_e1(config, rows):
     eps = float(config.param("eps", constants.SIGMA_TAIL_EPS))
     coeff = float(config.param("coeff", constants.SIGMA_TAIL_COEFF))
-    per_n = {}
-    for n in config.n_list:
-        sub = [r for r in rows if r[1] == n]
+
+    def entry(n, sub):
         sigmas = np.array([r[4] for r in sub])
         thr = eps * coeff * n**-1.5
-        count = int(np.count_nonzero(sigmas < thr))
-        per_n[str(n)] = {
+        return {
             "tail_threshold": thr,
-            "tail": _freq(count, len(sub)),
+            "tail": _freq(int(np.count_nonzero(sigmas < thr)), len(sub)),
             "singular_count": int(sum(r[6] for r in sub)),
             "sigma_sqrt_n": _quantiles(sigmas * math.sqrt(n)),
             "sigma_n32_p05": float(np.quantile(sigmas * n**1.5, 0.05)),
         }
-    return {"eps": eps, "coeff": coeff, "per_n": per_n}
+
+    return {"eps": eps, "coeff": coeff, "per_n": _per_n(config, rows, entry)}
 
 
 def _run_e2(config, payload):
@@ -253,18 +268,23 @@ def _run_e2(config, payload):
     return [(idx, n, config.dist.spec_string(), seed, rep.value, exceed, 0)]
 
 
+def _norm_per_n(config, rows, coeff, flag_key, ratio_key) -> dict:
+    """E2/E2b per-n entries: a norm in column 4 and its 0/1 flag against
+    coeff * sqrt(n) in column 5."""
+
+    def entry(n, sub):
+        return {
+            "threshold": coeff * math.sqrt(n),
+            flag_key: _freq(int(sum(r[5] for r in sub)), len(sub)),
+            ratio_key: _quantiles(np.array([r[4] for r in sub]) / math.sqrt(n)),
+        }
+
+    return _per_n(config, rows, entry)
+
+
 def _summary_e2(config, rows):
     coeff = float(config.param("coeff", constants.OP_NORM_COEFF))
-    per_n = {}
-    for n in config.n_list:
-        sub = [r for r in rows if r[1] == n]
-        norms = np.array([r[4] for r in sub])
-        count = int(sum(r[5] for r in sub))
-        per_n[str(n)] = {
-            "threshold": coeff * math.sqrt(n),
-            "exceed": _freq(count, len(sub)),
-            "op_norm_over_sqrt_n": _quantiles(norms / math.sqrt(n)),
-        }
+    per_n = _norm_per_n(config, rows, coeff, "exceed", "op_norm_over_sqrt_n")
     return {"coeff": coeff, "per_n": per_n}
 
 
@@ -281,16 +301,7 @@ def _run_e2b(config, payload):
 
 def _summary_e2b(config, rows):
     coeff = float(config.param("coeff", constants.PEAKED_NORM_COEFF))
-    per_n = {}
-    for n in config.n_list:
-        sub = [r for r in rows if r[1] == n]
-        norms = np.array([r[4] for r in sub])
-        count = int(sum(r[5] for r in sub))
-        per_n[str(n)] = {
-            "threshold": coeff * math.sqrt(n),
-            "small": _freq(count, len(sub)),
-            "ax_over_sqrt_n": _quantiles(norms / math.sqrt(n)),
-        }
+    per_n = _norm_per_n(config, rows, coeff, "small", "ax_over_sqrt_n")
     return {"coeff": coeff, "spikes": int(config.param("spikes", 2)), "per_n": per_n}
 
 
@@ -302,6 +313,12 @@ def _e3_settings(config):
     )
     band = (float(config.param("band_lo", 0.9)), float(config.param("band_hi", 1.1)))
     return delta, q, params, band
+
+
+def _tasks_e3(config):
+    if len(config.n_list) != 1:
+        raise ConfigError("E3 uses a single dimension in n_list")
+    return _tasks_trials(config)
 
 
 def _run_e3(config, payload):
@@ -322,13 +339,7 @@ def _run_e3(config, payload):
             break
     else:
         raise RegimeError("no regular vector sampled within max_tries")
-    sums = np.empty(mc)
-    done = 0
-    block = max(1, 5_000_000 // n)
-    while done < mc:
-        b = min(block, mc - done)
-        sums[done : done + b] = sample(config.dist, rng, size=(b, n)) @ x
-        done += b
+    sums = np.concatenate(list(sample_sums(config.dist, x, mc, rng)))
     seed = derive_substream_seed(config.master_seed, idx)
     rows = []
     for mult in range(1, t_steps + 1):
@@ -430,20 +441,21 @@ def _run_e5(config, payload):
 
 def _summary_e5(config, rows):
     delta, q, params = _e5_settings(config)
-    per_n = {}
-    for n in config.n_list:
-        sub = [r for r in rows if r[1] == n]
-        counts = {name: sum(1 for r in sub if r[5] == name) for name in ("peaked", "regular", "singular")}
-        per_n[str(n)] = {name: _freq(c, len(sub)) for name, c in counts.items()}
+
+    def entry(n, sub):
+        verdicts = [r[5] for r in sub]
+        return {name: _freq(verdicts.count(name), len(sub)) for name in ("peaked", "regular", "singular")}
+
+    per_n = _per_n(config, rows, entry)
     return {"delta": delta, "q": q, "r": params.r, "R": params.R, "per_n": per_n}
 
 
-def _e6_queries(config):
+def _tasks_e6(config):
     per_bound = int(config.param("per_bound", 50))
     queries = []
     for bound in calibration.DOMINATION_BOUNDS:
         queries.extend(calibration.build_corpus(bound, config.master_seed, per_bound))
-    return queries
+    return list(enumerate(queries))
 
 
 def _run_e6(config, payload):
@@ -486,48 +498,44 @@ def _summary_e6(config, rows):
     }
 
 
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment family; the module docstring gives the contract."""
+
+    columns: tuple[str, ...]
+    tasks: Callable[[ExperimentConfig], list]
+    run: Callable[[ExperimentConfig, tuple], list]
+    summarize: Callable[[ExperimentConfig, tuple], dict]
+
+
 _RUNNERS = {
-    "E1_sigma_min_tail": (
-        ("trial", "n", "dist", "seed", "sigma_min", "op_norm", "singular_flag", "elapsed_ms"),
-        _tasks_matrix,
-        _run_e1,
-        _summary_e1,
+    "E1_sigma_min_tail": _Experiment(
+        columns=("trial", "n", "dist", "seed", "sigma_min", "op_norm", "singular_flag", "elapsed_ms"),
+        tasks=_tasks_matrix, run=_run_e1, summarize=_summary_e1,
     ),
-    "E2_op_norm": (
-        ("trial", "n", "dist", "seed", "op_norm", "exceed_flag", "elapsed_ms"),
-        _tasks_matrix,
-        _run_e2,
-        _summary_e2,
+    "E2_op_norm": _Experiment(
+        columns=("trial", "n", "dist", "seed", "op_norm", "exceed_flag", "elapsed_ms"),
+        tasks=_tasks_matrix, run=_run_e2, summarize=_summary_e2,
     ),
-    "E2b_peaked": (
-        ("trial", "n", "dist", "seed", "ax_norm", "small_flag", "elapsed_ms"),
-        _tasks_matrix,
-        _run_e2b,
-        _summary_e2b,
+    "E2b_peaked": _Experiment(
+        columns=("trial", "n", "dist", "seed", "ax_norm", "small_flag", "elapsed_ms"),
+        tasks=_tasks_matrix, run=_run_e2b, summarize=_summary_e2b,
     ),
-    "E3_regular_smallball": (
-        ("trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold", "elapsed_ms"),
-        lambda cfg: [(i,) for i in range(cfg.trials)],
-        _run_e3,
-        _summary_e3,
+    "E3_regular_smallball": _Experiment(
+        columns=("trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold", "elapsed_ms"),
+        tasks=_tasks_e3, run=_run_e3, summarize=_summary_e3,
     ),
-    "E4_allocation": (
-        ("trial", "l", "k", "seed", "min_ssq", "stat", "elapsed_ms"),
-        lambda cfg: [(i,) for i in range(cfg.trials)],
-        _run_e4,
-        _summary_e4,
+    "E4_allocation": _Experiment(
+        columns=("trial", "l", "k", "seed", "min_ssq", "stat", "elapsed_ms"),
+        tasks=_tasks_trials, run=_run_e4, summarize=_summary_e4,
     ),
-    "E5_profile_census": (
-        ("trial", "n", "dist", "seed", "sphere_class", "verdict", "min_ssq", "elapsed_ms"),
-        _tasks_matrix,
-        _run_e5,
-        _summary_e5,
+    "E5_profile_census": _Experiment(
+        columns=("trial", "n", "dist", "seed", "sphere_class", "verdict", "min_ssq", "elapsed_ms"),
+        tasks=_tasks_matrix, run=_run_e5, summarize=_summary_e5,
     ),
-    "E6_bound_calibration": (
-        ("trial", "bound", "dist", "m", "exact", "bound_value", "ratio", "dominated", "elapsed_ms"),
-        lambda cfg: list(enumerate(_e6_queries(cfg))),
-        lambda cfg, p: _run_e6(cfg, p),
-        _summary_e6,
+    "E6_bound_calibration": _Experiment(
+        columns=("trial", "bound", "dist", "m", "exact", "bound_value", "ratio", "dominated", "elapsed_ms"),
+        tasks=_tasks_e6, run=_run_e6, summarize=_summary_e6,
     ),
 }
 
@@ -537,16 +545,17 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     workers > 1 runs trials on a thread pool; the row set is identical to the
     serial run because each trial is a pure function of (config, index).
+    workers must be a positive integer.
     """
-    if config.experiment == "E3_regular_smallball" and len(config.n_list) != 1:
-        raise ConfigError("E3 uses a single dimension in n_list")
-    columns, make_tasks, run_task, summarize = _RUNNERS[config.experiment]
-    tasks = make_tasks(config)
+    if not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers={workers!r} must be a positive integer")
+    spec = _RUNNERS[config.experiment]
+    tasks = spec.tasks(config)
     start = time.perf_counter()
 
     def guarded(payload):
         try:
-            return run_task(config, payload)
+            return spec.run(config, payload)
         except RegimeError as exc:
             raise RegimeError(f"trial {payload[0]}: {exc}") from exc
 
@@ -558,17 +567,17 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     # stable sort by trial index; within-trial row order is the task's own
     rows = tuple(sorted((row for chunk in chunks for row in chunk), key=lambda r: r[0]))
     runtime = time.perf_counter() - start
-    summary = {"experiment": config.experiment, **summarize(config, rows)}
+    summary = {"experiment": config.experiment, **spec.summarize(config, rows)}
     summary["runtime_seconds"] = runtime
     return ExperimentResult(
-        config=config, columns=columns, rows=rows, summary=summary, runtime_seconds=runtime
+        config=config, columns=spec.columns, rows=rows, summary=summary, runtime_seconds=runtime
     )
 
 
 def recompute_summary(result: ExperimentResult) -> dict:
     """Summary rebuilt from (config, rows) alone; equals result.summary up to
     the runtime_seconds entry."""
-    summarize = _RUNNERS[result.config.experiment][3]
+    summarize = _RUNNERS[result.config.experiment].summarize
     return {"experiment": result.config.experiment, **summarize(result.config, result.rows)}
 
 
@@ -583,10 +592,6 @@ def _format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
-
-
-def _format_param(value) -> str:
-    return _format_cell(value)
 
 
 def config_echo(config: ExperimentConfig) -> dict:
@@ -608,7 +613,7 @@ def _config_line(config: ExperimentConfig) -> str:
         f"trials={config.trials}",
         f"master_seed={config.master_seed}",
     ]
-    parts += [f"params.{k}={_format_param(config.params[k])}" for k in sorted(config.params)]
+    parts += [f"params.{k}={_format_cell(config.params[k])}" for k in sorted(config.params)]
     return " ".join(parts)
 
 

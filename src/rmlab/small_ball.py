@@ -5,7 +5,8 @@ beta_j, a weight vector x, center v, and half-width t. This module provides
 
   - exact oracles for finite-support laws (enumeration and grid convolution
     with a rigorous error radius),
-  - a Monte Carlo estimator with exact binomial confidence intervals,
+  - one Monte Carlo sum loop (`sample_sums`) and an estimator on it with
+    exact binomial confidence intervals,
   - four upper-bound mechanisms: the characteristic-function integral bound,
     the pair-difference integral and profile bounds, the Gaussian-comparison
     (Berry-Esseen) bound, plus the product-space tensorization formula.
@@ -205,22 +206,32 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     )
 
 
+def sample_sums(dist: EntryDistribution, x, count: int, rng: RngStream):
+    """Yield the sums draws @ x of count i.i.d. entry vectors, one block at a time.
+
+    A block draws at most 5e6 entries. The values of draws @ x can change in
+    the last bit when the block's row count changes, so every Monte Carlo
+    caller goes through this one loop.
+    """
+    n = x.size
+    block = max(1, 5_000_000 // n)
+    done = 0
+    while done < count:
+        b = min(block, count - done)
+        yield sample(dist, rng, size=(b, n)) @ x
+        done += b
+
+
 def monte_carlo_concentration(
     q: SmallBallQuery, trials: int, rng: RngStream
 ) -> ConcentrationEstimate:
     """Monte Carlo estimate with an exact-coverage 95 percent binomial ci."""
     if trials < 100:
         raise ValueError(f"trials={trials} < 100")
-    m = q.x.size
-    count = 0
-    done = 0
-    block = max(1, min(trials, 10_000_000 // max(m, 1)))
-    while done < trials:
-        b = min(block, trials - done)
-        draws = sample(q.dist, rng, size=(b, m))
-        sums = draws @ q.x
-        count += int(np.count_nonzero(np.abs(sums - q.v) < q.t))
-        done += b
+    count = sum(
+        int(np.count_nonzero(np.abs(sums - q.v) < q.t))
+        for sums in sample_sums(q.dist, q.x, trials, rng)
+    )
     value = count / trials
     return ConcentrationEstimate(
         value=value,

@@ -128,8 +128,10 @@ class AllocationInstance:
     occupancy: np.ndarray
 
     def __post_init__(self):
-        assert int(np.sum(self.occupancy)) == self.l
-        assert np.all(self.occupancy >= 0)
+        if int(np.sum(self.occupancy)) != self.l:
+            raise ValueError(f"occupancy sums to {int(np.sum(self.occupancy))}, not l={self.l}")
+        if np.any(self.occupancy < 0):
+            raise ValueError("occupancy counts must be nonnegative")
 
 
 def _check_unit(x: np.ndarray) -> np.ndarray:
@@ -281,44 +283,6 @@ def sample_allocation(l: int, k: int, rng: RngStream) -> AllocationInstance:
     draws = rng.integers(0, k, size=l)
     occupancy = np.bincount(draws, minlength=k)
     return AllocationInstance(l=l, k=k, occupancy=occupancy)
-
-
-@dataclass(frozen=True)
-class AllocationExperiment:
-    l: int
-    k: int
-    trials: int
-    stats: np.ndarray            # normalized statistic per trial
-    quantiles: dict[str, float]
-    fitted_c: float              # empirical max of the normalized statistic
-    reference_c_half: float = constants.ALLOCATION_C_HALF
-
-
-def allocation_concentration_experiment(
-    l: int, k: int, trials: int, rng: RngStream
-) -> AllocationExperiment:
-    """Distribution of min_half_subset_ssq(occupancy, ceil(l/2)) * k / l^2.
-
-    The observed upper quantiles sit far below the reference constant 65536
-    at eta = 1/2; the empirical max is reported as the fitted constant.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    keep = math.ceil(l / 2)
-    stats = np.empty(trials)
-    for t in range(trials):
-        occ = sample_allocation(l, k, rng).occupancy
-        ssq, _ = min_half_subset_ssq(occ, keep)
-        stats[t] = ssq * k / l**2
-    qs = {
-        "p50": float(np.quantile(stats, 0.50)),
-        "p90": float(np.quantile(stats, 0.90)),
-        "p99": float(np.quantile(stats, 0.99)),
-        "max": float(np.max(stats)),
-    }
-    return AllocationExperiment(
-        l=l, k=k, trials=trials, stats=stats, quantiles=qs, fitted_c=qs["max"]
-    )
 
 
 # ---- direction samplers ------------------------------------------------------

@@ -78,6 +78,11 @@ def test_bad_param_syntax_exits_2(capsys):
     assert main(["run", "--experiment", "E4_allocation", "--param", "l10"]) == 2
 
 
+def test_zero_workers_exits_2(capsys):
+    assert main(E4_ARGS + ["--workers", "0"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_regime_violation_exits_3(capsys):
     code = main([
         "nets", "--check", "grid", "--n", "25", "--delta", "0.01",

@@ -148,6 +148,12 @@ def test_serial_parallel_identical_rows():
     assert emit(serial) == emit(threaded)
 
 
+@pytest.mark.parametrize("workers", [0, -3, 1.5])
+def test_run_rejects_bad_workers(workers):
+    with pytest.raises(ConfigError):
+        run(E1_CFG, workers=workers)
+
+
 def test_e2_rows():
     cfg = ExperimentConfig(experiment="E2_op_norm", dist=GAUSSIAN, n_list=(16,), trials=4, master_seed=6)
     res = run(cfg)
@@ -237,10 +243,12 @@ def test_e4_rows_single_bin():
     )
     res = run(cfg)
     assert res.columns == ("trial", "l", "k", "seed", "min_ssq", "stat", "elapsed_ms")
+    # k=1 forces occupancy (l,), keep=5, ssq=25, stat = 25*1/100 = 0.25
     for r in res.rows:
         assert (r[1], r[2], r[4]) == (10, 1, 25)
-        assert r[5] == pytest.approx(0.25)
-    assert res.summary["stat"]["max"] == pytest.approx(0.25)
+        assert r[5] == 0.25
+    for key in ("p50", "p90", "p99", "max"):
+        assert res.summary["stat"][key] == 0.25
     assert res.summary["reference_c_half"] == 65536.0
     assert res.summary["exceed_reference"]["count"] == 0
 

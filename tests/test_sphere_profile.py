@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from oracles import exhaustive_min_ssq
 from rmlab import constants
 from rmlab.errors import RegimeError
+from rmlab.experiments import ExperimentConfig, run
 from rmlab.rng import derive_stream
 from rmlab.sphere_profile import (
     AllocationInstance,
     PartitionParams,
     ProfileContext,
-    allocation_concentration_experiment,
     classify_profile,
     classify_sphere,
     delta_profile,
@@ -228,26 +228,33 @@ def test_sample_allocation_counts():
 
 
 def test_allocation_instance_asserts_totals():
-    with pytest.raises(AssertionError):
+    # raised, not asserted, so the checks survive python -O
+    with pytest.raises(ValueError):
         AllocationInstance(l=3, k=2, occupancy=np.array([1, 1]))
+    with pytest.raises(ValueError):
+        AllocationInstance(l=2, k=2, occupancy=np.array([3, -1]))
 
 
 def test_allocation_experiment_single_bin():
     # k=1 forces occupancy (l,), keep=5, ssq=25, stat = 25*1/100 = 0.25
-    exp = allocation_concentration_experiment(10, 1, 3, derive_stream(10, 0))
-    assert np.all(exp.stats == 0.25)
-    assert exp.quantiles == {"p50": 0.25, "p90": 0.25, "p99": 0.25, "max": 0.25}
-    assert exp.fitted_c == 0.25
-    assert exp.reference_c_half == 65536.0
+    res = run(ExperimentConfig(
+        experiment="E4_allocation", n_list=(10,), trials=3, master_seed=10,
+        params={"l": 10, "k": 1},
+    ))
+    assert [r[5] for r in res.rows] == [0.25, 0.25, 0.25]
+    stats = res.summary["stat"]
+    assert {key: stats[key] for key in ("p50", "p90", "p99", "max")} == {
+        "p50": 0.25, "p90": 0.25, "p99": 0.25, "max": 0.25,
+    }
+    assert res.summary["reference_c_half"] == 65536.0
+    for i in range(3):
+        instance = sample_allocation(10, 1, derive_stream(10, i))
+        assert instance.occupancy.tolist() == [10]
+        assert min_half_subset_ssq(instance.occupancy, 5) == (25, (5,))
 
 
 def test_allocation_reference_constant():
     assert constants.ALLOCATION_C_HALF == 0.5**-16 == 65536.0
-
-
-def test_allocation_experiment_validation():
-    with pytest.raises(ValueError):
-        allocation_concentration_experiment(10, 2, 0, derive_stream(10, 1))
 
 
 # ------------------------------------------------------------------ samplers
