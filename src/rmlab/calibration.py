@@ -27,6 +27,7 @@ from .distributions import (
     discrete,
     sample,  # unused here; benchmarks/workloads.py wraps this name
 )
+from .errors import RegimeError
 from .rng import derive_stream, derive_substream_seed
 from .small_ball import (
     SmallBallQuery,
@@ -260,14 +261,24 @@ _REG_N = 64
 _REG_BAND = (0.9, 1.1)
 
 
-def sample_regular_vector(rng, delta: float, q: float, max_tries: int = 200):
-    """Spread direction passing the regular-profile classification."""
+def sample_regular_vector(
+    rng,
+    delta: float,
+    q: float,
+    n: int = _REG_N,
+    params: PartitionParams = _REG_PARAMS,
+    band: tuple[float, float] = _REG_BAND,
+    max_tries: int = 200,
+):
+    """Spread direction passing the regular-profile classification in the
+    Halasz regime, with its classification; RegimeError after max_tries
+    rejected draws."""
     for _ in range(max_tries):
-        x = sample_spread_direction(_REG_N, _REG_PARAMS, rng, band=_REG_BAND)
-        cls = classify_profile(x, _REG_PARAMS, delta, q)
+        x = sample_spread_direction(n, params, rng, band=band)
+        cls = classify_profile(x, params, delta, q)
         if cls.verdict == "regular" and cls.halasz_regime:
             return x, cls
-    raise RuntimeError("could not sample a regular vector in the configured regime")
+    raise RegimeError(f"no regular vector sampled within max_tries={max_tries}")
 
 
 def _regular_queries(seed: int, count: int) -> list[BoundQuery]:

@@ -18,14 +18,15 @@ import numpy as np
 from . import constants
 from .distributions import parse_dist_spec
 from .errors import ConfigError, RegimeError
-from .experiments import (
-    ExperimentConfig,
-    _parse_scalar,
-    emit,
-    parse_config_file,
-    run,
+from .experiments import ExperimentConfig, emit, parse_config, run
+from .nets import (
+    SINGULAR_GRID,
+    VOLUMETRIC,
+    VP_ENTROPY,
+    singular_grid_net,
+    volumetric_bound,
+    vp_entropy_bound,
 )
-from .nets import grid_estimate, singular_grid_net, volumetric_estimate, vp_entropy_estimate
 from .rng import derive_stream
 from .small_ball import (
     SmallBallQuery,
@@ -47,15 +48,20 @@ def _read_vector(path: str) -> np.ndarray:
     return np.array(values)
 
 
-def _parse_ns(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad dimension list {text!r}") from exc
-
-
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+
+
+def _config(pairs, text: str = "") -> ExperimentConfig:
+    """parse_config over text followed by one key=value line per pair, so a
+    flag wins over the same key in the config file."""
+    lines = [text]
+    for key, value in pairs:
+        line = f"{key}={value}"
+        if line.splitlines() != [line]:  # a line break would smuggle in another key
+            raise ConfigError(f"{key} value {value!r} contains a line break")
+        lines.append(line)
+    return parse_config("\n".join(lines))
 
 
 def _run_and_emit(config: ExperimentConfig, args) -> int:
@@ -69,77 +75,39 @@ def _run_and_emit(config: ExperimentConfig, args) -> int:
 
 
 def _cmd_run(args) -> int:
-    overrides: dict = {}
-    if args.experiment:
-        overrides["experiment"] = args.experiment
-    if args.dist:
-        overrides["dist"] = parse_dist_spec(args.dist)
-    if args.n:
-        overrides["n_list"] = _parse_ns(args.n)
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    params = {}
+    flags = (
+        ("experiment", args.experiment),
+        ("dist", args.dist),
+        ("n_list", args.n),
+        ("trials", args.trials),
+        ("master_seed", args.seed),
+    )
+    pairs = [(key, value) for key, value in flags if value not in (None, "")]
     for item in args.param or []:
         if "=" not in item:
             raise ConfigError(f"--param expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        params[key.strip()] = _parse_scalar(value.strip())
-    if params:
-        overrides["params"] = params
+        pairs.append((f"params.{key.strip()}", value))
+    text = ""
     if args.config:
-        config = parse_config_file(args.config, overrides)
-    else:
-        if "experiment" not in overrides:
-            raise ConfigError("either --config or --experiment is required")
-        config = ExperimentConfig(
-            experiment=overrides["experiment"],
-            dist=overrides.get("dist", parse_dist_spec("rademacher")),
-            n_list=overrides.get("n_list", (100,)),
-            trials=overrides.get("trials", 1),
-            master_seed=overrides.get("master_seed", 0),
-            params=params,
-        )
-    return _run_and_emit(config, args)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return _run_and_emit(_config(pairs, text), args)
 
 
-def _shortcut(args, experiment: str, n_list, params: dict) -> int:
-    config = ExperimentConfig(
-        experiment=experiment,
-        dist=parse_dist_spec(args.dist),
-        n_list=n_list,
-        trials=args.trials,
-        master_seed=args.seed,
-        params=params,
-    )
-    return _run_and_emit(config, args)
-
-
-def _cmd_sigma_min(args) -> int:
-    return _shortcut(
-        args,
-        "E1_sigma_min_tail",
-        _parse_ns(args.n),
-        {"eps": args.eps, "coeff": args.coeff},
-    )
-
-
-def _cmd_op_norm(args) -> int:
-    return _shortcut(args, "E2_op_norm", _parse_ns(args.n), {"coeff": args.coeff})
-
-
-def _cmd_peaked(args) -> int:
-    return _shortcut(
-        args,
-        "E2b_peaked",
-        _parse_ns(args.n),
-        {"spikes": args.spikes, "coeff": args.coeff},
-    )
-
-
-def _cmd_allocation(args) -> int:
-    return _shortcut(args, "E4_allocation", (args.l,), {"l": args.l, "k": args.k})
+def _cmd_shortcut(args) -> int:
+    """`run` with the experiment fixed by the subcommand; allocation has no
+    --n, its one dimension is --l."""
+    n_list = args.l if args.experiment == "E4_allocation" else args.n
+    pairs = [
+        ("experiment", args.experiment),
+        ("dist", args.dist),
+        ("n_list", n_list),
+        ("trials", args.trials),
+        ("master_seed", args.seed),
+    ]
+    pairs += [(f"params.{key}", getattr(args, key)) for key in args.params]
+    return _run_and_emit(_config(pairs), args)
 
 
 def _cmd_profile(args) -> int:
@@ -154,24 +122,24 @@ def _cmd_small_ball(args) -> int:
     x = _read_vector(args.x)
     dist = parse_dist_spec(args.dist)
     method = args.method
-    if method in ("exact", "enumerate", "convolve"):
-        q = SmallBallQuery(x=x, dist=dist, v=args.v, t=args.t)
-        est = exact_concentration(q, path="auto" if method == "exact" else method)
-    elif method == "monte_carlo":
-        q = SmallBallQuery(x=x, dist=dist, v=args.v, t=args.t)
-        est = monte_carlo_concentration(q, args.trials, derive_stream(args.seed, 0))
-    elif method == "esseen":
-        est = esseen_bound(SmallBallQuery(x=x, dist=dist, v=args.v, t=args.t))
-    elif method == "berry_esseen":
-        est = berry_esseen_bound(SmallBallQuery(x=x, dist=dist, v=args.v, t=args.t))
-    elif method == "halasz_profile":
+    if method == "halasz_profile":
         if args.delta is None:
             raise ConfigError("halasz_profile needs --delta")
         est = halasz_profile_bound(x, args.delta)
-    else:
+    elif method == "halasz_integral":
         if args.delta is None or args.a is None:
             raise ConfigError("halasz_integral needs --delta and --a")
         est = halasz_integral_bound(x, dist, args.delta, args.a)
+    else:
+        q = SmallBallQuery(x=x, dist=dist, v=args.v, t=args.t)
+        if method == "monte_carlo":
+            est = monte_carlo_concentration(q, args.trials, derive_stream(args.seed, 0))
+        elif method == "esseen":
+            est = esseen_bound(q)
+        elif method == "berry_esseen":
+            est = berry_esseen_bound(q)
+        else:
+            est = exact_concentration(q, path="auto" if method == "exact" else method)
     _print_json(
         {
             "value": est.value,
@@ -185,11 +153,17 @@ def _cmd_small_ball(args) -> int:
 
 def _cmd_nets(args) -> int:
     if args.check == "volumetric":
-        est = volumetric_estimate(args.n, args.K, args.D, args.t)
-        payload = {"log_count": est.log_count, "kind": est.kind, "params": est.params}
+        payload = {
+            "log_count": volumetric_bound(args.n, args.K, args.D, args.t),
+            "kind": VOLUMETRIC,
+            "params": {"n": args.n, "K": args.K, "D": args.D, "t": args.t},
+        }
     elif args.check == "vp":
-        est = vp_entropy_estimate(args.n, args.r, args.R)
-        payload = {"log_count": est.log_count, "kind": est.kind, "params": est.params}
+        payload = {
+            "log_count": vp_entropy_bound(args.n, args.r, args.R),
+            "kind": VP_ENTROPY,
+            "params": {"n": args.n, "r": args.r, "R": args.R},
+        }
     else:
         if args.j:
             j_set = tuple(int(part) for part in args.j.split(",") if part.strip())
@@ -197,12 +171,19 @@ def _cmd_nets(args) -> int:
             j_set = tuple(range(args.l))
         else:
             raise ConfigError("grid check needs --j or --l")
-        est = grid_estimate(args.n, args.delta, args.r, args.R, j_set)
         net = singular_grid_net(args.n, args.delta, args.r, args.R, j_set)
         payload = {
-            "log_count": est.log_count,
-            "kind": est.kind,
-            "params": est.params,
+            "log_count": net.log_cardinality,
+            "kind": SINGULAR_GRID,
+            "params": {
+                "n": args.n,
+                "delta": args.delta,
+                "r": args.r,
+                "R": args.R,
+                "j_set": list(net.j_set),
+                "k0": net.k0,
+                "k": net.k,
+            },
             "centers": [float(c) for c in net.centers],
         }
     _print_json(payload)
@@ -245,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=constants.SIGMA_TAIL_EPS)
     p.add_argument("--coeff", type=float, default=constants.SIGMA_TAIL_COEFF)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_sigma_min)
+    p.set_defaults(func=_cmd_shortcut, experiment="E1_sigma_min_tail", params=("eps", "coeff"))
 
     p = sub.add_parser("op-norm", help="operator norm tail (E2)")
     p.add_argument("--n", default="200")
@@ -254,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coeff", type=float, default=constants.OP_NORM_COEFF)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_op_norm)
+    p.set_defaults(func=_cmd_shortcut, experiment="E2_op_norm", params=("coeff",))
 
     p = sub.add_parser("peaked", help="peaked-direction image norm (E2b)")
     p.add_argument("--n", default="100")
@@ -264,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spikes", type=int, default=2)
     p.add_argument("--coeff", type=float, default=constants.PEAKED_NORM_COEFF)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_peaked)
+    p.set_defaults(func=_cmd_shortcut, experiment="E2b_peaked", params=("spikes", "coeff"))
 
     p = sub.add_parser("allocation", help="balls-in-urns concentration (E4)")
     p.add_argument("--l", type=int, default=1000)
@@ -273,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default="rademacher")
     p.add_argument("--seed", type=int, default=0)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_allocation)
+    p.set_defaults(func=_cmd_shortcut, experiment="E4_allocation", params=("l", "k"))
 
     p = sub.add_parser("profile", help="classify a unit vector's delta-profile")
     p.add_argument("--x", required=True, help="file with one coordinate per line")

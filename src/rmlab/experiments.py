@@ -7,7 +7,8 @@ allocation concentration (E4), a sphere-partition census (E5), and bound
 calibration audits (E6).
 
 Every family has the same shape, one `_Experiment` entry in `_RUNNERS`:
-its CSV columns; tasks(config), the list of task payloads, each led by its
+its CSV columns; the params keys it reads, which are the only ones run()
+accepts; tasks(config), the list of task payloads, each led by its
 trial index; run(config, payload), the rows of one task; and
 summarize(config, rows), the JSON summary built from the rows alone.
 
@@ -120,9 +121,10 @@ def _parse_scalar(text: str):
     return text
 
 
-def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
     """Flat key=value config text; keys match ExperimentConfig fields, with
-    experiment-specific entries spelled params.<name>."""
+    experiment-specific entries spelled params.<name>. A later line for the
+    same key wins over an earlier one."""
     fields: dict = {}
     params: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -138,35 +140,29 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             fields[key] = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    for key, value in (overrides or {}).items():
-        if key == "params":
-            params.update(value)
-        else:
-            fields[key] = value
     if "experiment" not in fields:
         raise ConfigError("missing required key: experiment")
     try:
         kwargs = {"experiment": fields["experiment"], "params": params}
         if "dist" in fields:
-            d = fields["dist"]
-            kwargs["dist"] = d if isinstance(d, EntryDistribution) else parse_dist_spec(d)
-        if "n_list" in fields:
-            nl = fields["n_list"]
-            if isinstance(nl, str):
-                nl = tuple(int(part) for part in nl.split(",") if part.strip())
-            kwargs["n_list"] = tuple(nl)
+            kwargs["dist"] = parse_dist_spec(fields["dist"])
         if "trials" in fields:
             kwargs["trials"] = int(fields["trials"])
         if "master_seed" in fields:
             kwargs["master_seed"] = int(fields["master_seed"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    if "n_list" in fields:
+        try:
+            kwargs["n_list"] = tuple(int(part) for part in fields["n_list"].split(",") if part.strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad dimension list {fields['n_list']!r}") from exc
     return ExperimentConfig(**kwargs)
 
 
-def parse_config_file(path: str, overrides: dict | None = None) -> ExperimentConfig:
+def parse_config_file(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides)
+        return parse_config(fh.read())
 
 
 # ------------------------------------------------------------------ summaries
@@ -318,12 +314,13 @@ def _e3_settings(config):
 def _tasks_e3(config):
     if len(config.n_list) != 1:
         raise ConfigError("E3 uses a single dimension in n_list")
+    for key in ("mc_samples", "t_steps"):
+        if key in config.params and int(config.params[key]) < 1:
+            raise ConfigError(f"params.{key}={config.params[key]!r} must be at least 1")
     return _tasks_trials(config)
 
 
 def _run_e3(config, payload):
-    from .sphere_profile import sample_spread_direction
-
     idx = payload[0]
     n = config.n_list[0]
     delta, q, params, band = _e3_settings(config)
@@ -331,14 +328,9 @@ def _run_e3(config, payload):
     mc = int(config.param("mc_samples", 200_000))
     max_tries = int(config.param("max_tries", 200))
     rng = derive_stream(config.master_seed, idx)
-    cls = None
-    for _ in range(max_tries):
-        x = sample_spread_direction(n, params, rng, band=band)
-        cls = classify_profile(x, params, delta, q)
-        if cls.verdict == "regular" and cls.halasz_regime:
-            break
-    else:
-        raise RegimeError("no regular vector sampled within max_tries")
+    x, cls = calibration.sample_regular_vector(
+        rng, delta, q, n=n, params=params, band=band, max_tries=max_tries
+    )
     sums = np.concatenate(list(sample_sums(config.dist, x, mc, rng)))
     seed = derive_substream_seed(config.master_seed, idx)
     rows = []
@@ -503,6 +495,7 @@ class _Experiment:
     """One experiment family; the module docstring gives the contract."""
 
     columns: tuple[str, ...]
+    params: tuple[str, ...]
     tasks: Callable[[ExperimentConfig], list]
     run: Callable[[ExperimentConfig, tuple], list]
     summarize: Callable[[ExperimentConfig, tuple], dict]
@@ -511,30 +504,37 @@ class _Experiment:
 _RUNNERS = {
     "E1_sigma_min_tail": _Experiment(
         columns=("trial", "n", "dist", "seed", "sigma_min", "op_norm", "singular_flag", "elapsed_ms"),
+        params=("eps", "coeff"),
         tasks=_tasks_matrix, run=_run_e1, summarize=_summary_e1,
     ),
     "E2_op_norm": _Experiment(
         columns=("trial", "n", "dist", "seed", "op_norm", "exceed_flag", "elapsed_ms"),
+        params=("coeff",),
         tasks=_tasks_matrix, run=_run_e2, summarize=_summary_e2,
     ),
     "E2b_peaked": _Experiment(
         columns=("trial", "n", "dist", "seed", "ax_norm", "small_flag", "elapsed_ms"),
+        params=("spikes", "coeff"),
         tasks=_tasks_matrix, run=_run_e2b, summarize=_summary_e2b,
     ),
     "E3_regular_smallball": _Experiment(
         columns=("trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold", "elapsed_ms"),
+        params=("delta", "q", "r", "R", "band_lo", "band_hi", "t_steps", "mc_samples", "max_tries"),
         tasks=_tasks_e3, run=_run_e3, summarize=_summary_e3,
     ),
     "E4_allocation": _Experiment(
         columns=("trial", "l", "k", "seed", "min_ssq", "stat", "elapsed_ms"),
+        params=("l", "k"),
         tasks=_tasks_trials, run=_run_e4, summarize=_summary_e4,
     ),
     "E5_profile_census": _Experiment(
         columns=("trial", "n", "dist", "seed", "sphere_class", "verdict", "min_ssq", "elapsed_ms"),
+        params=("delta", "q", "r", "R"),
         tasks=_tasks_matrix, run=_run_e5, summarize=_summary_e5,
     ),
     "E6_bound_calibration": _Experiment(
         columns=("trial", "bound", "dist", "m", "exact", "bound_value", "ratio", "dominated", "elapsed_ms"),
+        params=("per_bound",),
         tasks=_tasks_e6, run=_run_e6, summarize=_summary_e6,
     ),
 }
@@ -543,6 +543,8 @@ _RUNNERS = {
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Execute every trial of the config and assemble rows plus summary.
 
+    Raises ConfigError for a params key the experiment does not read.
+
     workers > 1 runs trials on a thread pool; the row set is identical to the
     serial run because each trial is a pure function of (config, index).
     workers must be a positive integer.
@@ -550,6 +552,12 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"workers={workers!r} must be a positive integer")
     spec = _RUNNERS[config.experiment]
+    unknown = sorted(set(config.params) - set(spec.params))
+    if unknown:
+        raise ConfigError(
+            f"experiment {config.experiment} has no params {', '.join(unknown)}; "
+            f"it reads {', '.join(spec.params)}"
+        )
     tasks = spec.tasks(config)
     start = time.perf_counter()
 

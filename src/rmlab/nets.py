@@ -73,14 +73,6 @@ def volumetric_bound(n: int, K: str, D: str, t: float) -> float:
     return n * math.log(3.0) + log_volume(K, n) - log_volume(D, n, scale=t)
 
 
-def volumetric_estimate(n: int, K: str, D: str, t: float) -> CoveringEstimate:
-    return CoveringEstimate(
-        log_count=volumetric_bound(n, K, D, t),
-        kind=VOLUMETRIC,
-        params={"n": n, "K": K, "D": D, "t": t},
-    )
-
-
 def vp_entropy_bound(n: int, r: float, R: float) -> float:
     """Entropy bound (n/R) ln(3R/r) for nets over almost-flat directions."""
     if not r < 0.5:
@@ -90,14 +82,6 @@ def vp_entropy_bound(n: int, r: float, R: float) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return (n / R) * math.log(3.0 * R / r)
-
-
-def vp_entropy_estimate(n: int, r: float, R: float) -> CoveringEstimate:
-    return CoveringEstimate(
-        log_count=vp_entropy_bound(n, r, R),
-        kind=VP_ENTROPY,
-        params={"n": n, "r": r, "R": R},
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,23 +154,6 @@ def singular_grid_net(n: int, delta: float, r: float, R: float, j_set) -> GridNe
         k0=ctx.k0,
         k=ctx.k,
         log_cardinality=log_card,
-    )
-
-
-def grid_estimate(n: int, delta: float, r: float, R: float, j_set) -> CoveringEstimate:
-    net = singular_grid_net(n, delta, r, R, j_set)
-    return CoveringEstimate(
-        log_count=net.log_cardinality,
-        kind=SINGULAR_GRID,
-        params={
-            "n": n,
-            "delta": delta,
-            "r": r,
-            "R": R,
-            "j_set": list(net.j_set),
-            "k0": net.k0,
-            "k": net.k,
-        },
     )
 
 

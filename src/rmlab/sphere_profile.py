@@ -9,7 +9,6 @@ balls-in-urns concentration experiment.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -196,26 +195,31 @@ def delta_profile(x, delta: float) -> DeltaProfile:
 def min_half_subset_ssq(occupancy, keep: int) -> tuple[int, tuple[int, ...]]:
     """Exact minimum of sum c_i^2 over integers 0 <= c_i <= occupancy_i, sum c_i = keep.
 
-    Greedy increment of the currently smallest c_i, which is exact for
-    separable convex objectives. Returns (min_ssq, kept_per_bin) with
-    kept_per_bin aligned to the input order; ties go to the lowest index.
+    Water filling, exact for separable convex objectives: L is the smallest
+    level with sum min(occupancy_i, L) >= keep; every bin takes
+    min(occupancy_i, L - 1) and the remaining units go one each to the
+    lowest-index bins with occupancy_i >= L. Returns (min_ssq, kept_per_bin)
+    with kept_per_bin aligned to the input order.
     """
-    occ = [int(c) for c in occupancy]
-    if any(c < 0 for c in occ):
+    occ = np.array([int(c) for c in occupancy], dtype=np.int64)
+    if np.any(occ < 0):
         raise ValueError("occupancy counts must be nonnegative")
     if keep < 0:
         raise ValueError("keep must be nonnegative")
-    if keep > sum(occ):
-        raise ValueError(f"infeasible: keep={keep} > total occupancy {sum(occ)}")
-    counts = [0] * len(occ)
-    heap = [(0, i) for i in range(len(occ)) if occ[i] > 0]
-    heapq.heapify(heap)
-    for _ in range(keep):
-        c, i = heapq.heappop(heap)
-        counts[i] = c + 1
-        if counts[i] < occ[i]:
-            heapq.heappush(heap, (counts[i], i))
-    return sum(c * c for c in counts), tuple(counts)
+    total = int(occ.sum())
+    if keep > total:
+        raise ValueError(f"infeasible: keep={keep} > total occupancy {total}")
+    lo, hi = 0, int(occ.max(initial=0))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if int(np.minimum(occ, mid).sum()) >= keep:
+            hi = mid
+        else:
+            lo = mid + 1
+    counts = np.minimum(occ, max(lo - 1, 0))
+    counts[np.flatnonzero(occ >= lo)[: keep - int(counts.sum())]] += 1
+    kept = counts.tolist()
+    return sum(c * c for c in kept), tuple(kept)
 
 
 def classify_profile(

@@ -22,6 +22,7 @@ from rmlab.calibration import (
     sample_regular_vector,
 )
 from rmlab.distributions import GAUSSIAN, RADEMACHER
+from rmlab.errors import RegimeError
 from rmlab.rng import derive_stream
 from rmlab.small_ball import esseen_bound, SmallBallQuery
 
@@ -159,3 +160,6 @@ def test_sample_regular_vector():
     assert cls.verdict == "regular"
     assert cls.halasz_regime
     assert cls.min_ssq <= cls.threshold
+    # threshold 1.5 * 4^2.5 * 0.016 = 0.768 < 2 at n=16, so no draw is regular
+    with pytest.raises(RegimeError, match="max_tries=3"):
+        sample_regular_vector(derive_stream(50, 0), 0.016, 1.5, n=16, max_tries=3)

@@ -78,6 +78,21 @@ def test_bad_param_syntax_exits_2(capsys):
     assert main(["run", "--experiment", "E4_allocation", "--param", "l10"]) == 2
 
 
+def test_unknown_param_exits_2(capsys):
+    argv = ["run", "--experiment", "E2_op_norm", "--n", "8", "--param", "coef=0.1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "coef" in err
+
+
+def test_flag_with_line_break_exits_2(capsys):
+    # each flag becomes one config line; a line break would add a line of its own
+    assert main(["run", "--experiment", "E2_op_norm", "--dist", "gaussian\ntrials=5"]) == 2
+    assert main(["run", "--experiment", "E4_allocation", "--param", "l=10\rk=1"]) == 2
+    assert main(["op-norm", "--dist", "gaussian\nn_list=4", "--trials", "1"]) == 2
+    assert capsys.readouterr().err.count("contains a line break") == 3
+
+
 def test_zero_workers_exits_2(capsys):
     assert main(E4_ARGS + ["--workers", "0"]) == 2
     assert "config error" in capsys.readouterr().err
@@ -182,6 +197,8 @@ def test_nets_volumetric(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["log_count"] == pytest.approx(math.log(36.0))
     assert payload["kind"] == "volumetric_formula"
+    assert payload["params"] == {"n": 2, "K": "euclidean_ball", "D": "euclidean_ball", "t": 0.5}
+    assert set(payload) == {"log_count", "kind", "params"}
 
 
 def test_nets_vp(capsys):
@@ -189,6 +206,8 @@ def test_nets_vp(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["log_count"] == pytest.approx(10.0 * math.log(120.0))
+    assert payload["kind"] == "vp_entropy_formula"
+    assert payload["params"] == {"n": 100, "r": 0.25, "R": 10.0}
 
 
 def test_nets_grid(capsys):
@@ -199,6 +218,10 @@ def test_nets_grid(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["log_count"] == pytest.approx(6.0 * math.log(8.0))
+    assert payload["kind"] == "singular_grid_formula"
+    assert payload["params"] == {
+        "n": 25, "delta": 0.05, "r": 0.9, "R": 1.3, "j_set": [0, 1, 2, 3, 4, 5], "k0": 1, "k": 4,
+    }
     assert payload["centers"] == pytest.approx([0.075, 0.125, 0.175, 0.225, 0.275])
 
 

@@ -95,10 +95,8 @@ def test_parse_config_errors():
 
 
 def test_parse_config_overrides():
-    cfg = parse_config(
-        CONFIG_TEXT,
-        overrides={"trials": 5, "params": {"eps": 0.2}},
-    )
+    # a later line for the same key wins
+    cfg = parse_config(CONFIG_TEXT + "trials = 5\nparams.eps = 0.2\n")
     assert cfg.trials == 5
     assert cfg.params["eps"] == 0.2
     assert cfg.params["note"] == "fast"
@@ -220,6 +218,18 @@ def test_e3_rejects_multiple_dimensions():
 def test_e3_requires_delta_and_q():
     cfg = ExperimentConfig(experiment="E3_regular_smallball", n_list=(16,), trials=1)
     with pytest.raises(ConfigError):
+        run(cfg)
+
+
+@pytest.mark.parametrize("key", ["mc_samples", "t_steps"])
+def test_e3_rejects_counts_below_one(key):
+    cfg = ExperimentConfig(
+        experiment="E3_regular_smallball",
+        n_list=(16,),
+        trials=1,
+        params={"delta": 0.016, "q": 4.0, key: 0},
+    )
+    with pytest.raises(ConfigError, match=f"params.{key}"):
         run(cfg)
 
 
@@ -359,6 +369,12 @@ def test_emit_writes_file_and_maps_errors(tmp_path):
         emit(res, path=str(tmp_path / "missing" / "rows.csv"))
     with pytest.raises(ValueError):
         emit(res, format="yaml")
+
+
+def test_run_rejects_params_the_experiment_does_not_read():
+    cfg = ExperimentConfig(experiment="E2_op_norm", n_list=(8,), params={"coef": 0.1})
+    with pytest.raises(ConfigError, match="coef"):
+        run(cfg)
 
 
 def test_config_error_for_bad_spike_count():

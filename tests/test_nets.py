@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,23 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmlab.cli import main
 from rmlab.errors import RegimeError
 from rmlab.nets import (
     GREEDY,
     SINGULAR_GRID,
     VOLUMETRIC,
-    VP_ENTROPY,
     CoveringEstimate,
     greedy_estimate,
     greedy_net,
-    grid_estimate,
     log_volume,
     occupied_fraction,
     singular_grid_net,
     volumetric_bound,
-    volumetric_estimate,
     vp_entropy_bound,
-    vp_entropy_estimate,
 )
 from rmlab.rng import derive_stream
 
@@ -78,12 +76,15 @@ def test_volumetric_bound_monotone_in_t(n, t1, t2):
     assert volumetric_bound(n, BALL, BALL, lo) >= volumetric_bound(n, BALL, BALL, hi)
 
 
-def test_volumetric_estimate_wraps_bound():
-    est = volumetric_estimate(2, BALL, BALL, 0.5)
-    assert est.kind == VOLUMETRIC
-    assert est.log_count == pytest.approx(math.log(36.0))
-    assert est.params == {"n": 2, "K": BALL, "D": BALL, "t": 0.5}
-    assert est.realization is None
+def test_volumetric_estimate_wraps_bound(capsys):
+    # `rmlab nets --check volumetric` reports volumetric_bound as it stands
+    assert main(["nets", "--check", "volumetric", "--n", "2", "--t", "0.5"]) == 0
+    est = json.loads(capsys.readouterr().out)
+    assert est["kind"] == VOLUMETRIC
+    assert est["log_count"] == volumetric_bound(2, BALL, BALL, 0.5)
+    assert est["log_count"] == pytest.approx(math.log(36.0))
+    assert est["params"] == {"n": 2, "K": BALL, "D": BALL, "t": 0.5}
+    assert "realization" not in est
 
 
 # ------------------------------------------------------------------- entropy
@@ -91,9 +92,6 @@ def test_volumetric_estimate_wraps_bound():
 
 def test_vp_entropy_frozen_value():
     assert vp_entropy_bound(100, 0.25, 10.0) == pytest.approx(10.0 * math.log(120.0))
-    est = vp_entropy_estimate(100, 0.25, 10.0)
-    assert est.kind == VP_ENTROPY
-    assert est.params == {"n": 100, "r": 0.25, "R": 10.0}
 
 
 def test_vp_entropy_validation():
@@ -177,11 +175,18 @@ def test_occupied_fraction_counts_cells():
     assert frac == pytest.approx(2.0 / math.exp(net.log_cardinality))
 
 
-def test_grid_estimate_wraps_net():
-    est = grid_estimate(**GRID_ARGS)
-    assert est.kind == SINGULAR_GRID
-    assert est.log_count == pytest.approx(6.0 * math.log(8.0))
-    assert est.params["k"] == 4 and est.params["k0"] == 1
+def test_grid_estimate_wraps_net(capsys):
+    # `rmlab nets --check grid` reports the fields of singular_grid_net as they stand
+    argv = ["nets", "--check", "grid", "--n", "25", "--delta", "0.05", "--r", "0.9", "--R", "1.3"]
+    assert main(argv + ["--j", "0,1,2,3,4,5"]) == 0
+    est = json.loads(capsys.readouterr().out)
+    net = singular_grid_net(**GRID_ARGS)
+    assert est["kind"] == SINGULAR_GRID
+    assert est["log_count"] == net.log_cardinality
+    assert est["log_count"] == pytest.approx(6.0 * math.log(8.0))
+    assert est["params"]["k"] == net.k == 4 and est["params"]["k0"] == net.k0 == 1
+    assert est["params"]["j_set"] == list(net.j_set)
+    assert est["centers"] == [float(c) for c in net.centers]
 
 
 # ---------------------------------------------------------------- greedy nets

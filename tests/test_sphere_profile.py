@@ -124,6 +124,7 @@ def test_min_half_subset_ssq_frozen_examples():
 
 def test_min_half_subset_ssq_edge_cases():
     assert min_half_subset_ssq((3, 3), 0) == (0, (0, 0))
+    assert min_half_subset_ssq((), 0) == (0, ())
     assert min_half_subset_ssq((2, 2), 4) == (8, (2, 2))
     with pytest.raises(ValueError):
         min_half_subset_ssq((2, 2), 5)
