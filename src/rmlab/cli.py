@@ -171,6 +171,8 @@ def _cmd_nets(args) -> int:
             j_set = tuple(range(args.l))
         else:
             raise ConfigError("grid check needs --j or --l")
+        if args.delta is None:
+            raise ConfigError("grid check needs --delta")
         net = singular_grid_net(args.n, args.delta, args.r, args.R, j_set)
         payload = {
             "log_count": net.log_cardinality,

@@ -51,7 +51,6 @@ __all__ = [
     "derive_stream",
     "emit",
     "parse_config",
-    "parse_config_file",
     "run",
 ]
 
@@ -158,11 +157,6 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"bad dimension list {fields['n_list']!r}") from exc
     return ExperimentConfig(**kwargs)
-
-
-def parse_config_file(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
 
 
 # ------------------------------------------------------------------ summaries

@@ -186,6 +186,9 @@ def greedy_net(points, metric: str = "l2", eps: float = 1.0) -> np.ndarray:
         points = points[:, None]
     if points.size == 0:
         raise ValueError("points must be nonempty")
+    if not np.all(np.isfinite(points)):
+        # a NaN distance never drops to eps, so the loop below would not end
+        raise ValueError("points must be finite")
     chosen = [0]
     dists = _pairwise_dist(points, points[0], metric)
     while True:
@@ -194,9 +197,9 @@ def greedy_net(points, metric: str = "l2", eps: float = 1.0) -> np.ndarray:
             break
         chosen.append(far)
         dists = np.minimum(dists, _pairwise_dist(points, points[far], metric))
-    net = points[chosen]
-    assert float(np.max(dists)) <= eps
-    return net
+    if float(np.max(dists)) > eps:
+        raise RuntimeError(f"greedy net leaves a point farther than eps={eps}")
+    return points[chosen]
 
 
 def greedy_estimate(points, metric: str = "l2", eps: float = 1.0) -> CoveringEstimate:

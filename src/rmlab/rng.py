@@ -12,8 +12,9 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 
-# Reserved stream indices for per-seed substreams (matrix entries and the
-# two iteration start vectors must not share a stream).
+# Reserved stream indices for per-seed substreams. 1 and 2 held the start
+# vectors of the former iterative spectral solvers; they stay reserved so no
+# new stream reuses them.
 STREAM_ENTRIES = 0
 STREAM_OPNORM_START = 1
 STREAM_SIGMA_START = 2

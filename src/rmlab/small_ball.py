@@ -408,7 +408,8 @@ def halasz_profile_bound(x, delta: float) -> ConcentrationEstimate:
         raise RegimeError(f"delta {delta} >= a/(2 pi) = {a / (2.0 * math.pi)}")
     cbar = float(np.max(ax)) / a
     profile = delta_profile(x, delta)
-    assert profile.below_count == 0
+    if profile.below_count:
+        raise RegimeError(f"{profile.below_count} weights at or below delta {delta}")
     value = profile.sum_squares() / m**2.5
     return ConcentrationEstimate(
         value=value,

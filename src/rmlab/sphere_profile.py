@@ -58,13 +58,24 @@ class ProfileContext:
         if delta <= 0:
             raise ValueError("delta must be positive")
         a = params.r / (2.0 * math.sqrt(n))
+        if not math.isfinite(a / delta):
+            raise ValueError(f"delta={delta} too fine: r/(2 sqrt(n)) / delta overflows")
         k0 = max(0, math.ceil(a / delta) - 1)
+        # a / delta can round across an integer (n=225, delta=0.001); one step
+        # makes k0 * delta < a <= (k0 + 1) * delta hold in floating point
+        if k0 > 0 and k0 * delta >= a:
+            k0 -= 1
+        elif (k0 + 1) * delta < a:
+            k0 += 1
         k = math.ceil((params.R - params.r / 2.0) / (math.sqrt(n) * delta))
         m = math.ceil((params.r**2 / (2.0 * params.R**2)) * n)
-        ctx = cls(n=n, delta=delta, k0=k0, k=k, m=m)
-        assert k0 * delta < a <= (k0 + 1) * delta
-        assert (k0 + k + 1) * delta >= params.R / math.sqrt(n)
-        return ctx
+        # either check fails only when delta is too fine for floats to
+        # resolve bins of width delta
+        if not k0 * delta < a <= (k0 + 1) * delta:
+            raise ValueError(f"delta={delta} too fine: bin k0={k0} misses r/(2 sqrt(n))={a}")
+        if (k0 + k + 1) * delta < params.R / math.sqrt(n):
+            raise ValueError(f"delta={delta} too fine: bins up to {k0 + k} stop short of R/sqrt(n)")
+        return cls(n=n, delta=delta, k0=k0, k=k, m=m)
 
 
 @dataclass(frozen=True)

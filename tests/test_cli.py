@@ -149,6 +149,19 @@ def test_profile_command(tmp_path, capsys):
     assert payload["sphere_class"] == "V_S"
 
 
+def test_profile_at_a_bin_rounding_edge(tmp_path, capsys):
+    # n=225, delta=0.001: r/(2 sqrt(n)) / delta rounds across 30
+    vec = tmp_path / "x.txt"
+    vec.write_text("\n".join([repr(1.0 / 15.0)] * 225) + "\n", encoding="utf-8")
+    code = main([
+        "profile", "--x", str(vec), "--delta", "0.001", "--q", "4",
+        "--r", "0.9", "--R", "1.3",
+    ])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["k0"] == 30 and payload["sphere_class"] == "V_S"
+
+
 def test_profile_peaked_vector_exits_3(tmp_path, capsys):
     vec = tmp_path / "spike.txt"
     vec.write_text("1.0\n" + "\n".join(["0.0"] * 63) + "\n", encoding="utf-8")
@@ -227,3 +240,8 @@ def test_nets_grid(capsys):
 
 def test_nets_grid_needs_index_set(capsys):
     assert main(["nets", "--check", "grid", "--n", "25", "--delta", "0.05"]) == 2
+
+
+def test_nets_grid_needs_delta(capsys):
+    assert main(["nets", "--check", "grid", "--n", "25", "--l", "6"]) == 2
+    assert "--delta" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from rmlab.experiments import (
     ExperimentConfig,
     emit,
     parse_config,
-    parse_config_file,
     recompute_summary,
     run,
 )
@@ -102,12 +102,6 @@ def test_parse_config_overrides():
     assert cfg.params["note"] == "fast"
 
 
-def test_parse_config_file(tmp_path):
-    path = tmp_path / "exp.cfg"
-    path.write_text(CONFIG_TEXT, encoding="utf-8")
-    assert parse_config_file(str(path)).n_list == (8, 16)
-
-
 # ------------------------------------------------------------------ runners
 
 
@@ -144,6 +138,30 @@ def test_serial_parallel_identical_rows():
     threaded = run(E1_CFG, workers=3)
     assert serial.rows == threaded.rows
     assert emit(serial) == emit(threaded)
+
+
+WORKER_CFGS = {
+    # n = 2..6 Rademacher matrices are often exactly singular
+    "e1_rademacher": ExperimentConfig(
+        experiment="E1_sigma_min_tail", dist=RADEMACHER, n_list=(2, 3, 4, 5, 6), trials=20, master_seed=31
+    ),
+    "e1_gaussian": ExperimentConfig(
+        experiment="E1_sigma_min_tail", dist=GAUSSIAN, n_list=(5, 40), trials=10, master_seed=32
+    ),
+    "e2": ExperimentConfig(experiment="E2_op_norm", dist=GAUSSIAN, n_list=(40,), trials=20, master_seed=33),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKER_CFGS))
+def test_rows_identical_for_any_worker_count_without_warnings(name):
+    cfg = WORKER_CFGS[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = [run(cfg, workers=workers).rows for workers in (1, 2, 3)]
+    assert rows[0] == rows[1] == rows[2]
+    assert [str(w.message) for w in caught] == []
+    if name == "e1_rademacher":
+        assert 0 < sum(r[6] for r in rows[0]) < len(rows[0])
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.5])

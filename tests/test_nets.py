@@ -200,6 +200,12 @@ def test_greedy_net_frozen_cases():
     assert near.shape == (1, 2)
 
 
+def test_greedy_net_rejects_non_finite_points():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            greedy_net(np.array([[0.0, 0.0], [bad, 1.0]]), eps=1.0)
+
+
 def test_greedy_net_interval():
     pts = np.linspace(-1.0, 1.0, 2001)[:, None]
     net = greedy_net(pts, eps=1.0 / 3.0)

@@ -58,11 +58,24 @@ def test_profile_context_frozen_instance():
     assert (ctx.k0 + ctx.k + 1) * ctx.delta >= PARAMS.R / math.sqrt(64)
 
 
+@pytest.mark.parametrize("n, delta", [(225, 0.001), (900, 0.003), (625, 0.003), (2500, 0.003)])
+def test_profile_context_rounding_edges(n, delta):
+    # a / delta rounds across an integer here: up at n=225 and 900, down at
+    # n=625 and 2500, where k0 * delta == a in floating point
+    ctx = ProfileContext.from_params(n, delta, PARAMS)
+    a = PARAMS.r / (2.0 * math.sqrt(n))
+    assert ctx.k0 * delta < a <= (ctx.k0 + 1) * delta
+    assert (ctx.k0 + ctx.k + 1) * delta >= PARAMS.R / math.sqrt(n)
+
+
 def test_profile_context_validation():
     with pytest.raises(ValueError):
         ProfileContext.from_params(0, 0.01, PARAMS)
     with pytest.raises(ValueError):
         ProfileContext.from_params(16, 0.0, PARAMS)
+    for delta in (1e-20, 1e-310):
+        with pytest.raises(ValueError, match="too fine"):
+            ProfileContext.from_params(225, delta, PARAMS)
 
 
 def test_classify_sphere_peaked_and_spread():
