@@ -19,7 +19,6 @@ from .matrices import (
     MatrixSample,
     operator_norm,
     sample_matrix,
-    smallest_singular_value,
     spectral_summary,
 )
 from .nets import (
@@ -108,7 +107,6 @@ __all__ = [
     "sample_allocation",
     "sample_matrix",
     "singular_grid_net",
-    "smallest_singular_value",
     "spectral_summary",
     "tensorization_bound",
     "volumetric_bound",

@@ -45,12 +45,6 @@ class NormReport:
 
 
 @dataclass(frozen=True)
-class SigmaMinReport:
-    value: float
-    singular_flag: bool
-
-
-@dataclass(frozen=True)
 class SpectralSummary:
     op_norm: float
     sigma_min: float
@@ -90,9 +84,3 @@ def operator_norm(A) -> NormReport:
     """Largest singular value."""
     return NormReport(spectral_summary(A).op_norm)
 
-
-def smallest_singular_value(A) -> SigmaMinReport:
-    """Smallest singular value, 0 with singular_flag set by the rule of
-    spectral_summary."""
-    summary = spectral_summary(A)
-    return SigmaMinReport(summary.sigma_min, summary.singular_flag)

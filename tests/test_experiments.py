@@ -133,35 +133,29 @@ def test_e1_rows_and_summary():
     assert res.summary["runtime_seconds"] >= 0
 
 
-def test_serial_parallel_identical_rows():
-    serial = run(E1_CFG)
-    threaded = run(E1_CFG, workers=3)
-    assert serial.rows == threaded.rows
-    assert emit(serial) == emit(threaded)
-
-
-WORKER_CFGS = {
+WORKER_CFGS = (
+    E1_CFG,
     # n = 2..6 Rademacher matrices are often exactly singular
-    "e1_rademacher": ExperimentConfig(
+    ExperimentConfig(
         experiment="E1_sigma_min_tail", dist=RADEMACHER, n_list=(2, 3, 4, 5, 6), trials=20, master_seed=31
     ),
-    "e1_gaussian": ExperimentConfig(
-        experiment="E1_sigma_min_tail", dist=GAUSSIAN, n_list=(5, 40), trials=10, master_seed=32
-    ),
-    "e2": ExperimentConfig(experiment="E2_op_norm", dist=GAUSSIAN, n_list=(40,), trials=20, master_seed=33),
-}
+    ExperimentConfig(experiment="E1_sigma_min_tail", dist=GAUSSIAN, n_list=(5, 40), trials=10, master_seed=32),
+    ExperimentConfig(experiment="E2_op_norm", dist=GAUSSIAN, n_list=(40,), trials=20, master_seed=33),
+)
 
 
-@pytest.mark.parametrize("name", sorted(WORKER_CFGS))
-def test_rows_identical_for_any_worker_count_without_warnings(name):
-    cfg = WORKER_CFGS[name]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows = [run(cfg, workers=workers).rows for workers in (1, 2, 3)]
-    assert rows[0] == rows[1] == rows[2]
-    assert [str(w.message) for w in caught] == []
-    if name == "e1_rademacher":
-        assert 0 < sum(r[6] for r in rows[0]) < len(rows[0])
+def test_serial_parallel_identical_rows():
+    for cfg in WORKER_CFGS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            serial = run(cfg)
+            for workers in (2, 3):
+                threaded = run(cfg, workers=workers)
+                assert serial.rows == threaded.rows
+                assert emit(serial) == emit(threaded)
+        assert [str(w.message) for w in caught] == []
+    singular = [r[6] for r in run(WORKER_CFGS[1]).rows]
+    assert 0 < sum(singular) < len(singular)
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.5])

@@ -12,7 +12,6 @@ from rmlab.distributions import GAUSSIAN, RADEMACHER, UNIFORM_SYM
 from rmlab.matrices import (
     operator_norm,
     sample_matrix,
-    smallest_singular_value,
     spectral_summary,
 )
 
@@ -63,13 +62,13 @@ def test_operator_norm_known_matrices():
 
 def test_smallest_singular_value_known_matrices():
     d = np.diag([3.0, -7.0, 0.5])
-    rep = smallest_singular_value(d)
-    assert rep.value == pytest.approx(0.5, rel=1e-15)
+    rep = spectral_summary(d)
+    assert rep.sigma_min == pytest.approx(0.5, rel=1e-15)
     assert not rep.singular_flag
-    sing = smallest_singular_value(np.outer([1.0, 2.0], [3.0, 4.0]))
-    assert sing.singular_flag and sing.value == 0.0
-    zero = smallest_singular_value(np.zeros((4, 4)))
-    assert zero.singular_flag and zero.value == 0.0
+    sing = spectral_summary(np.outer([1.0, 2.0], [3.0, 4.0]))
+    assert sing.singular_flag and sing.sigma_min == 0.0
+    zero = spectral_summary(np.zeros((4, 4)))
+    assert zero.singular_flag and zero.sigma_min == 0.0
 
 
 def test_singular_flag_rule_both_sides():
@@ -87,7 +86,7 @@ def test_sigma_min_times_inverse_norm_is_one():
     m = sample_matrix(GAUSSIAN, 5, seed=21)
     inv = gauss_jordan_inverse(m.entries)
     assert np.allclose(inv @ m.entries, np.eye(5), atol=1e-10)
-    sigma = smallest_singular_value(m).value
+    sigma = spectral_summary(m).sigma_min
     inv_norm = operator_norm(inv).value
     assert sigma * inv_norm == pytest.approx(1.0, abs=1e-12)
 
@@ -153,7 +152,7 @@ def test_same_seed_same_summary():
 
 
 def test_rejects_non_square():
-    for solver in (operator_norm, smallest_singular_value, spectral_summary):
+    for solver in (operator_norm, spectral_summary):
         for bad in (np.ones((2, 3)), np.ones(4), np.zeros((0, 0))):
             with pytest.raises(ValueError):
                 solver(bad)
@@ -161,5 +160,5 @@ def test_rejects_non_square():
 
 def test_rademacher_singular_2x2_detected():
     # [[1,1],[1,1]] is singular; the rank-revealing rule must flag it
-    rep = smallest_singular_value(np.ones((2, 2)))
+    rep = spectral_summary(np.ones((2, 2)))
     assert rep.singular_flag
