@@ -40,8 +40,6 @@ from .small_ball import (
     halasz_integral_bound,
     halasz_profile_bound,
     monte_carlo_concentration,
-    s_delta,
-    tensorization_bound,
 )
 from .sphere_profile import (
     DeltaProfile,
@@ -102,13 +100,11 @@ __all__ = [
     "parse_config",
     "parse_dist_spec",
     "run",
-    "s_delta",
     "sample",
     "sample_allocation",
     "sample_matrix",
     "singular_grid_net",
     "spectral_summary",
-    "tensorization_bound",
     "volumetric_bound",
     "vp_entropy_bound",
 ]

@@ -14,7 +14,7 @@ seeds, which is what makes the fit stable under reseeding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -256,9 +256,11 @@ def _random_berry(rng, count: int) -> list[BoundQuery]:
     return out
 
 
-_REG_PARAMS = PartitionParams(r=0.9, R=1.3)
+# Regular-vector regime: the defaults of E3 as well as of the corpus below.
+REG_PARAMS = PartitionParams(r=0.9, R=1.3)
+REG_BAND = (0.9, 1.1)
+REG_MAX_TRIES = 200
 _REG_N = 64
-_REG_BAND = (0.9, 1.1)
 
 
 def sample_regular_vector(
@@ -266,9 +268,9 @@ def sample_regular_vector(
     delta: float,
     q: float,
     n: int = _REG_N,
-    params: PartitionParams = _REG_PARAMS,
-    band: tuple[float, float] = _REG_BAND,
-    max_tries: int = 200,
+    params: PartitionParams = REG_PARAMS,
+    band: tuple[float, float] = REG_BAND,
+    max_tries: int = REG_MAX_TRIES,
 ):
     """Spread direction passing the regular-profile classification in the
     Halasz regime, with its classification; RegimeError after max_tries
@@ -311,6 +313,8 @@ def _regular_queries(seed: int, count: int) -> list[BoundQuery]:
 def build_corpus(bound: str, seed: int, count: int) -> list[BoundQuery]:
     """Deterministic corpus for one bound: structured envelope plus seeded
     random queries, truncated or padded to exactly count entries."""
+    if count < 1:
+        raise ValueError(f"count={count} must be at least 1")
     if bound == "regular_smallball":
         return _regular_queries(seed, count)
     rng = derive_stream(seed, _BOUND_STREAM[bound])
@@ -341,29 +345,6 @@ def fit_all(
     seed: int = constants.CALIBRATION_SEED, per_bound: int = 60
 ) -> dict[str, FitReport]:
     return {bound: fit_bound(bound, seed, per_bound) for bound in BOUNDS}
-
-
-def domination_report(
-    seed: int = constants.VALIDATION_SEED,
-    per_bound: int = 50,
-    fitted: dict[str, float] | None = None,
-    bounds: tuple[str, ...] = DOMINATION_BOUNDS,
-) -> dict[str, dict]:
-    """Fraction of validation queries dominated by the frozen constants."""
-    fitted = constants.FITTED if fitted is None else fitted
-    out = {}
-    for bound in bounds:
-        results = [evaluate_query(q) for q in build_corpus(bound, seed, per_bound)]
-        c = fitted[bound]
-        ok = [res.exact <= c * res.bound_value * (1.0 + 1e-12) for res in results]
-        out[bound] = {
-            "constant": c,
-            "count": len(results),
-            "dominated": int(sum(ok)),
-            "fraction": sum(ok) / len(results),
-            "max_ratio": max(res.ratio for res in results),
-        }
-    return out
 
 
 def stability_report(

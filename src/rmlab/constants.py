@@ -8,10 +8,6 @@ cannot breach domination by sampling noise alone.
 """
 from __future__ import annotations
 
-import math
-
-from scipy.special import ndtr
-
 ARTIFACT_NAME = "rmlab"
 ARTIFACT_VERSION = "0.1.0"
 
@@ -35,14 +31,6 @@ SIGMA_TAIL_COEFF = 1.0
 # t >= BERRY_ESSEEN_T_LOWER / sqrt(m). Below that scale single atoms dominate
 # and no linear bound can hold.
 BERRY_ESSEEN_T_LOWER = 0.5
-
-# Tensorization coefficient: e times the window-mass integral constant
-# (1 - e^{-1/2}) + (e^{-1/2} + sqrt(2*pi) * (1 - Phi(1))) from the one-dimensional
-# Laplace-transform estimate. Evaluated from closed forms, not fitted.
-_CBAR = (1.0 - math.exp(-0.5)) + (
-    math.exp(-0.5) + math.sqrt(2.0 * math.pi) * (1.0 - float(ndtr(1.0)))
-)
-TENSORIZATION_COEFF = math.e * _CBAR
 
 # Reference constant for the allocation experiment at eta = 1/2: eta^(-16).
 ALLOCATION_C_HALF = 0.5 ** -16  # 65536

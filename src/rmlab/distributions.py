@@ -2,7 +2,7 @@
 
 Provides the four admissible kinds (rademacher, gaussian, uniform_sym,
 discrete atom laws), their samplers, characteristic functions, analytic
-CDFs and absolute moments, and the subgaussian moment-ratio diagnostic.
+CDFs and absolute moments.
 """
 from __future__ import annotations
 
@@ -250,48 +250,3 @@ def symmetrized_atoms(dist: EntryDistribution) -> tuple[np.ndarray, np.ndarray]:
     np.add.at(agg, inv, pp)
     return uniq, agg
 
-
-# ---- subgaussian diagnostic -------------------------------------------------
-
-_P_MAX_LIMIT = 12
-_MIN_DIAGNOSTIC_SAMPLES = 10_000
-
-
-@dataclass(frozen=True)
-class MomentRatio:
-    p: int
-    ratio: float
-    stderr: float
-
-
-def subgaussian_diagnostic(
-    dist: EntryDistribution,
-    samples: int,
-    p_max: int,
-    rng: RngStream,
-) -> list[MomentRatio]:
-    """Monte Carlo moment-growth report.
-
-    For each even p <= p_max, estimates (E|beta|^p)^(1/p) / sqrt(p) with a
-    delta-method standard error. Bounded ratios as p grows are the
-    operational subgaussian proxy; the tail constants themselves are not
-    estimated.
-    """
-    if p_max > _P_MAX_LIMIT:
-        raise ValueError(f"p_max {p_max} > {_P_MAX_LIMIT}: moment estimation unstable")
-    if p_max < 2:
-        raise ValueError("p_max must be at least 2")
-    if samples < _MIN_DIAGNOSTIC_SAMPLES:
-        raise ValueError(f"samples {samples} < {_MIN_DIAGNOSTIC_SAMPLES}")
-    draws = np.abs(sample(dist, rng, size=samples))
-    report = []
-    for p in range(2, p_max + 1, 2):
-        powers = draws**p
-        mean_p = float(np.mean(powers))
-        se_mean = float(np.std(powers, ddof=1) / math.sqrt(samples))
-        root = mean_p ** (1.0 / p)
-        ratio = root / math.sqrt(p)
-        # d/dm [ m^(1/p) / sqrt(p) ] = ratio / (p m)
-        stderr = ratio * se_mean / (p * mean_p) if mean_p > 0 else 0.0
-        report.append(MomentRatio(p=p, ratio=ratio, stderr=stderr))
-    return report

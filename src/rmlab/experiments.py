@@ -298,17 +298,17 @@ def _summary_e2b(config, rows):
 def _e3_settings(config):
     delta = float(config.require("delta"))
     q = float(config.require("q"))
-    params = PartitionParams(
-        r=float(config.param("r", 0.9)), R=float(config.param("R", 1.3))
-    )
-    band = (float(config.param("band_lo", 0.9)), float(config.param("band_hi", 1.1)))
+    reg = calibration.REG_PARAMS
+    params = PartitionParams(r=float(config.param("r", reg.r)), R=float(config.param("R", reg.R)))
+    lo, hi = calibration.REG_BAND
+    band = (float(config.param("band_lo", lo)), float(config.param("band_hi", hi)))
     return delta, q, params, band
 
 
 def _tasks_e3(config):
     if len(config.n_list) != 1:
         raise ConfigError("E3 uses a single dimension in n_list")
-    for key in ("mc_samples", "t_steps"):
+    for key in ("mc_samples", "t_steps", "max_tries"):
         if key in config.params and int(config.params[key]) < 1:
             raise ConfigError(f"params.{key}={config.params[key]!r} must be at least 1")
     return _tasks_trials(config)
@@ -320,7 +320,7 @@ def _run_e3(config, payload):
     delta, q, params, band = _e3_settings(config)
     t_steps = int(config.param("t_steps", 8))
     mc = int(config.param("mc_samples", 200_000))
-    max_tries = int(config.param("max_tries", 200))
+    max_tries = int(config.param("max_tries", calibration.REG_MAX_TRIES))
     rng = derive_stream(config.master_seed, idx)
     x, cls = calibration.sample_regular_vector(
         rng, delta, q, n=n, params=params, band=band, max_tries=max_tries
@@ -438,6 +438,8 @@ def _summary_e5(config, rows):
 
 def _tasks_e6(config):
     per_bound = int(config.param("per_bound", 50))
+    if per_bound < 1:
+        raise ConfigError(f"params.per_bound={config.params['per_bound']!r} must be at least 1")
     queries = []
     for bound in calibration.DOMINATION_BOUNDS:
         queries.extend(calibration.build_corpus(bound, config.master_seed, per_bound))

@@ -2,8 +2,8 @@
 
 Three closed-form bounds (volumetric, spread-vector entropy, signed grid for
 singular-profile coordinates) plus a farthest-point greedy constructor that
-realizes actual covers at small dimension so every formula can be
-cross-checked against a concrete net.
+builds actual covers, so every formula can be cross-checked against a
+concrete net.
 """
 from __future__ import annotations
 
@@ -22,15 +22,12 @@ SINGULAR_GRID = "singular_grid_formula"
 GREEDY = "greedy_construction"
 KINDS = frozenset({VOLUMETRIC, VP_ENTROPY, SINGULAR_GRID, GREEDY})
 
-_REALIZATION_DIM_MAX = 8
-
 
 @dataclass(frozen=True, eq=False)
 class CoveringEstimate:
     log_count: float
     kind: str
     params: dict = field(default_factory=dict)
-    realization: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -90,7 +87,8 @@ class GridNet:
 
     Magnitude grid points are the centers (i + 1/2)*delta of the intervals
     (i*delta, (i+1)*delta] for i = k0 .. k0+k; each covered coordinate takes
-    one center with either sign. The cardinality formula counts (2k)^l.
+    one center with either sign. The cardinality formula counts (2k)^l with
+    l = |j_set|.
     """
 
     j_set: tuple[int, ...]
@@ -99,28 +97,6 @@ class GridNet:
     k0: int
     k: int
     log_cardinality: float
-
-    @property
-    def l(self) -> int:
-        return len(self.j_set)
-
-    def snap(self, y: np.ndarray) -> np.ndarray:
-        """Nearest signed grid point, coordinate-wise over j_set; other
-        coordinates pass through unchanged."""
-        out = np.array(y, dtype=float)
-        for j in self.j_set:
-            idx = int(np.argmin(np.abs(self.centers - abs(out[j]))))
-            sign = -1.0 if out[j] < 0 else 1.0
-            out[j] = sign * self.centers[idx]
-        return out
-
-    def cell_index(self, y: np.ndarray) -> tuple:
-        """Hashable identity of the grid point y snaps to."""
-        key = []
-        for j in self.j_set:
-            idx = int(np.argmin(np.abs(self.centers - abs(y[j]))))
-            key.append((idx, y[j] < 0))
-        return tuple(key)
 
 
 def singular_grid_net(n: int, delta: float, r: float, R: float, j_set) -> GridNet:
@@ -155,13 +131,6 @@ def singular_grid_net(n: int, delta: float, r: float, R: float, j_set) -> GridNe
         k=ctx.k,
         log_cardinality=log_card,
     )
-
-
-def occupied_fraction(points: np.ndarray, net: GridNet) -> float:
-    """Fraction of the formula cardinality (2k)^l actually hit when snapping
-    the given points onto the grid."""
-    cells = {net.cell_index(np.asarray(p, dtype=float)) for p in points}
-    return len(cells) / math.exp(net.log_cardinality)
 
 
 def _pairwise_dist(points: np.ndarray, center: np.ndarray, metric: str) -> np.ndarray:
@@ -202,10 +171,8 @@ def greedy_net(points, metric: str = "l2", eps: float = 1.0) -> np.ndarray:
 
 def greedy_estimate(points, metric: str = "l2", eps: float = 1.0) -> CoveringEstimate:
     net = greedy_net(points, metric=metric, eps=eps)
-    keep = net.shape[1] <= _REALIZATION_DIM_MAX
     return CoveringEstimate(
         log_count=math.log(net.shape[0]),
         kind=GREEDY,
         params={"metric": metric, "eps": eps, "n_points": int(np.asarray(points).shape[0])},
-        realization=net if keep else None,
     )

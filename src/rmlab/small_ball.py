@@ -8,8 +8,8 @@ beta_j, a weight vector x, center v, and half-width t. This module provides
   - one Monte Carlo sum loop (`sample_sums`) and an estimator on it with
     exact binomial confidence intervals,
   - four upper-bound mechanisms: the characteristic-function integral bound,
-    the pair-difference integral and profile bounds, the Gaussian-comparison
-    (Berry-Esseen) bound, plus the product-space tensorization formula.
+    the pair-difference integral and profile bounds, and the
+    Gaussian-comparison (Berry-Esseen) bound.
 
 All bounds are computed constant-free; the unnamed absolute constants in
 front of them are fitted once by `rmlab.calibration` and frozen in
@@ -287,49 +287,6 @@ def esseen_bound(q: SmallBallQuery) -> ConcentrationEstimate:
     )
 
 
-def s_delta(
-    x,
-    dist: EntryDistribution,
-    delta: float,
-    y: float,
-    trials: int = 200_000,
-    rng: RngStream | None = None,
-    return_ci: bool = False,
-):
-    """Pair-difference window count S_delta(y).
-
-    S_delta(y) = sum_j P(x_j (beta_j - beta_j') in [y - pi*delta, y + pi*delta]),
-    with beta' an independent copy. Exact via the symmetrized atom law for
-    finite-support laws; Monte Carlo (optionally with a normal-approximation
-    ci) for continuous laws, which require an rng.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    x = np.asarray(x, dtype=float)
-    lo = y - math.pi * delta
-    hi = y + math.pi * delta
-    if dist.finite_support:
-        dvals, dprobs = symmetrized_atoms(dist)
-        total = 0.0
-        for w in x:
-            scaled = w * dvals
-            total += float(dprobs[(scaled >= lo) & (scaled <= hi)].sum())
-        return (total, (total, total)) if return_ci else total
-    if rng is None:
-        raise ValueError("continuous dist needs an rng for the Monte Carlo path")
-    total = 0.0
-    var = 0.0
-    for w in x:
-        diffs = w * (sample(dist, rng, size=trials) - sample(dist, rng, size=trials))
-        p_hat = float(np.count_nonzero((diffs >= lo) & (diffs <= hi))) / trials
-        total += p_hat
-        var += p_hat * (1.0 - p_hat) / trials
-    if not return_ci:
-        return total
-    half = 1.96 * math.sqrt(var)
-    return total, (max(0.0, total - half), total + half)
-
-
 def halasz_integral_bound(
     x, dist: EntryDistribution, delta: float, a: float
 ) -> ConcentrationEstimate:
@@ -423,36 +380,24 @@ def halasz_profile_bound(x, delta: float) -> ConcentrationEstimate:
     )
 
 
-def berry_esseen_bound(
-    q: SmallBallQuery,
-    r: float | None = None,
-    R: float | None = None,
-    t_lower_coeff: float | None = None,
-) -> ConcentrationEstimate:
+def berry_esseen_bound(q: SmallBallQuery) -> ConcentrationEstimate:
     """Gaussian-comparison bound: window mass under the CLT plus third-moment error.
 
     value = [Phi((v+t)/|x|) - Phi((v-t)/|x|)] + 2 * sum|x_j|^3 E|beta|^3 / |x|^3,
     the one-sided CDF comparison applied at both window endpoints with the
-    universal constant set to 1. Valid in the comparable-weights regime
-    r/sqrt(m) <= |x_j| <= R/sqrt(m) and for windows t >= coeff/sqrt(m); when
-    (r, R) are not declared they are inferred from x and echoed.
+    universal constant set to 1. The comparable-weights regime
+    r/sqrt(m) <= |x_j| <= R/sqrt(m) is read off x (r and R are echoed), and
+    the window must satisfy t >= BERRY_ESSEEN_T_LOWER/sqrt(m).
     """
     x = q.x
     m = x.size
     ax = np.abs(x)
     sq = math.sqrt(m)
-    inferred = r is None and R is None
-    if inferred:
-        r = float(np.min(ax)) * sq
-        R = float(np.max(ax)) * sq
-    if r is None or R is None or not (0.0 < r <= R):
-        raise ValueError("need 0 < r <= R")
-    slack = 1e-12
-    if np.any(ax < r / sq - slack) or np.any(ax > R / sq + slack):
-        raise RegimeError(
-            f"weights outside [r/sqrt(m), R/sqrt(m)] = [{r / sq}, {R / sq}]"
-        )
-    coeff = constants.BERRY_ESSEEN_T_LOWER if t_lower_coeff is None else t_lower_coeff
+    r = float(np.min(ax)) * sq
+    R = float(np.max(ax)) * sq
+    if r == 0.0:
+        raise RegimeError("min |x_j| = 0; positive weights required")
+    coeff = constants.BERRY_ESSEEN_T_LOWER
     t_min = coeff / sq
     if q.t < t_min:
         raise RegimeError(f"t = {q.t} < {coeff}/sqrt(m) = {t_min}")
@@ -468,18 +413,7 @@ def berry_esseen_bound(
             "universal_constant": 1.0,
             "r": r,
             "R": R,
-            "r_R_inferred": inferred,
             "t_lower": t_min,
         },
     )
 
-
-def tensorization_bound(L: float, delta: float, n: int, coeff: float | None = None) -> float:
-    """Product-space bound (coeff * L * delta)^n for an n-vector of independent
-    coordinates each with one-dimensional small-ball constant L."""
-    if L <= 0 or delta <= 0:
-        raise ValueError("L and delta must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    c = constants.TENSORIZATION_COEFF if coeff is None else coeff
-    return float((c * L * delta) ** n)

@@ -10,7 +10,7 @@ balls-in-urns concentration experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,9 +93,6 @@ class DeltaProfile:
 
     def sum_squares(self) -> int:
         return sum(c * c for c in self.counts.values())
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)

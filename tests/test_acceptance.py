@@ -182,9 +182,17 @@ def test_criterion_3_operator_norm(capsys, results):
         res = results[name]
         stats = res.summary["per_n"]["200"]
         ok &= stats["exceed"]["freq"] <= 0.01
+        # op_norm/sqrt(n) tends to 2 (Bai-Yin). At finite n it fluctuates on
+        # the Tracy-Widom scale 2^(-2/3) n^(-2/3) around 2, and the TW1 median
+        # is -1.27, so the median sits near 2 - 0.023 = 1.977 at n = 200
+        # (measured: 1.973 gaussian, 1.966 rademacher). The band fails an
+        # op_norm that is 4 percent off.
+        median = stats["op_norm_over_sqrt_n"]["p50"]
+        ok &= 1.9 <= median <= 2.05
         details.append(
             f"{res.config.dist.kind}: {stats['exceed']['count']}/500 above "
-            f"2.5*sqrt(n), freq {stats['exceed']['freq']:.4f} <= 0.01"
+            f"2.5*sqrt(n), freq {stats['exceed']['freq']:.4f} <= 0.01, "
+            f"median op_norm/sqrt(n) {median:.3f} in [1.9, 2.05]"
         )
     runtime = results["e2_gaussian"].runtime_seconds + results["e2_rademacher"].runtime_seconds
     ok &= runtime <= 600.0

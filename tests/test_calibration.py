@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -15,7 +13,6 @@ from rmlab.calibration import (
     QueryResult,
     bound_value,
     build_corpus,
-    domination_report,
     evaluate_query,
     exact_value,
     fit_bound,
@@ -23,6 +20,7 @@ from rmlab.calibration import (
 )
 from rmlab.distributions import GAUSSIAN, RADEMACHER
 from rmlab.errors import RegimeError
+from rmlab.experiments import ExperimentConfig, run
 from rmlab.rng import derive_stream
 from rmlab.small_ball import esseen_bound, SmallBallQuery
 
@@ -126,6 +124,14 @@ def test_build_corpus_pads_with_seeded_random():
     )
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_build_corpus_rejects_count_below_one(count):
+    # a negative count would otherwise slice queries off the end of the corpus
+    for bound in BOUNDS:
+        with pytest.raises(ValueError, match="count"):
+            build_corpus(bound, seed=5, count=count)
+
+
 def test_frozen_raw_fits_reproduced_by_structured_corpus():
     # the attaining query of each non-MC bound is structured, so refitting
     # on the structured slice alone reproduces the frozen raw constant
@@ -143,12 +149,16 @@ def test_evaluate_query_returns_positive_bound():
 
 
 def test_domination_smoke_on_structured_slice():
-    rep = domination_report(seed=7, per_bound=4)
+    # the E6 summary is the domination report of the frozen constants
+    cfg = ExperimentConfig(
+        experiment="E6_bound_calibration", n_list=(1,), master_seed=7, params={"per_bound": 4}
+    )
+    rep = run(cfg).summary["per_bound"]
     assert set(rep) == set(DOMINATION_BOUNDS)
     for bound, info in rep.items():
         assert info["count"] == 4
-        assert info["fraction"] == 1.0
-        assert info["dominated"] == 4
+        assert info["dominated"]["count"] == 4
+        assert info["dominated"]["freq"] == 1.0
         assert info["constant"] == constants.FITTED[bound]
         assert info["max_ratio"] <= constants.FITTED[bound]
 

@@ -16,7 +16,6 @@ from rmlab.distributions import (
     discrete,
     parse_dist_spec,
     sample,
-    subgaussian_diagnostic,
     symmetrized_atoms,
 )
 from rmlab.rng import derive_stream
@@ -178,31 +177,3 @@ def test_symmetrized_atoms_rademacher():
     assert np.array_equal(vals, [-2.0, 0.0, 2.0])
     assert np.allclose(probs, [0.25, 0.5, 0.25])
     assert probs.sum() == pytest.approx(1.0)
-
-
-def test_subgaussian_diagnostic_rademacher():
-    report = subgaussian_diagnostic(RADEMACHER, 10_000, 12, derive_stream(5, 0))
-    assert [r.p for r in report] == [2, 4, 6, 8, 10, 12]
-    for r in report:
-        # |b| = 1 a.s., so the ratio is exactly 1/sqrt(p)
-        assert r.ratio == pytest.approx(1.0 / math.sqrt(r.p), abs=1e-12)
-        assert r.ratio <= 1.0
-
-
-def test_subgaussian_diagnostic_gaussian_moments():
-    report = subgaussian_diagnostic(GAUSSIAN, 400_000, 4, derive_stream(5, 1))
-    by_p = {r.p: r for r in report}
-    # E b^2 = 1 and E b^4 = 3 for the standard normal
-    assert by_p[2].ratio == pytest.approx(1.0 / math.sqrt(2.0), abs=5 * by_p[2].stderr + 1e-3)
-    assert by_p[4].ratio == pytest.approx(0.6580370064762462, abs=5 * by_p[4].stderr + 1e-3)
-    assert all(r.stderr > 0 for r in report)
-
-
-def test_subgaussian_diagnostic_rejects_bad_args():
-    rng = derive_stream(5, 2)
-    with pytest.raises(ValueError):
-        subgaussian_diagnostic(GAUSSIAN, 10_000, 14, rng)
-    with pytest.raises(ValueError):
-        subgaussian_diagnostic(GAUSSIAN, 9_999, 8, rng)
-    with pytest.raises(ValueError):
-        subgaussian_diagnostic(GAUSSIAN, 10_000, 1, rng)

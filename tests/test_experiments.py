@@ -233,7 +233,7 @@ def test_e3_requires_delta_and_q():
         run(cfg)
 
 
-@pytest.mark.parametrize("key", ["mc_samples", "t_steps"])
+@pytest.mark.parametrize("key", ["mc_samples", "t_steps", "max_tries"])
 def test_e3_rejects_counts_below_one(key):
     cfg = ExperimentConfig(
         experiment="E3_regular_smallball",
@@ -301,6 +301,16 @@ def test_e5_census_spread_regime():
         assert r[4] == "V_S"
         assert r[5] in ("regular", "singular")
         assert not math.isnan(r[6])
+
+
+@pytest.mark.parametrize("per_bound", [0, -3])
+def test_e6_rejects_per_bound_below_one(per_bound):
+    cfg = ExperimentConfig(
+        experiment="E6_bound_calibration", n_list=(1,), trials=1,
+        master_seed=constants.VALIDATION_SEED, params={"per_bound": per_bound},
+    )
+    with pytest.raises(ConfigError, match="params.per_bound"):
+        run(cfg)
 
 
 def test_e6_rows_and_summary():

@@ -118,7 +118,7 @@ def test_delta_profile_binning_rules():
     p = delta_profile([0.05, 0.1, 0.1, 0.25], 0.1)
     assert p.below_count == 3
     assert p.counts == {2: 1}
-    assert p.sum_squares() == 1 and p.total() == 1
+    assert p.sum_squares() == 1
     # exact boundary k*delta goes to bin k-1
     assert delta_profile([0.2], 0.1).counts == {1: 1}
     assert delta_profile([-0.15], 0.1).counts == {1: 1}
