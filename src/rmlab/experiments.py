@@ -437,6 +437,10 @@ def _summary_e5(config, rows):
 
 
 def _tasks_e6(config):
+    """One task per validation query. The corpora fix their own sizes and
+    laws, so n_list and dist are not read, and each query runs once."""
+    if config.trials != 1:
+        raise ConfigError(f"trials={config.trials!r} must be 1: E6 runs each corpus query once")
     per_bound = int(config.param("per_bound", 50))
     if per_bound < 1:
         raise ConfigError(f"params.per_bound={config.params['per_bound']!r} must be at least 1")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from rmlab import constants
+from rmlab import calibration, constants
 from rmlab.calibration import (
     BOUNDS,
     D3,
@@ -18,7 +18,7 @@ from rmlab.calibration import (
     fit_bound,
     sample_regular_vector,
 )
-from rmlab.distributions import GAUSSIAN, RADEMACHER
+from rmlab.distributions import GAUSSIAN, RADEMACHER, UNIFORM_SYM
 from rmlab.errors import RegimeError
 from rmlab.experiments import ExperimentConfig, run
 from rmlab.rng import derive_stream
@@ -86,6 +86,14 @@ def test_exact_value_paths():
     val = exact_value(r)
     assert 0.0 <= val <= 1.0
     assert exact_value(r) == val  # same mc_seed, same estimate
+
+
+def test_exact_value_rejects_laws_without_closed_form():
+    # P(|U| < 0.5) = 0.5 / sqrt(3) = 0.289 for the unit-variance uniform law,
+    # not the Gaussian window mass 0.383, and no exact path covers it
+    q = BoundQuery("esseen", UNIFORM_SYM, np.ones(1), 0.0, 0.5)
+    with pytest.raises(RegimeError, match="uniform"):
+        exact_value(q)
 
 
 def test_bound_value_dispatch():
@@ -173,3 +181,29 @@ def test_sample_regular_vector():
     # threshold 1.5 * 4^2.5 * 0.016 = 0.768 < 2 at n=16, so no draw is regular
     with pytest.raises(RegimeError, match="max_tries=3"):
         sample_regular_vector(derive_stream(50, 0), 0.016, 1.5, n=16, max_tries=3)
+
+
+@pytest.mark.parametrize("count", [2, 6])
+def test_fit_bound_draws_each_regular_sample_once(count, monkeypatch):
+    # count=6 ends in a partial group: 4 windows of one vector, 2 of the next
+    corpus = build_corpus("regular_smallball", seed=3, count=count)
+    assert len(corpus) == count
+    keys = {(q.x.tobytes(), q.mc_seed) for q in corpus}
+    assert len(keys) == (count + 3) // 4
+    drawn = []
+    real = calibration.sample_sums
+
+    def counting(dist, x, n, rng):
+        drawn.append(x.tobytes())
+        return real(dist, x, n, rng)
+
+    monkeypatch.setattr(calibration, "sample_sums", counting)
+    rep = fit_bound("regular_smallball", seed=3, count=count)
+    assert len(drawn) == len(keys) and set(drawn) == {k[0] for k in keys}
+    monkeypatch.undo()
+    assert len(rep.results) == count
+    for q, res in zip(corpus, rep.results):
+        single = evaluate_query(q)
+        assert res.query.t == q.t and np.array_equal(res.query.x, q.x)
+        assert res.exact == single.exact and res.bound_value == single.bound_value
+    assert rep.raw == max(res.ratio for res in rep.results)

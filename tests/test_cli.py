@@ -98,6 +98,12 @@ def test_zero_workers_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_e6_trials_exits_2(capsys):
+    args = ["run", "--experiment", "E6_bound_calibration", "--param", "per_bound=1"]
+    assert main(args + ["--trials", "3"]) == 2
+    assert "trials=3" in capsys.readouterr().err
+
+
 def test_regime_violation_exits_3(capsys):
     code = main([
         "nets", "--check", "grid", "--n", "25", "--delta", "0.01",

@@ -313,6 +313,16 @@ def test_e6_rejects_per_bound_below_one(per_bound):
         run(cfg)
 
 
+def test_e6_rejects_trials_other_than_one():
+    # each corpus query runs once, so any trials but 1 cannot be honoured
+    cfg = ExperimentConfig(
+        experiment="E6_bound_calibration", n_list=(1,), trials=3,
+        master_seed=constants.VALIDATION_SEED, params={"per_bound": 2},
+    )
+    with pytest.raises(ConfigError, match="trials=3"):
+        run(cfg)
+
+
 def test_e6_rows_and_summary():
     cfg = ExperimentConfig(
         experiment="E6_bound_calibration", n_list=(1,), trials=1,
