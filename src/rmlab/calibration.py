@@ -25,7 +25,7 @@ from .distributions import (
     GAUSSIAN,
     RADEMACHER,
     discrete,
-    sample,  # unused here; benchmarks/workloads.py wraps this name
+    sample,
 )
 from .errors import RegimeError
 from .rng import derive_stream, derive_substream_seed
@@ -201,7 +201,7 @@ def _random_esseen(rng, count: int) -> list[BoundQuery]:
             mags = np.ones(m)
         else:
             mags = rng.uniform(0.5, 2.0, size=m)
-        x = mags * np.where(rng.integers(0, 2, size=m) == 0, -1.0, 1.0)
+        x = mags * sample(RADEMACHER, rng, size=m)
         scale = float(np.linalg.norm(x))
         t = float(rng.uniform(0.2, 2.0)) * scale
         v = 0.0 if rng.integers(0, 2) else float(rng.uniform(-scale, scale))
@@ -253,7 +253,7 @@ def _random_halasz(bound: str, rng, count: int) -> list[BoundQuery]:
         dist = pool[int(rng.integers(0, len(pool)))]
         band = 1.2 if rng.integers(0, 2) else 3.0
         mags = rng.uniform(1.0, band, size=m)
-        x = mags * np.where(rng.integers(0, 2, size=m) == 0, -1.0, 1.0)
+        x = mags * sample(RADEMACHER, rng, size=m)
         # level a must stay two-sided reachable per term and below min|x_j|
         a = 0.999 * min(1.0, _two_sided_reach(dist)) * float(np.min(mags))
         delta = float(rng.uniform(0.2, 0.9)) * a / (2.0 * math.pi)
@@ -281,7 +281,7 @@ def _random_berry(rng, count: int) -> list[BoundQuery]:
         dist = pool[int(rng.integers(0, len(pool)))]
         m = int(rng.integers(4, 33)) if dist is GAUSSIAN else int(rng.integers(4, 21))
         mags = rng.uniform(1.0, 2.0, size=m)
-        x = mags * np.where(rng.integers(0, 2, size=m) == 0, -1.0, 1.0)
+        x = mags * sample(RADEMACHER, rng, size=m)
         x = x / np.linalg.norm(x)
         t = float(rng.uniform(0.5, 5.0)) / math.sqrt(m)
         v = float(rng.uniform(0.0, 1.0))

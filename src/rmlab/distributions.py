@@ -155,13 +155,62 @@ def parse_dist_spec(spec: str) -> EntryDistribution:
 # ---- sampling --------------------------------------------------------------
 
 
+# Philox words read per chunk by _fill_rademacher: 128 KiB of words and
+# 256 KiB of signs, so a chunk stays in cache between its passes.
+_SIGN_CHUNK_WORDS = 1 << 14
+
+
+def _fill_rademacher(rng: RngStream, out: np.ndarray) -> None:
+    """Fill the C-contiguous float array out with Rademacher signs, in place.
+
+    The signs equal 2.0 * rng.integers(0, 2, out.shape) - 1.0 bit for bit,
+    and rng is left where that call leaves it. integers(0, 2) never rejects
+    a word (Lemire's method), so each entry is the top bit of one 32-bit
+    Philox word, and each 64-bit word gives its low half first. A half-word
+    left pending in the generator (has_uint32/uinteger in its state) is
+    used first, and an odd draw leaves the last word's high half pending.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    flat = out.reshape(-1)
+    if flat.size == 0:
+        return
+    bg = rng.bit_generator
+    state = bg.state
+    pos = 0
+    if state["has_uint32"]:
+        flat[0] = 1.0 if state["uinteger"] >> 31 else -1.0
+        state["has_uint32"] = 0
+        pos = 1
+    tail = None
+    while pos < flat.size:
+        halves = min(2 * _SIGN_CHUNK_WORDS, flat.size - pos)
+        words = bg.random_raw((halves + 1) // 2)
+        tail = (halves % 2, int(words[-1]) >> 32)
+        bits = words.astype("<u8", copy=False).view("<u4")[:halves]
+        np.right_shift(bits, 31, out=bits)
+        dst = flat[pos : pos + halves]
+        np.multiply(bits, 2.0, out=dst)
+        np.subtract(dst, 1.0, out=dst)
+        pos += halves
+    if tail is not None:
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = tail
+    bg.state = state
+
+
 def sample(dist: EntryDistribution, rng: RngStream, size=None):
     """Draw from the law; deterministic given the stream state.
 
     Returns a scalar float when size is None, else an ndarray of that shape.
+    Rademacher signs are read straight from the Philox words into one
+    array by _fill_rademacher; they equal 2 * rng.integers(0, 2, size) - 1
+    bit for bit, and tests/test_distributions.py pins that for the
+    installed numpy.
     """
     if dist.kind == "rademacher":
-        out = 2.0 * rng.integers(0, 2, size=size) - 1.0
+        out = np.empty(() if size is None else size)
+        _fill_rademacher(rng, out)
     elif dist.kind == "gaussian":
         out = rng.standard_normal(size=size)
     elif dist.kind == "uniform_sym":

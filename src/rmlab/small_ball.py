@@ -27,6 +27,7 @@ from scipy.special import betaincinv, ndtr
 from . import constants
 from .distributions import (
     EntryDistribution,
+    _fill_rademacher,
     abs_third_moment,
     char_fn,
     sample,
@@ -211,14 +212,22 @@ def sample_sums(dist: EntryDistribution, x, count: int, rng: RngStream):
 
     A block draws at most 5e6 entries. The values of draws @ x can change in
     the last bit when the block's row count changes, so every Monte Carlo
-    caller goes through this one loop.
+    caller goes through this one loop. Rademacher blocks reuse one (block, n)
+    buffer per call, refilled in place with the signs that sample() would
+    draw; each yielded array of sums is fresh.
     """
     n = x.size
     block = max(1, 5_000_000 // n)
+    signs = np.empty((min(block, count), n)) if dist.kind == "rademacher" else None
     done = 0
     while done < count:
         b = min(block, count - done)
-        yield sample(dist, rng, size=(b, n)) @ x
+        if signs is None:
+            draws = sample(dist, rng, size=(b, n))
+        else:
+            draws = signs[:b]
+            _fill_rademacher(rng, draws)
+        yield draws @ x
         done += b
 
 

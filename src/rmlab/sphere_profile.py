@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
+from .distributions import RADEMACHER, sample
 from .errors import RegimeError
 from .rng import RngStream
 
@@ -316,7 +317,7 @@ def sample_spread_direction(
     if not (params.r / 2.0 < lo < hi < params.R):
         raise ValueError(f"band {band} not inside (r/2, R) = ({params.r/2}, {params.R})")
     mags = rng.uniform(lo / math.sqrt(n), hi / math.sqrt(n), size=n)
-    signs = 2.0 * rng.integers(0, 2, size=n) - 1.0
+    signs = sample(RADEMACHER, rng, size=n)
     x = mags * signs
     x /= np.linalg.norm(x)
     cls, _ = classify_sphere(x, params)

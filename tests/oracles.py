@@ -127,3 +127,24 @@ def window_sup_probability(samples, t: float) -> float:
     for a in s:
         best = max(best, int(np.count_nonzero((s >= a) & (s < a + 2.0 * t))))
     return best / s.size
+
+
+def edelman_cdf(x):
+    """Edelman's (1988) limit law P(sqrt(n) sigma_min <= x) = 1 - exp(-x^2/2 - x)
+    of an n x n Gaussian matrix."""
+    x = np.asarray(x, dtype=float)
+    return 1.0 - np.exp(-0.5 * x * x - x)
+
+
+def ks_distance(samples, cdf) -> float:
+    """Kolmogorov-Smirnov distance sup_x |F_emp(x) - cdf(x)| of a sample."""
+    z = np.sort(np.asarray(samples, dtype=float))
+    f = cdf(z)
+    k = np.arange(1, z.size + 1)
+    return float(max(np.max(k / z.size - f), np.max(f - (k - 1) / z.size)))
+
+
+def dkw_bound(count: int, alpha: float = 0.05) -> float:
+    """Dvoretzky-Kiefer-Wolfowitz radius: the KS distance of count i.i.d. draws
+    from their own law exceeds it with probability at most alpha."""
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * count))

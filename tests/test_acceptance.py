@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import exhaustive_min_ssq, jacobi_singular_values
+from oracles import (
+    dkw_bound,
+    edelman_cdf,
+    exhaustive_min_ssq,
+    jacobi_singular_values,
+    ks_distance,
+)
 from rmlab import calibration, constants
 from rmlab.distributions import GAUSSIAN, RADEMACHER, UNIFORM_SYM, discrete
 from rmlab.experiments import ExperimentConfig, emit, run
@@ -352,3 +358,42 @@ def test_criterion_9_determinism(capsys, results):
         f"{len(configs)} configs"
         + (f"; mismatches: {', '.join(mismatched)}" if mismatched else ""),
     )
+
+
+# Criterion 10: E1 against Edelman's law. For Gaussian entries
+# P(sqrt(n) sigma_min <= x) -> 1 - exp(-x^2/2 - x) (Edelman 1988), and
+# Tao-Vu (2010) carry that limit to Rademacher entries at a rate n^(-c)
+# with no explicit constant. Each law's rows, pooled over n (800 values),
+# are held to a KS tolerance: Gaussian to the DKW 95% radius (0.048 at 800),
+# Rademacher to that radius plus 0.032 for its finite-n universality error.
+# Measured on the acceptance rows: KS 0.022 gaussian, 0.032 rademacher;
+# sigma_min scaled by 0.8 or 1.2 reads 0.09-0.11, and fails.
+EDELMAN_SLACK = {"gaussian": 0.0, "rademacher": 0.032}
+
+
+def _edelman_ks(res, scale: float = 1.0) -> tuple[float, float]:
+    """(KS distance of the pooled sqrt(n) * scale * sigma_min, its tolerance)."""
+    ks = ks_distance([scale * row[4] * math.sqrt(row[1]) for row in res.rows], edelman_cdf)
+    return ks, dkw_bound(len(res.rows)) + EDELMAN_SLACK[res.config.dist.kind]
+
+
+def test_criterion_10_edelman_law(capsys, results):
+    details = []
+    ok = True
+    for name in ("e1_rademacher", "e1_gaussian"):
+        ks, tol = _edelman_ks(results[name])
+        ok &= ks <= tol
+        details.append(f"{results[name].config.dist.kind}: KS {ks:.4f} <= {tol:.4f}")
+    _report(
+        capsys,
+        10,
+        ok,
+        "sqrt(n) sigma_min pooled over n vs 1 - exp(-x^2/2 - x): " + "; ".join(details),
+    )
+
+
+@pytest.mark.parametrize("scale", [0.8, 1.2])
+def test_edelman_check_fails_on_scaled_sigma_min(results, scale):
+    for name in ("e1_rademacher", "e1_gaussian"):
+        ks, tol = _edelman_ks(results[name], scale)
+        assert ks > tol, (name, scale, ks, tol)

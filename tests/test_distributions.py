@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmlab.distributions import (
@@ -107,6 +107,52 @@ def test_discrete_atom_frequencies():
     for value, prob in SKEW.atoms:
         freq = np.count_nonzero(draws == value) / n
         assert abs(freq - prob) < 4.0 * math.sqrt(prob * (1 - prob) / n)
+
+
+def _philox_state(rng):
+    st = rng.bit_generator.state
+    return (
+        tuple(st["state"]["counter"]),
+        tuple(st["buffer"]),
+        st["buffer_pos"],
+        st["has_uint32"],
+        st["uinteger"],
+    )
+
+
+# Chunk edges of the sign reader: 2**15 signs per chunk of Philox words.
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    prefix=st.integers(min_value=0, max_value=3),
+    size=st.one_of(
+        st.none(),
+        st.integers(min_value=0, max_value=70_000),
+        st.tuples(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=67)),
+    ),
+)
+@example(seed=5, prefix=1, size=None)
+@example(seed=5, prefix=0, size=2**15)
+@example(seed=5, prefix=1, size=2**15 + 1)
+@example(seed=5, prefix=3, size=(491, 67))
+@settings(max_examples=150, deadline=None)
+def test_rademacher_sample_is_integers_bit_for_bit(seed, prefix, size):
+    """sample(RADEMACHER) equals 2 * integers(0, 2) - 1 byte for byte and leaves
+    the stream where integers leaves it, pending half-word included."""
+    ref, got = derive_stream(seed, 0), derive_stream(seed, 0)
+    # a prefix of 1 or 3 entries leaves a 32-bit half-word pending
+    assert np.array_equal(ref.integers(0, 2, size=prefix), got.integers(0, 2, size=prefix))
+    want = 2.0 * ref.integers(0, 2, size=size) - 1.0
+    have = sample(RADEMACHER, got, size=size)
+    if size is None:
+        assert isinstance(have, float)
+        want, have = np.float64(want), np.float64(have)
+    assert have.shape == want.shape and have.dtype == want.dtype
+    assert have.tobytes() == want.tobytes()
+    assert _philox_state(got) == _philox_state(ref)
+    assert got.integers(0, 2**40, size=3).tolist() == ref.integers(0, 2**40, size=3).tolist()
+    assert got.random(size=2).tobytes() == ref.random(size=2).tobytes()
+    assert got.integers(0, 2) == ref.integers(0, 2)
+    assert got.integers(0, 2, size=3).tolist() == ref.integers(0, 2, size=3).tolist()
 
 
 # ---------------------------------------------------- characteristic function

@@ -21,6 +21,7 @@ from rmlab.small_ball import (
     halasz_integral_bound,
     halasz_profile_bound,
     monte_carlo_concentration,
+    sample_sums,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -154,6 +155,23 @@ def test_monte_carlo_deterministic_given_stream():
     a = monte_carlo_concentration(q, 5_000, derive_stream(33, 0))
     b = monte_carlo_concentration(q, 5_000, derive_stream(33, 0))
     assert a.value == b.value and a.ci == b.ci
+
+
+@pytest.mark.parametrize("n", [64, 4999])
+def test_sample_sums_matches_fresh_blocks(n):
+    """The one reused sign buffer gives the sums of fresh 2 * integers(0, 2) - 1
+    blocks bit for bit, and sums yielded earlier stay as they were."""
+    x = derive_stream(34, n).uniform(-1.0, 1.0, size=n)
+    block = 5_000_000 // n
+    for count in (block - 1, block, block + 1, 2 * block + 3):
+        got_rng, ref_rng = derive_stream(35, count), derive_stream(35, count)
+        got = list(sample_sums(RADEMACHER, x, count, got_rng))
+        want = []
+        for start in range(0, count, block):
+            b = min(block, count - start)
+            want.append((2.0 * ref_rng.integers(0, 2, size=(b, n)) - 1.0) @ x)
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+        assert got_rng.integers(0, 2, size=3).tolist() == ref_rng.integers(0, 2, size=3).tolist()
 
 
 def test_empirical_sup_concentration_frozen_and_oracle():
