@@ -1,0 +1,77 @@
+"""Save or check a golden copy of the lab's deterministic outputs.
+
+    PYTHONPATH=src python tests/golden.py save DIR
+    PYTHONPATH=src python tests/golden.py check DIR
+
+`save` writes into DIR:
+
+  - one CSV per `ACCEPTANCE_CONFIGS` entry of `test_acceptance.py`, and
+    `e5.csv` for the criterion-9 `E5_DETERMINISM_CONFIG`;
+  - `fit_all.txt`: the `repr` of every raw constant and every
+    (exact, bound) pair of `calibration.fit_all(CALIBRATION_SEED, 60)`;
+  - `stability.txt`: the `repr` of every refit of
+    `calibration.stability_report()`.
+
+`check` recomputes the same files, names each one that differs from the
+copy in DIR (or is missing there) and exits 1 if any does. Save a copy
+before a change that should not alter results, and check after it. The
+script is not a test module, so pytest does not collect it; a full pass
+takes about 40 s on two cores.
+"""
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+from rmlab import calibration, constants
+from rmlab.experiments import emit, run
+from test_acceptance import ACCEPTANCE_CONFIGS, E5_DETERMINISM_CONFIG
+
+
+def _fit_all_text() -> str:
+    lines = []
+    for bound, report in calibration.fit_all(constants.CALIBRATION_SEED, 60).items():
+        lines.append(f"{bound} raw={report.raw!r}")
+        lines.extend(f"  {(res.exact, res.bound_value)!r}" for res in report.results)
+    return "\n".join(lines) + "\n"
+
+
+def _stability_text() -> str:
+    report = calibration.stability_report()
+    return "".join(f"{bound} refits={v['refits']!r}\n" for bound, v in report.items())
+
+
+def outputs():
+    """Yield (file name, text) for every output in the golden copy."""
+    configs = {**ACCEPTANCE_CONFIGS, "e5": E5_DETERMINISM_CONFIG}
+    for name, cfg in configs.items():
+        yield f"{name}.csv", emit(run(cfg), format="csv")
+    yield "fit_all.txt", _fit_all_text()
+    yield "stability.txt", _stability_text()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or argv[0] not in ("save", "check"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    mode, root = argv[0], Path(argv[1])
+    if mode == "save":
+        root.mkdir(parents=True, exist_ok=True)
+    differ = []
+    for name, text in outputs():
+        path = root / name
+        if mode == "save":
+            path.write_bytes(text.encode())
+            print(f"saved {path}")
+        elif not path.is_file() or path.read_bytes() != text.encode():
+            differ.append(name)
+            print(f"DIFFERS {name}")
+        else:
+            print(f"identical {name}")
+    if mode == "check":
+        print(f"{len(differ)} of the golden files differ" if differ else "all golden files identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

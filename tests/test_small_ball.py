@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import product_concentration, window_sup_probability
-from rmlab import constants
+from rmlab import calibration, constants
 from rmlab.distributions import GAUSSIAN, RADEMACHER, discrete
 from rmlab.errors import RegimeError
 from rmlab.rng import derive_stream
@@ -190,6 +190,92 @@ def test_empirical_sup_monotone_in_t():
     samples = derive_stream(34, 1).standard_normal(500)
     vals = [empirical_sup_concentration(samples, t) for t in (0.1, 0.2, 0.4, 0.8)]
     assert vals == sorted(vals)
+
+
+@pytest.mark.parametrize("t", [math.nan, -1.0])
+def test_empirical_sup_rejects_t_not_positive(t):
+    with pytest.raises(ValueError, match="positive"):
+        empirical_sup_concentration([0.0, 1.0], t)
+
+
+@pytest.mark.parametrize("samples", [[], np.zeros((2, 3)), np.float64(1.0)])
+def test_empirical_sup_rejects_empty_or_not_1d_samples(samples):
+    with pytest.raises(ValueError, match="nonempty 1-d"):
+        empirical_sup_concentration(samples, 0.5)
+
+
+@pytest.mark.parametrize(
+    "samples", [[0.0, math.nan], [math.nan], [0.0, math.inf], [-math.inf, 0.0, 1.0]]
+)
+def test_empirical_sup_rejects_nonfinite_samples(samples):
+    with pytest.raises(ValueError, match="finite"):
+        empirical_sup_concentration(samples, 0.5)
+
+
+def test_empirical_sup_infinite_window_holds_everything():
+    assert empirical_sup_concentration([-3.0, 0.0, 2.5], math.inf) == 1.0
+
+
+@st.composite
+def _window_samples(draw):
+    """1 to 400 samples, so sizes below, at and across several 64-anchor
+    scan blocks appear; lattice samples (multiples of 0.25: ties, and
+    windows ending exactly on a sample) or continuous ones."""
+    size = draw(st.integers(min_value=1, max_value=400))
+    if draw(st.booleans()):
+        half = draw(st.integers(min_value=0, max_value=60))
+        ints = st.integers(min_value=-half, max_value=half)
+        return [0.25 * k for k in draw(st.lists(ints, min_size=size, max_size=size))]
+    reals = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+    return draw(st.lists(reals, min_size=size, max_size=size))
+
+
+@given(
+    samples=_window_samples(),
+    t=st.one_of(
+        st.floats(min_value=1e-9, max_value=50.0),
+        st.integers(min_value=1, max_value=200).map(lambda k: 0.125 * k),
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_empirical_sup_matches_window_oracle(samples, t):
+    assert empirical_sup_concentration(samples, t) == window_sup_probability(samples, t)
+
+
+@pytest.mark.parametrize("peak", [0, 62, 63, 64, 127, 190])
+def test_empirical_sup_finds_a_peak_anchored_at_any_index(peak):
+    # 8 close samples after `peak` isolated ones: the densest window is anchored
+    # at sorted index `peak` only, including when that is a 64-anchor block end
+    samples = np.concatenate([10.0 * np.arange(peak), 5000.0 + 0.01 * np.arange(8), [9e3]])
+    samples = derive_stream(36, peak).permutation(samples)
+    assert empirical_sup_concentration(samples, 0.5) == 8 / samples.size
+    assert window_sup_probability(samples, 0.5) == 8 / samples.size
+
+
+def _full_window_scan(s, t):
+    s = np.sort(s)
+    return float(np.max(np.searchsorted(s, s + 2.0 * t) - np.arange(s.size))) / s.size
+
+
+def test_empirical_sup_matches_full_scan_on_mc_sums():
+    query = calibration.build_corpus("regular_smallball", constants.CALIBRATION_SEED, 1)[0]
+    sums = calibration._mc_sums(query)
+    assert sums.size == 200_000
+    for mult in range(1, 9):
+        t = mult * query.delta
+        assert empirical_sup_concentration(sums, t) == _full_window_scan(sums, t)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "grid"])
+def test_empirical_sup_matches_full_scan_on_flat_samples(kind):
+    # flat densities leave few or (on the evenly spaced grid) no blocks to skip
+    rng = derive_stream(35, 0)
+    if kind == "uniform":
+        samples = rng.uniform(-1.0, 1.0, 200_000)
+    else:
+        samples = rng.permutation(0.25 * np.arange(200_000))
+    for t in (1e-6, 0.002, 0.25, 0.5, 3.0, 1e6):
+        assert empirical_sup_concentration(samples, t) == _full_window_scan(samples, t)
 
 
 # ------------------------------------------------------------------ the bounds
