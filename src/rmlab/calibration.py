@@ -165,8 +165,9 @@ def _evaluate_regular(queries: list[BoundQuery]) -> tuple[QueryResult, ...]:
     exact = [0.0] * len(queries)
     for members in groups.values():
         sums = _mc_sums(queries[members[0]])
-        for i in members:
-            exact[i] = empirical_sup_concentration(sums, queries[i].t)
+        windows = [queries[i].t for i in members]
+        for i, q_hat in zip(members, empirical_sup_concentration(sums, windows).tolist()):
+            exact[i] = q_hat
         del sums
     return tuple(QueryResult(q, e, b) for q, e, b in zip(queries, exact, bounds))
 

@@ -160,15 +160,32 @@ def parse_dist_spec(spec: str) -> EntryDistribution:
 _SIGN_CHUNK_WORDS = 1 << 14
 
 
+def _read_top_bits(bg, out: np.ndarray, tail: tuple[int, int]) -> tuple[int, int]:
+    """Write into the 1-d array out the top bits of the next out.size 32-bit
+    half-words of the Philox bg, as integers(0, 2) reads them: it never
+    rejects a word (Lemire's method), and a 64-bit word gives its low half
+    first. tail is (has_uint32, uinteger) before the read, and a pending
+    high half is read first; the pair after the read is returned. bg's own
+    has_uint32/uinteger are not used."""
+    has, uinteger = tail
+    pos = 0
+    if has and out.size:
+        out[0] = uinteger >> 31
+        has, pos = 0, 1
+    fresh = out.size - pos
+    if fresh:
+        words = bg.random_raw((fresh + 1) // 2)
+        halves = words.astype("<u8", copy=False).view("<u4")[:fresh]
+        np.greater_equal(halves, 1 << 31, out=out[pos:], casting="unsafe")
+        has, uinteger = fresh % 2, int(words[-1]) >> 32
+    return has, uinteger
+
+
 def _fill_rademacher(rng: RngStream, out: np.ndarray) -> None:
     """Fill the C-contiguous float array out with Rademacher signs, in place.
 
     The signs equal 2.0 * rng.integers(0, 2, out.shape) - 1.0 bit for bit,
-    and rng is left where that call leaves it. integers(0, 2) never rejects
-    a word (Lemire's method), so each entry is the top bit of one 32-bit
-    Philox word, and each 64-bit word gives its low half first. A half-word
-    left pending in the generator (has_uint32/uinteger in its state) is
-    used first, and an odd draw leaves the last word's high half pending.
+    and rng is left where that call leaves it (see _read_top_bits).
     """
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
@@ -177,25 +194,14 @@ def _fill_rademacher(rng: RngStream, out: np.ndarray) -> None:
         return
     bg = rng.bit_generator
     state = bg.state
-    pos = 0
-    if state["has_uint32"]:
-        flat[0] = 1.0 if state["uinteger"] >> 31 else -1.0
-        state["has_uint32"] = 0
-        pos = 1
-    tail = None
-    while pos < flat.size:
-        halves = min(2 * _SIGN_CHUNK_WORDS, flat.size - pos)
-        words = bg.random_raw((halves + 1) // 2)
-        tail = (halves % 2, int(words[-1]) >> 32)
-        bits = words.astype("<u8", copy=False).view("<u4")[:halves]
-        np.right_shift(bits, 31, out=bits)
-        dst = flat[pos : pos + halves]
-        np.multiply(bits, 2.0, out=dst)
+    tail = (state["has_uint32"], state["uinteger"])
+    for pos in range(0, flat.size, 2 * _SIGN_CHUNK_WORDS):
+        dst = flat[pos : pos + 2 * _SIGN_CHUNK_WORDS]
+        tail = _read_top_bits(bg, dst, tail)
+        np.multiply(dst, 2.0, out=dst)
         np.subtract(dst, 1.0, out=dst)
-        pos += halves
-    if tail is not None:
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = tail
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = tail
     bg.state = state
 
 

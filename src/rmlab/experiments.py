@@ -327,14 +327,12 @@ def _run_e3(config, payload):
     )
     sums = np.concatenate(list(sample_sums(config.dist, x, mc, rng)))
     seed = derive_substream_seed(config.master_seed, idx)
-    rows = []
-    for mult in range(1, t_steps + 1):
-        t = mult * delta
-        q_hat = empirical_sup_concentration(sums, t)
-        rows.append(
-            (idx, n, config.dist.spec_string(), seed, t, q_hat, cls.min_ssq, cls.threshold, 0)
-        )
-    return rows
+    ts = [mult * delta for mult in range(1, t_steps + 1)]
+    q_hats = empirical_sup_concentration(sums, ts).tolist()
+    return [
+        (idx, n, config.dist.spec_string(), seed, t, q_hat, cls.min_ssq, cls.threshold, 0)
+        for t, q_hat in zip(ts, q_hats)
+    ]
 
 
 def _summary_e3(config, rows):

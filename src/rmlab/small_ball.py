@@ -18,6 +18,8 @@ front of them are fitted once by `rmlab.calibration` and frozen in
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,7 @@ from scipy.special import betaincinv, ndtr
 from . import constants
 from .distributions import (
     EntryDistribution,
-    _fill_rademacher,
+    _read_top_bits,
     abs_third_moment,
     char_fn,
     sample,
@@ -41,6 +43,12 @@ _ENUM_LIMIT = 2**24
 _ENUM_TRIAL_LIMIT = 2**20
 _CONV_CELL_LIMIT = 2**26
 _SCAN_BLOCK = 64
+# Signs below which a part is not worth a thread (about 1 ms of Philox), and
+# signs per chunk of a part (about 1 MB of buffers per thread); at least 256
+# rows per chunk keep the adds, one numpy call per 8 coordinates, cheap.
+_PART_MIN_SIGNS = 1 << 18
+_CHUNK_SIGNS = 1 << 17
+_CHUNK_MIN_ROWS = 256
 
 PROBABILITY_METHODS = frozenset({"exact", "convolution", "monte_carlo"})
 BOUND_METHODS = frozenset(
@@ -208,28 +216,119 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     )
 
 
+def _philox_ahead(state: dict, halves: int) -> np.random.Philox:
+    """A new Philox left where reading `halves` half-words from a Philox in
+    `state` (see distributions._read_top_bits) leaves it, pending half-word
+    included. Only the last word read is computed; the rest are skipped by
+    counter arithmetic."""
+    bg = np.random.Philox(0)
+    bg.state = state
+    fresh = halves - state["has_uint32"]
+    end = bg.state
+    if fresh > 0:
+        skip = (fresh - 1) // 2
+        over = skip - (4 - state["buffer_pos"])  # words past the buffer, 4 per counter step
+        if over > 0:
+            bg.advance(over // 4)
+            skip = over % 4
+        bg.random_raw(skip)
+        last = int(bg.random_raw())
+        end = bg.state
+        end["uinteger"] = last >> 32
+    end["has_uint32"] = fresh % 2
+    bg.state = end
+    return bg
+
+
+def _sign_tables(x: np.ndarray) -> np.ndarray:
+    """T[g, c] = sum over k = 0..7, added in that order, of x[8g+k] if bit k
+    of c is set, else -x[8g+k]. x is padded with zeros to a multiple of 8; a
+    padded coordinate's bit is always 0, and adding -0.0 changes no sum."""
+    padded = np.zeros(-(-x.size // 8) * 8)
+    padded[: x.size] = x
+    padded = padded.reshape(-1, 8)
+    signs = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
+    tables = padded[:, :1] * signs[:, 0]
+    for k in range(1, 8):
+        tables += padded[:, k : k + 1] * signs[:, k]
+    return tables
+
+
+def _rows_sums(bg, tables: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Write into out the sums of out.size rows of n signs read from bg."""
+    state = bg.state
+    tail = (state["has_uint32"], state["uinteger"])
+    groups = tables.shape[0]
+    rows_per = min(out.size, max(_CHUNK_MIN_ROWS, _CHUNK_SIGNS // n))
+    # reused across chunks; rows padded with zero bits to whole bytes pack flat
+    bits = np.empty(rows_per * n, dtype=bool)
+    padded = np.zeros((rows_per, 8 * groups), dtype=bool)
+    index = np.empty(groups * rows_per, dtype=np.intp)
+    terms = np.empty(groups * rows_per)
+    offsets = 256 * np.arange(groups)[:, None]
+    for start in range(0, out.size, rows_per):
+        rows = min(rows_per, out.size - start)
+        tail = _read_top_bits(bg, bits[: rows * n], tail)
+        padded[:rows, :n] = bits[: rows * n].reshape(rows, n)
+        packed = np.packbits(padded[:rows], bitorder="little").reshape(rows, groups)
+        # row g of group_terms holds T[g, b_g] of every row, so each add is contiguous
+        group_index = index[: groups * rows].reshape(groups, rows)
+        np.add(packed.T, offsets, out=group_index)
+        group_terms = terms[: groups * rows].reshape(groups, rows)
+        np.take(tables, group_index, out=group_terms, mode="clip")
+        acc = out[start : start + rows]
+        acc[:] = group_terms[0]
+        for term in group_terms[1:]:
+            acc += term
+
+
+def _rademacher_sums(rng: RngStream, tables: np.ndarray, n: int, rows: int) -> np.ndarray:
+    state = rng.bit_generator.state
+    cores = len(os.sched_getaffinity(0))
+    parts = max(1, min(cores, rows // -(-_PART_MIN_SIGNS // n)))
+    bounds = [rows * k // parts for k in range(parts + 1)]
+    sums = np.empty(rows)
+    jobs = [
+        (_philox_ahead(state, lo * n), tables, n, sums[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    # threads start on submit only, so a single part starts none
+    with ThreadPoolExecutor(max(1, parts - 1)) as pool:
+        futures = [pool.submit(_rows_sums, *job) for job in jobs[1:]]
+        _rows_sums(*jobs[0])
+        for future in futures:
+            future.result()
+    rng.bit_generator.state = _philox_ahead(state, rows * n).state
+    return sums
+
+
 def sample_sums(dist: EntryDistribution, x, count: int, rng: RngStream):
     """Yield the sums draws @ x of count i.i.d. entry vectors, one block at a time.
 
-    A block draws at most 5e6 entries. The values of draws @ x can change in
-    the last bit when the block's row count changes, so every Monte Carlo
-    caller goes through this one loop. Rademacher blocks reuse one (block, n)
-    buffer per call, refilled in place with the signs that sample() would
-    draw; each yielded array of sums is fresh.
+    A block holds at most 5e6 entries, and each yielded array of sums is
+    fresh. Other laws draw the block with sample() and multiply it by x, so
+    their sums can change in the last bit with the block's row count.
+
+    Rademacher blocks hold no float signs. The signs are those of
+    2 * rng.integers(0, 2, (rows, n)) - 1, and rng is left where that call
+    leaves it. Coordinate 8g+k of a row goes to bit k of its sign byte b_g,
+    and the row's sum is ((T[0, b_0] + T[1, b_1]) + T[2, b_2]) + ..., added
+    left to right, with the tables T of _sign_tables built once per call.
+    A block's rows are split into contiguous parts, at most one per usable
+    core and each of at least _PART_MIN_SIGNS signs; each part reads its own
+    Philox, placed at its first word by counter arithmetic, and the main
+    thread computes one part. So the sums depend on the stream and x alone,
+    not on the block size, the part count or the BLAS library.
     """
     n = x.size
     block = max(1, 5_000_000 // n)
-    signs = np.empty((min(block, count), n)) if dist.kind == "rademacher" else None
-    done = 0
-    while done < count:
+    tables = _sign_tables(x) if dist.kind == "rademacher" else None
+    for done in range(0, count, block):
         b = min(block, count - done)
-        if signs is None:
-            draws = sample(dist, rng, size=(b, n))
+        if tables is None:
+            yield sample(dist, rng, size=(b, n)) @ x
         else:
-            draws = signs[:b]
-            _fill_rademacher(rng, draws)
-        yield draws @ x
-        done += b
+            yield _rademacher_sums(rng, tables, n, b)
 
 
 def monte_carlo_concentration(
@@ -251,13 +350,17 @@ def monte_carlo_concentration(
     )
 
 
-def empirical_sup_concentration(samples, t: float) -> float:
+def empirical_sup_concentration(samples, t):
     """Empirical sup over v of P(|S - v| < t) from a sample of S.
 
     Every open window of width 2t over the sample coincides with some
     half-open window anchored at a sample point, so the sliding maximum over
     anchored windows is the exact concentration function of the empirical
     measure. Monotone in t by construction.
+
+    t is one window (a float is returned) or a 1-d array of windows (an
+    array of one value per window is returned, each equal to the scalar
+    call's). The sample is sorted once for all of them.
 
     With s sorted, anchor i counts hi(i) - i samples, hi(i) =
     searchsorted(s, s[i] + 2t). hi never decreases, so every anchor of a
@@ -268,8 +371,9 @@ def empirical_sup_concentration(samples, t: float) -> float:
     block-end count is within 63 of the best (an evenly spaced sample, say),
     no block is skipped and the cost is the full scan plus n/64 lookups.
     """
-    if not t > 0:
-        raise ValueError(f"t={t} must be positive")
+    windows = np.asarray(t, dtype=float)
+    if windows.ndim > 1 or not np.all(windows > 0):
+        raise ValueError(f"t={t!r} must be positive, one window or a 1-d array of them")
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("samples must be a nonempty 1-d array")
@@ -279,12 +383,15 @@ def empirical_sup_concentration(samples, t: float) -> float:
         raise ValueError("samples must be finite")
     starts = np.arange(0, s.size, _SCAN_BLOCK)
     ends = np.minimum(starts + (_SCAN_BLOCK - 1), s.size - 1)
-    hi_end = np.searchsorted(s, s[ends] + 2.0 * t, side="left")
-    # the block holding the best block end always passes, so its end is rescanned
-    open_starts = starts[hi_end - starts >= np.max(hi_end - ends)]
-    anchors = np.minimum((open_starts[:, None] + np.arange(_SCAN_BLOCK)).ravel(), s.size - 1)
-    hi = np.searchsorted(s, s[anchors] + 2.0 * t, side="left")
-    return float(np.max(hi - anchors)) / s.size
+    q_hat = []
+    for width in 2.0 * windows.reshape(-1):
+        hi_end = np.searchsorted(s, s[ends] + width, side="left")
+        # the block holding the best block end always passes, so its end is rescanned
+        open_starts = starts[hi_end - starts >= np.max(hi_end - ends)]
+        anchors = np.minimum((open_starts[:, None] + np.arange(_SCAN_BLOCK)).ravel(), s.size - 1)
+        hi = np.searchsorted(s, s[anchors] + width, side="left")
+        q_hat.append(float(np.max(hi - anchors)) / s.size)
+    return q_hat[0] if windows.ndim == 0 else np.array(q_hat)
 
 
 # ----------------------------------------------------------------- the bounds

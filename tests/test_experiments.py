@@ -141,6 +141,16 @@ WORKER_CFGS = (
     ),
     ExperimentConfig(experiment="E1_sigma_min_tail", dist=GAUSSIAN, n_list=(5, 40), trials=10, master_seed=32),
     ExperimentConfig(experiment="E2_op_norm", dist=GAUSSIAN, n_list=(40,), trials=20, master_seed=33),
+    # 20k sums of 64 signs: on two or more cores each block is split across
+    # threads inside every pool worker
+    ExperimentConfig(
+        experiment="E3_regular_smallball",
+        dist=RADEMACHER,
+        n_list=(64,),
+        trials=3,
+        master_seed=34,
+        params={"delta": 0.004, "q": 4.0, "mc_samples": 20_000, "t_steps": 3},
+    ),
 )
 
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import product_concentration, window_sup_probability
-from rmlab import calibration, constants
+from test_distributions import _philox_state
+from rmlab import calibration, constants, small_ball
 from rmlab.distributions import GAUSSIAN, RADEMACHER, discrete
 from rmlab.errors import RegimeError
 from rmlab.rng import derive_stream
@@ -157,21 +158,57 @@ def test_monte_carlo_deterministic_given_stream():
     assert a.value == b.value and a.ci == b.ci
 
 
-@pytest.mark.parametrize("n", [64, 4999])
-def test_sample_sums_matches_fresh_blocks(n):
-    """The one reused sign buffer gives the sums of fresh 2 * integers(0, 2) - 1
-    blocks bit for bit, and sums yielded earlier stay as they were."""
+def _table_order_sums(signs, x):
+    """Row sums of signs @ x in the order sample_sums documents: left to right
+    within each group of 8 coordinates, then the groups left to right."""
+    total = None
+    for g in range(0, x.size, 8):
+        group = signs[:, g] * x[g]
+        for j in range(g + 1, min(g + 8, x.size)):
+            group = group + signs[:, j] * x[j]
+        total = group if total is None else total + group
+    return total
+
+
+@pytest.mark.parametrize("n", [5, 63, 64, 4999])
+def test_sample_sums_match_table_order_for_any_part_count(n, monkeypatch):
+    """Rademacher sums, block by block, equal sums of 2 * integers(0, 2) - 1
+    signs in the documented table order bit for bit, for 1, 2 or 3 parts and
+    with a half-word pending or not, and the stream ends where integers leaves
+    it. A wrong or shifted sign moves a sum by 2|x_j|, so the signs are the
+    integers(0, 2) draws."""
     x = derive_stream(34, n).uniform(-1.0, 1.0, size=n)
     block = 5_000_000 // n
-    for count in (block - 1, block, block + 1, 2 * block + 3):
-        got_rng, ref_rng = derive_stream(35, count), derive_stream(35, count)
-        got = list(sample_sums(RADEMACHER, x, count, got_rng))
-        want = []
-        for start in range(0, count, block):
-            b = min(block, count - start)
-            want.append((2.0 * ref_rng.integers(0, 2, size=(b, n)) - 1.0) @ x)
-        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
-        assert got_rng.integers(0, 2, size=3).tolist() == ref_rng.integers(0, 2, size=3).tolist()
+    ref_chunk = max(1, 2**20 // n)
+    for prefix, count in enumerate((block - 1, block, block + 1, 2 * block + 3)):
+        ref = derive_stream(35, count)
+        ref.integers(0, 2, size=prefix)  # an odd prefix leaves a half-word pending
+        want, checked = [], 0
+        for start in range(0, count, ref_chunk):
+            signs = 2.0 * ref.integers(0, 2, size=(min(ref_chunk, count - start), n)) - 1.0
+            want.append(_table_order_sums(signs, x))
+            # (d) within n * eps * sum|x_j| of the exactly rounded sum
+            for row in range(0, signs.shape[0], 97):
+                exact = math.fsum((signs[row] * x).tolist())
+                assert abs(want[-1][row] - exact) <= n * 2.0**-52 * np.abs(x).sum()
+                checked += 1
+        assert checked > 0
+        want = np.concatenate(want)
+        # (c) 1, 2 and 3 parts: the usable cores, and a part size of one row
+        monkeypatch.setattr(small_ball, "_PART_MIN_SIGNS", 1)
+        for cores in (1, 2, 3):
+            usable = set(range(cores))
+            monkeypatch.setattr(small_ball.os, "sched_getaffinity", lambda pid, c=usable: c)
+            got_rng = derive_stream(35, count)
+            got_rng.integers(0, 2, size=prefix)
+            got = list(sample_sums(RADEMACHER, x, count, got_rng))
+            assert [s.size for s in got] == [min(block, count - i) for i in range(0, count, block)]
+            # (b) the table-order sums, bit for bit; (a) the stream ends where integers left it
+            assert np.concatenate(got).tobytes() == want.tobytes()
+            assert _philox_state(got_rng) == _philox_state(ref)
+            probe = derive_stream(35, count)
+            probe.bit_generator.state = ref.bit_generator.state
+            assert got_rng.integers(0, 2, size=3).tolist() == probe.integers(0, 2, size=3).tolist()
 
 
 def test_empirical_sup_concentration_frozen_and_oracle():
@@ -240,6 +277,34 @@ def _window_samples(draw):
 @settings(max_examples=200, deadline=None)
 def test_empirical_sup_matches_window_oracle(samples, t):
     assert empirical_sup_concentration(samples, t) == window_sup_probability(samples, t)
+
+
+@given(
+    samples=_window_samples(),
+    windows=st.lists(
+        st.one_of(
+            st.floats(min_value=1e-9, max_value=50.0),
+            st.integers(min_value=1, max_value=200).map(lambda k: 0.125 * k),
+            st.just(math.inf),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+@example(samples=[0.0, 0.25, 3.0], windows=[2.0, 0.125, 2.0, math.inf, 0.125])
+@settings(max_examples=200, deadline=None)
+def test_empirical_sup_array_of_windows_equals_scalar_calls(samples, windows):
+    got = empirical_sup_concentration(samples, np.array(windows))
+    assert isinstance(got, np.ndarray) and got.shape == (len(windows),)
+    scalar = [empirical_sup_concentration(samples, t) for t in windows]
+    assert all(isinstance(q, float) for q in scalar)
+    assert got.tobytes() == np.array(scalar).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_empirical_sup_rejects_one_bad_window_in_an_array(bad):
+    with pytest.raises(ValueError, match="positive"):
+        empirical_sup_concentration([0.0, 1.0], [0.5, bad, 1.0])
 
 
 @pytest.mark.parametrize("peak", [0, 62, 63, 64, 127, 190])
