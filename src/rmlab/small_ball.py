@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betaincinv, ndtr
 
 from . import constants
@@ -136,6 +135,41 @@ def _atom_law_of_sum(weights: np.ndarray, dist: EntryDistribution, budget: int):
     return vals, probs
 
 
+def _distinct_sums(weights: np.ndarray, dist: EntryDistribution):
+    """All support^m pattern sums and their probabilities, unmerged, or None.
+
+    Pattern (s_1, ..., s_m) gets the sum ((0 + w_1 s_1) + w_2 s_2) + ... and
+    the probability ((1 p_1) p_2) ..., the float operations of
+    _atom_law_of_sum, built by in-place doubling. If no two sums are equal
+    (-0.0 against 0.0 counts as equal), no step of _atom_law_of_sum merged
+    anything, so its vals and probs are these sums sorted and their
+    probabilities in that order. None when support^m exceeds
+    _ENUM_TRIAL_LIMIT, when every weight is an integer multiple of the
+    smallest |w| (a lattice vector, whose sums merge at once), or on a tie.
+    """
+    sup = dist.support()
+    sup_probs = dist.support_probs()
+    size = sup.size ** weights.size
+    ratios = weights / np.min(np.abs(weights))
+    if size > _ENUM_TRIAL_LIMIT or np.all(ratios == np.rint(ratios)):
+        return None
+    sums = np.empty(size)
+    probs = np.empty(size)
+    sums[0], probs[0] = 0.0, 1.0
+    done = 1
+    for w in weights:
+        # atom k's patterns go to block k; block 0 overwrites the prefix it reads, so it is last
+        for k in range(sup.size - 1, -1, -1):
+            block = slice(k * done, (k + 1) * done)
+            np.add(sums[:done], w * sup[k], out=sums[block])
+            np.multiply(probs[:done], sup_probs[k], out=probs[block])
+        done *= sup.size
+    ordered = np.sort(sums)
+    if np.any(ordered[1:] == ordered[:-1]):
+        return None
+    return sums, probs
+
+
 def _convolve_on_grid(weights: np.ndarray, dist: EntryDistribution, h: float):
     """Grid pmf of the sum at resolution h; returns (origin_index, pmf array).
 
@@ -165,13 +199,23 @@ def _convolve_on_grid(weights: np.ndarray, dist: EntryDistribution, h: float):
 def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationEstimate:
     """Exact P(|sum beta_j x_j - v| < t) for finite-support laws.
 
-    path='enumerate' builds the exact atom law (the merged atom count must
-    stay within 2^24 as terms accumulate). path='convolve' uses a grid at
-    resolution h = t / (100 m), which keeps the accumulated placement drift
-    m*h/2 well under the window scale; the returned metadata carries a
-    rigorous error radius (the grid mass within drift+h of the window
-    boundary) and the ci field brackets the true value by that radius.
-    path='auto' prefers enumeration when feasible.
+    path='enumerate' builds the exact atom law in one of two ways. When
+    support^m <= 2^20 and the weights are not all integer multiples of the
+    smallest |w|, _distinct_sums computes every pattern's sum once and sorts
+    the sums once; if no two tie, that is the atom law. Otherwise (a lattice
+    vector, a tie, or more patterns) _atom_law_of_sum convolves term by term
+    and merges equal sums after each term, and the merged atom count must
+    stay within 2^24 as terms accumulate. Both give the same value bit for
+    bit, and metadata["atoms"] is the atom count of the law.
+
+    path='convolve' uses a grid at resolution h = t / (100 m), which keeps
+    the accumulated placement drift m*h/2 well under the window scale; the
+    returned metadata carries a rigorous error radius (the grid mass within
+    drift+h of the window boundary) and the ci field brackets the true value
+    by that radius.
+
+    path='auto' tries enumeration first, with the merged atom budget cut to
+    2^20, and falls back to the grid.
     """
     if not q.dist.finite_support:
         raise RegimeError("continuous dist rejected; use monte_carlo_concentration")
@@ -180,20 +224,29 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     weights = q.x[q.x != 0.0]
     m = weights.size
     if path != "convolve":
-        # lattice-like weights merge to few atoms, so attempt enumeration
-        # with a reduced budget before falling back to the grid
-        budget = _ENUM_LIMIT if path == "enumerate" else _ENUM_TRIAL_LIMIT
-        try:
-            vals, probs = _atom_law_of_sum(weights, q.dist, budget)
-        except RegimeError:
-            if path == "enumerate":
-                raise
+        atoms = None
+        distinct = _distinct_sums(weights, q.dist)
+        if distinct is not None:
+            sums, probs = distinct
+            inside = np.abs(sums - q.v) < q.t
+            # the merged law's in-window probabilities, in the order of their sums
+            value, atoms = probs[inside][np.argsort(sums[inside])].sum(), sums.size
         else:
-            value = float(probs[np.abs(vals - q.v) < q.t].sum())
+            # lattice-like weights merge to few atoms, so attempt enumeration
+            # with a reduced budget before falling back to the grid
+            budget = _ENUM_LIMIT if path == "enumerate" else _ENUM_TRIAL_LIMIT
+            try:
+                vals, probs = _atom_law_of_sum(weights, q.dist, budget)
+            except RegimeError:
+                if path == "enumerate":
+                    raise
+            else:
+                value, atoms = probs[np.abs(vals - q.v) < q.t].sum(), vals.size
+        if atoms is not None:
             return ConcentrationEstimate(
-                value=value,
+                value=float(value),
                 method="exact",
-                metadata={"path": "enumeration", "atoms": int(vals.size)},
+                metadata={"path": "enumeration", "atoms": int(atoms)},
             )
     h = q.t / (100.0 * m)
     origin, pmf = _convolve_on_grid(weights, q.dist, h)
@@ -306,8 +359,10 @@ def sample_sums(dist: EntryDistribution, x, count: int, rng: RngStream):
     """Yield the sums draws @ x of count i.i.d. entry vectors, one block at a time.
 
     A block holds at most 5e6 entries, and each yielded array of sums is
-    fresh. Other laws draw the block with sample() and multiply it by x, so
-    their sums can change in the last bit with the block's row count.
+    fresh. Other laws draw the block with sample() and reduce each row
+    against x with np.einsum, whose loop is numpy's own, not BLAS; a row's
+    sum depends on the row and x alone, not on the block's row count or the
+    BLAS thread count.
 
     Rademacher blocks hold no float signs. The signs are those of
     2 * rng.integers(0, 2, (rows, n)) - 1, and rng is left where that call
@@ -326,7 +381,7 @@ def sample_sums(dist: EntryDistribution, x, count: int, rng: RngStream):
     for done in range(0, count, block):
         b = min(block, count - done)
         if tables is None:
-            yield sample(dist, rng, size=(b, n)) @ x
+            yield np.einsum("ij,j->i", sample(dist, rng, size=(b, n)), x)
         else:
             yield _rademacher_sums(rng, tables, n, b)
 
@@ -404,6 +459,9 @@ def esseen_bound(q: SmallBallQuery) -> ConcentrationEstimate:
     with c_E = 1 reported separately in the metadata, so comparators can fit
     the constant. Adaptive quadrature at absolute tolerance 1e-8.
     """
+    # the only integration in the package; importing scipy.integrate costs about 0.2 s
+    from scipy.integrate import quad
+
     weights = q.x[q.x != 0.0]
 
     def integrand(s: float) -> float:

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from oracles import product_concentration
 from rmlab import constants
 from rmlab.cli import main
 
@@ -189,6 +191,46 @@ def test_small_ball_exact(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == pytest.approx(0.5)
     assert payload["method"] == "exact"
+
+
+def test_small_ball_exact_on_a_generic_vector(tmp_path, capsys):
+    # logs of distinct primes: no signed sum of them vanishes, so every sign
+    # pattern is its own atom
+    x = [(-1) ** j * math.log(p) for j, p in enumerate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))]
+    vec = tmp_path / "x.txt"
+    vec.write_text("".join(f"{w!r}\n" for w in x), encoding="utf-8")
+    code = main([
+        "small-ball", "--x", str(vec), "--dist", "rademacher", "--v", "0.2", "--t", "0.5",
+        "--method", "exact",
+    ])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "exact"
+    assert payload["metadata"] == {"path": "enumeration", "atoms": 2**12}
+    expected = product_concentration([-1.0, 1.0], [0.5, 0.5], np.array(x), 0.2, 0.5)
+    assert payload["value"] > 0.0
+    assert payload["value"] == pytest.approx(expected, abs=1e-12)
+
+
+def test_small_ball_monte_carlo(tmp_path, capsys):
+    vec = tmp_path / "x.txt"
+    vec.write_text("0.5\n-1.25\n0.75\n1.0\n0.3\n", encoding="utf-8")
+    args = [
+        "small-ball", "--x", str(vec), "--dist", "rademacher", "--t", "0.6",
+        "--method", "monte_carlo", "--trials", "5000", "--seed", "17",
+    ]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert payload["method"] == "monte_carlo"
+    assert payload["metadata"]["trials"] == 5000
+    assert payload["value"] == payload["metadata"]["count"] / 5000
+    lo, hi = payload["ci"]
+    assert lo <= payload["value"] <= hi
+    assert main(args) == 0
+    assert capsys.readouterr().out == out
+    assert main(args[:-1] + ["18"]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["count"] != payload["metadata"]["count"]
 
 
 def test_small_ball_halasz_needs_delta(tmp_path, capsys):

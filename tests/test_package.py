@@ -6,6 +6,9 @@ benchmark runs.
 """
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,13 @@ def test_benchmark_wrap_targets_resolve():
         if not callable(getattr(importlib.import_module(module_name), attr, None)):
             missing.append(target)
     assert not missing, f"WRAPS targets missing: {missing}"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    """Only esseen_bound integrates, so it imports quad itself; importing the
+    package must not pay for scipy.integrate."""
+    src = str(Path(rmlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, rmlab; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

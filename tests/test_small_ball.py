@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +145,92 @@ def test_exact_concentration_matches_product_oracle(weights, v, t):
     assert out.value == pytest.approx(expected, abs=1e-12)
 
 
+FINITE_LAWS = (RADEMACHER, calibration.D3, calibration.D4, SKEW)
+
+
+@given(
+    dist=st.sampled_from(FINITE_LAWS),
+    weights=st.lists(
+        st.floats(min_value=0.1, max_value=2.0) | st.floats(min_value=-2.0, max_value=-0.1),
+        min_size=1,
+        max_size=8,
+    ),
+    repeat=st.booleans(),
+    zeros=st.integers(min_value=0, max_value=2),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+@example(dist=SKEW, weights=[0.3, 1.7, -0.9], repeat=False, zeros=0, data=None)
+@example(dist=calibration.D3, weights=[0.3, 1.7, -0.9], repeat=True, zeros=1, data=None)
+def test_exact_enumeration_equals_the_merging_law_bit_for_bit(dist, weights, repeat, zeros, data):
+    """Generic weights take the distinct-sums path; a repeated weight makes
+    sums that tie in exact arithmetic, and a float tie falls back to merging.
+    Either way the value and atom count are those of _atom_law_of_sum, bit
+    for bit. Windows are centred on an atom with an edge exactly on another
+    atom, or drawn freely."""
+    if repeat:
+        weights = weights + weights[:1]
+    x = np.array(weights[:1] + [0.0] * zeros + weights[1:])
+    vals, probs = small_ball._atom_law_of_sum(x[x != 0.0], dist, small_ball._ENUM_LIMIT)
+    if data is None:
+        v, t = float(vals[1]), float(abs(vals[-1] - vals[1]))
+    elif data.draw(st.booleans(), label="on_atoms"):
+        i, j = (data.draw(st.integers(0, vals.size - 1), label=k) for k in "ij")
+        v = float(vals[i])
+        t = float(abs(vals[j] - vals[i])) or 0.5
+    else:
+        v = data.draw(st.floats(min_value=-4.0, max_value=4.0), label="v")
+        t = data.draw(st.floats(min_value=0.01, max_value=3.0), label="t")
+    out = exact_concentration(SmallBallQuery(x=x, dist=dist, v=v, t=t))
+    expected = float(probs[np.abs(vals - v) < t].sum())
+    assert out.value.hex() == expected.hex()
+    assert out.metadata == {"path": "enumeration", "atoms": vals.size}
+
+
+@pytest.mark.parametrize("m", [8, 12, 16])
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_exact_enumeration_adds_skew_window_mass_in_sum_order(m, t):
+    """SKEW atom probabilities differ in size, so adding the window's mass in
+    any order but the merged law's changes the last bits."""
+    x = derive_stream(37, m).uniform(0.5, 2.0, m)
+    vals, probs = small_ball._atom_law_of_sum(x, SKEW, small_ball._ENUM_LIMIT)
+    out = exact_concentration(SmallBallQuery(x=x, dist=SKEW, v=0.0, t=t))
+    assert out.value.hex() == float(probs[np.abs(vals) < t].sum()).hex()
+    assert out.metadata["atoms"] == vals.size == 2**m
+
+
+def test_distinct_sums_path_runs_on_generic_weights_only():
+    generic = np.log([2.0, 3.0, 5.0, 7.0]) * [1.0, -1.0, 1.0, 1.0]
+    for dist in FINITE_LAWS:
+        sums, probs = small_ball._distinct_sums(generic, dist)
+        vals, merged = small_ball._atom_law_of_sum(generic, dist, small_ball._ENUM_LIMIT)
+        order = np.argsort(sums)
+        assert sums[order].tobytes() == vals.tobytes()
+        assert probs[order].tobytes() == merged.tobytes()
+    # two equal leading weights tie (0 + w s) + w s' with (0 + w s') + w s;
+    # lattice vectors are not tried
+    assert small_ball._distinct_sums(np.array([0.3, 0.3, 1.7]), SKEW) is None
+    assert small_ball._distinct_sums(np.ones(5), SKEW) is None
+    assert small_ball._distinct_sums(np.array([0.5, -1.5, 1.0]), SKEW) is None
+    # more patterns than the trial limit
+    assert small_ball._distinct_sums(derive_stream(36, 0).uniform(0.5, 2.0, 21), RADEMACHER) is None
+
+
+@pytest.mark.parametrize(
+    "x, dist, atoms",
+    [
+        (np.ones(12), RADEMACHER, 13),
+        (np.ones(12), SKEW, 13),
+        (np.arange(1.0, 9.0), RADEMACHER, 37),
+        (np.arange(1.0, 9.0) * 0.25, RADEMACHER, 37),
+        (np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]), RADEMACHER, 13),
+    ],
+)
+def test_lattice_vectors_report_merged_atom_counts(x, dist, atoms):
+    out = exact_concentration(SmallBallQuery(x=x, dist=dist, v=0.0, t=0.5))
+    assert out.metadata == {"path": "enumeration", "atoms": atoms}
+
+
 def test_monte_carlo_concentration_brackets_exact():
     q = rademacher_query([1 / SQRT2, 1 / SQRT2], v=0.0, t=0.1)
     out = monte_carlo_concentration(q, 10_000, derive_stream(32, 0))
@@ -209,6 +299,38 @@ def test_sample_sums_match_table_order_for_any_part_count(n, monkeypatch):
             probe = derive_stream(35, count)
             probe.bit_generator.state = ref.bit_generator.state
             assert got_rng.integers(0, 2, size=3).tolist() == probe.integers(0, 2, size=3).tolist()
+
+
+_GAUSSIAN_SUMS_HASH = """
+import hashlib
+import numpy as np
+from rmlab.distributions import GAUSSIAN
+from rmlab.rng import derive_stream
+from rmlab.small_ball import sample_sums
+x = derive_stream(4, 1).uniform(-1.0, 1.0, 64)
+sums = np.concatenate(list(sample_sums(GAUSSIAN, x, 200_000, derive_stream(4, 0))))
+print(hashlib.sha256(sums.tobytes()).hexdigest())
+"""
+
+
+def test_gaussian_sample_sums_do_not_depend_on_blas_threads():
+    """A BLAS matrix-vector product splits rows across threads and changes
+    the last bits of some sums with the thread count; sample_sums must not."""
+    src = str(Path(small_ball.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", _GAUSSIAN_SUMS_HASH],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_empirical_sup_concentration_frozen_and_oracle():
