@@ -195,7 +195,7 @@ def _cmd_nets(args) -> int:
 def _add_output_flags(p) -> None:
     p.add_argument("--out", help="output file path (stdout when omitted)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; trials run serially")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -8,13 +8,13 @@ calibration audits (E6).
 
 Every family has the same shape, one `_Experiment` entry in `_RUNNERS`:
 its CSV columns; the params keys it reads, which are the only ones run()
-accepts; tasks(config), the list of task payloads, each led by its
-trial index; run(config, payload), the rows of one task; and
-summarize(config, rows), the JSON summary built from the rows alone.
+accepts; tasks(config), the list of task payloads in trial-index order,
+each led by its trial index; run(config, payload), the rows of one task;
+and summarize(config, rows), the JSON summary built from the rows alone.
 
 Determinism contract: rows must be a pure function of (config, trial index).
 Trial i draws from an RNG stream derived from (master_seed, i) by a fixed
-64-bit mix, so serial and parallel execution produce identical rows, and
+64-bit mix. run() executes the trials serially in task order, and
 re-emitting a result yields byte-identical CSV. Wall-clock runtime lives only
 in the JSON summary and is excluded from that contract.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,13 +78,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if type(self.trials) is not int or self.trials < 1:
             raise ConfigError(f"trials={self.trials!r} must be a positive integer")
-        n_list = tuple(int(n) for n in self.n_list)
-        if not n_list or any(n < 1 for n in n_list):
+        try:
+            n_list = tuple(int(n) for n in self.n_list)
+        except (TypeError, ValueError, OverflowError):
+            n_list = ()
+        if not n_list or n_list != tuple(self.n_list) or any(n < 1 for n in n_list):
             raise ConfigError(f"n_list={self.n_list!r} must be nonempty positive dimensions")
         object.__setattr__(self, "n_list", n_list)
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < _MAX_SEED:
+        if type(self.master_seed) is not int or not 0 <= self.master_seed < _MAX_SEED:
             raise ConfigError(f"master_seed={self.master_seed!r} must be a 64-bit integer")
         if not isinstance(self.dist, EntryDistribution):
             raise ConfigError("dist must be an EntryDistribution")
@@ -543,11 +545,11 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     Raises ConfigError for a params key the experiment does not read.
 
-    workers > 1 runs trials on a thread pool; the row set is identical to the
-    serial run because each trial is a pure function of (config, index).
-    workers must be a positive integer.
+    Trials run serially, in the order tasks(config) lists them, and their rows
+    are concatenated in that order. workers must be a positive integer; it is
+    accepted for compatibility and does not change how trials run.
     """
-    if not isinstance(workers, int) or workers < 1:
+    if type(workers) is not int or workers < 1:
         raise ConfigError(f"workers={workers!r} must be a positive integer")
     spec = _RUNNERS[config.experiment]
     unknown = sorted(set(config.params) - set(spec.params))
@@ -558,20 +560,13 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         )
     tasks = spec.tasks(config)
     start = time.perf_counter()
-
-    def guarded(payload):
+    rows = []
+    for payload in tasks:
         try:
-            return spec.run(config, payload)
+            rows.extend(spec.run(config, payload))
         except RegimeError as exc:
             raise RegimeError(f"trial {payload[0]}: {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(guarded, tasks))
-    else:
-        chunks = [guarded(p) for p in tasks]
-    # stable sort by trial index; within-trial row order is the task's own
-    rows = tuple(sorted((row for chunk in chunks for row in chunk), key=lambda r: r[0]))
+    rows = tuple(rows)
     runtime = time.perf_counter() - start
     summary = {"experiment": config.experiment, **spec.summarize(config, rows)}
     summary["runtime_seconds"] = runtime

@@ -337,7 +337,7 @@ def _rows_sums(bg, tables: np.ndarray, n: int, out: np.ndarray) -> None:
 
 def _rademacher_sums(rng: RngStream, tables: np.ndarray, n: int, rows: int) -> np.ndarray:
     state = rng.bit_generator.state
-    cores = len(os.sched_getaffinity(0))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     parts = max(1, min(cores, rows // -(-_PART_MIN_SIGNS // n)))
     bounds = [rows * k // parts for k in range(parts + 1)]
     sums = np.empty(rows)

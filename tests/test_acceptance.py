@@ -3,7 +3,9 @@
 Each test covers one release criterion and prints a single
 ``[criterion k] PASS/FAIL`` line with the measured numbers, then asserts.
 Heavy experiment configs run once in a module-scoped fixture; the
-determinism criterion reruns each of them serially and on a thread pool.
+determinism criterion reruns each of them twice more, once with workers=3;
+run() executes trials serially in task order whatever workers is, and rows
+are a pure function of (config, trial index).
 """
 import math
 import time

@@ -35,6 +35,23 @@ def test_experiment_names():
     )
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"n_list": (8.9,)},
+        {"n_list": (16, 8.5)},
+        {"n_list": ("x",)},
+        {"n_list": (float("inf"),)},
+        {"trials": True},
+        {"master_seed": False},
+    ],
+)
+def test_config_rejects_a_truncated_dimension_or_a_bool(field):
+    """int() would turn 8.9 into 8 and True into 1 without a word."""
+    with pytest.raises(ConfigError):
+        ExperimentConfig(experiment="E1_sigma_min_tail", **field)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="E9_unknown")
@@ -141,8 +158,8 @@ WORKER_CFGS = (
     ),
     ExperimentConfig(experiment="E1_sigma_min_tail", dist=GAUSSIAN, n_list=(5, 40), trials=10, master_seed=32),
     ExperimentConfig(experiment="E2_op_norm", dist=GAUSSIAN, n_list=(40,), trials=20, master_seed=33),
-    # 20k sums of 64 signs: on two or more cores each block is split across
-    # threads inside every pool worker
+    # 20k sums of 64 signs: on two or more cores the Rademacher MC sum loop
+    # splits each block across threads
     ExperimentConfig(
         experiment="E3_regular_smallball",
         dist=RADEMACHER,
@@ -168,7 +185,7 @@ def test_serial_parallel_identical_rows():
     assert 0 < sum(singular) < len(singular)
 
 
-@pytest.mark.parametrize("workers", [0, -3, 1.5])
+@pytest.mark.parametrize("workers", [0, -3, 1.5, True])
 def test_run_rejects_bad_workers(workers):
     with pytest.raises(ConfigError):
         run(E1_CFG, workers=workers)

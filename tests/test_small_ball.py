@@ -263,10 +263,10 @@ def _table_order_sums(signs, x):
 @pytest.mark.parametrize("n", [5, 63, 64, 4999])
 def test_sample_sums_match_table_order_for_any_part_count(n, monkeypatch):
     """Rademacher sums, block by block, equal sums of 2 * integers(0, 2) - 1
-    signs in the documented table order bit for bit, for 1, 2 or 3 parts and
-    with a half-word pending or not, and the stream ends where integers leaves
-    it. A wrong or shifted sign moves a sum by 2|x_j|, so the signs are the
-    integers(0, 2) draws."""
+    signs in the documented table order bit for bit, for 1, 2 or 3 parts, with
+    or without os.sched_getaffinity, and with a half-word pending or not, and
+    the stream ends where integers leaves it. A wrong or shifted sign moves a
+    sum by 2|x_j|, so the signs are the integers(0, 2) draws."""
     x = derive_stream(34, n).uniform(-1.0, 1.0, size=n)
     block = 5_000_000 // n
     ref_chunk = max(1, 2**20 // n)
@@ -284,11 +284,16 @@ def test_sample_sums_match_table_order_for_any_part_count(n, monkeypatch):
                 checked += 1
         assert checked > 0
         want = np.concatenate(want)
-        # (c) 1, 2 and 3 parts: the usable cores, and a part size of one row
+        # (c) 1, 2 and 3 parts: the usable cores, and a part size of one row;
+        # without os.sched_getaffinity (macOS, Windows) os.cpu_count() parts
         monkeypatch.setattr(small_ball, "_PART_MIN_SIGNS", 1)
-        for cores in (1, 2, 3):
-            usable = set(range(cores))
-            monkeypatch.setattr(small_ball.os, "sched_getaffinity", lambda pid, c=usable: c)
+        for cores in (1, 2, 3, "cpu_count"):
+            if cores == "cpu_count":
+                monkeypatch.delattr(small_ball.os, "sched_getaffinity", raising=False)
+                monkeypatch.setattr(small_ball.os, "cpu_count", lambda: 2)
+            else:
+                usable = set(range(cores))
+                monkeypatch.setattr(small_ball.os, "sched_getaffinity", lambda pid, c=usable: c, raising=False)
             got_rng = derive_stream(35, count)
             got_rng.integers(0, 2, size=prefix)
             got = list(sample_sums(RADEMACHER, x, count, got_rng))
