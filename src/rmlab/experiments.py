@@ -14,26 +14,31 @@ and summarize(config, rows), the JSON summary built from the rows alone.
 
 Determinism contract: rows must be a pure function of (config, trial index).
 Trial i draws from an RNG stream derived from (master_seed, i) by a fixed
-64-bit mix. run() executes the trials serially in task order, and
-re-emitting a result yields byte-identical CSV. Wall-clock runtime lives only
-in the JSON summary and is excluded from that contract.
+64-bit mix. run() keeps rows in task order: E1's and E2's trials, which
+spend their time in the GIL-free LAPACK call of rmlab.matrices, run on one
+thread per usable core; every other family, and E1/E2 where that call is not
+available, runs its trials serially. Re-emitting a result yields
+byte-identical CSV. Wall-clock runtime lives only in the JSON summary and is
+excluded from that contract.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import calibration, constants
+from . import calibration, constants, matrices
 from .distributions import EntryDistribution, RADEMACHER, parse_dist_spec
 from .distributions import sample  # unused here; benchmarks/workloads.py wraps this name
 from .errors import ConfigError, RegimeError
 from .matrices import operator_norm, sample_matrix, spectral_summary
-from .rng import derive_stream, derive_substream_seed
+from .rng import derive_stream, derive_substream_seed, usable_cores
 from .small_ball import clopper_pearson, empirical_sup_concentration, sample_sums
 from .sphere_profile import (
     PartitionParams,
@@ -499,18 +504,20 @@ class _Experiment:
     tasks: Callable[[ExperimentConfig], list]
     run: Callable[[ExperimentConfig, tuple], list]
     summarize: Callable[[ExperimentConfig, tuple], dict]
+    # the tasks spend their time in matrices.spectral_summary, outside the GIL
+    gil_free: bool = False
 
 
 _RUNNERS = {
     "E1_sigma_min_tail": _Experiment(
         columns=("trial", "n", "dist", "seed", "sigma_min", "op_norm", "singular_flag", "elapsed_ms"),
         params=("eps", "coeff"),
-        tasks=_tasks_matrix, run=_run_e1, summarize=_summary_e1,
+        tasks=_tasks_matrix, run=_run_e1, summarize=_summary_e1, gil_free=True,
     ),
     "E2_op_norm": _Experiment(
         columns=("trial", "n", "dist", "seed", "op_norm", "exceed_flag", "elapsed_ms"),
         params=("coeff",),
-        tasks=_tasks_matrix, run=_run_e2, summarize=_summary_e2,
+        tasks=_tasks_matrix, run=_run_e2, summarize=_summary_e2, gil_free=True,
     ),
     "E2b_peaked": _Experiment(
         columns=("trial", "n", "dist", "seed", "ax_norm", "small_flag", "elapsed_ms"),
@@ -540,14 +547,35 @@ _RUNNERS = {
 }
 
 
+def _trial(spec: _Experiment, config: ExperimentConfig, payload: tuple) -> list:
+    try:
+        return spec.run(config, payload)
+    except RegimeError as exc:
+        raise RegimeError(f"trial {payload[0]}: {exc}") from exc
+
+
+def _map_trials(spec: _Experiment, config: ExperimentConfig, tasks: list):
+    """Each task's rows, in task order."""
+    one = functools.partial(_trial, spec, config)
+    threads = min(usable_cores(), len(tasks)) if spec.gil_free else 1
+    if threads < 2 or not matrices.svd_releases_gil():
+        return map(one, tasks)
+    # one BLAS thread per pool thread (rmlab.matrices gives the timings); a
+    # task holds its one matrix only while it runs
+    with matrices.one_blas_thread() as init, ThreadPoolExecutor(threads, initializer=init) as pool:
+        return list(pool.map(one, tasks))
+
+
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Execute every trial of the config and assemble rows plus summary.
 
     Raises ConfigError for a params key the experiment does not read.
 
-    Trials run serially, in the order tasks(config) lists them, and their rows
-    are concatenated in that order. workers must be a positive integer; it is
-    accepted for compatibility and does not change how trials run.
+    Rows are concatenated in the order tasks(config) lists the trials. E1's
+    and E2's trials run on one thread per usable core when rmlab.matrices
+    has its GIL-free LAPACK call, other trials serially on the calling
+    thread. workers must be a positive integer; it is accepted for
+    compatibility and does not change how trials run.
     """
     if type(workers) is not int or workers < 1:
         raise ConfigError(f"workers={workers!r} must be a positive integer")
@@ -560,13 +588,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         )
     tasks = spec.tasks(config)
     start = time.perf_counter()
-    rows = []
-    for payload in tasks:
-        try:
-            rows.extend(spec.run(config, payload))
-        except RegimeError as exc:
-            raise RegimeError(f"trial {payload[0]}: {exc}") from exc
-    rows = tuple(rows)
+    rows = tuple(row for part in _map_trials(spec, config, tasks) for row in part)
     runtime = time.perf_counter() - start
     summary = {"experiment": config.experiment, **spec.summarize(config, rows)}
     summary["runtime_seconds"] = runtime

@@ -8,6 +8,8 @@ within this package for a fixed numpy version.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -49,3 +51,12 @@ def derive_stream(master_seed: int, index: int = 0) -> RngStream:
 def derive_substream_seed(master_seed: int, index: int) -> int:
     """64-bit seed (not a stream) for labeling rows; re-derivable by anyone."""
     return mix64((master_seed & MASK64) ^ mix64(index & MASK64))
+
+
+def usable_cores() -> int:
+    """CPU cores this process may run on: its affinity mask where the OS has
+    one, else os.cpu_count(). The threaded parts of the package (the Monte
+    Carlo sign reader and E1/E2's matrices) split their work by it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -18,7 +18,6 @@ front of them are fitted once by `rmlab.calibration` and frozen in
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -35,7 +34,7 @@ from .distributions import (
     symmetrized_atoms,
 )
 from .errors import RegimeError
-from .rng import RngStream
+from .rng import RngStream, usable_cores
 from .sphere_profile import delta_profile
 
 _ENUM_LIMIT = 2**24
@@ -337,8 +336,7 @@ def _rows_sums(bg, tables: np.ndarray, n: int, out: np.ndarray) -> None:
 
 def _rademacher_sums(rng: RngStream, tables: np.ndarray, n: int, rows: int) -> np.ndarray:
     state = rng.bit_generator.state
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    parts = max(1, min(cores, rows // -(-_PART_MIN_SIGNS // n)))
+    parts = max(1, min(usable_cores(), rows // -(-_PART_MIN_SIGNS // n)))
     bounds = [rows * k // parts for k in range(parts + 1)]
     sums = np.empty(rows)
     jobs = [

@@ -3,9 +3,10 @@
 Each test covers one release criterion and prints a single
 ``[criterion k] PASS/FAIL`` line with the measured numbers, then asserts.
 Heavy experiment configs run once in a module-scoped fixture; the
-determinism criterion reruns each of them twice more, once with workers=3;
-run() executes trials serially in task order whatever workers is, and rows
-are a pure function of (config, trial index).
+determinism criterion reruns each of them twice more, once as is and once
+forced onto one core, so E1/E2's threaded trials and the threaded Monte
+Carlo sum loop are compared with truly serial runs. Rows are a pure function
+of (config, trial index).
 """
 import math
 import time
@@ -20,7 +21,7 @@ from oracles import (
     jacobi_singular_values,
     ks_distance,
 )
-from rmlab import calibration, constants
+from rmlab import calibration, constants, experiments, small_ball
 from rmlab.distributions import GAUSSIAN, RADEMACHER, UNIFORM_SYM, discrete
 from rmlab.experiments import ExperimentConfig, emit, run
 from rmlab.matrices import sample_matrix, spectral_summary
@@ -342,21 +343,24 @@ def test_criterion_8_greedy_vs_formula_bounds(capsys):
     )
 
 
-def test_criterion_9_determinism(capsys, results):
+def test_criterion_9_determinism(capsys, results, monkeypatch):
     configs = {**ACCEPTANCE_CONFIGS, "e5": E5_DETERMINISM_CONFIG}
     mismatched = []
     for name, cfg in configs.items():
         base = emit(results[name] if name in results else run(cfg), format="csv")
         rerun = emit(run(cfg), format="csv")
-        threaded = emit(run(cfg, workers=3), format="csv")
-        if not (base == rerun == threaded):
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "usable_cores", lambda: 1)
+            patch.setattr(small_ball, "usable_cores", lambda: 1)
+            one_core = emit(run(cfg), format="csv")
+        if not (base == rerun == one_core):
             mismatched.append(name)
     ok = not mismatched
     _report(
         capsys,
         9,
         ok,
-        f"CSV byte-identical across two serial runs and a 3-worker run for all "
+        f"CSV byte-identical across two runs and a one-core run for all "
         f"{len(configs)} configs"
         + (f"; mismatches: {', '.join(mismatched)}" if mismatched else ""),
     )

@@ -1,11 +1,12 @@
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from rmlab import constants
+from rmlab import constants, experiments, matrices, small_ball
 from rmlab.distributions import GAUSSIAN, RADEMACHER
 from rmlab.errors import ConfigError, RegimeError
 from rmlab.experiments import (
@@ -17,7 +18,7 @@ from rmlab.experiments import (
     run,
 )
 from rmlab.matrices import sample_matrix, spectral_summary
-from rmlab.rng import derive_substream_seed
+from rmlab.rng import derive_substream_seed, usable_cores
 
 
 # -------------------------------------------------------------------- config
@@ -171,18 +172,52 @@ WORKER_CFGS = (
 )
 
 
-def test_serial_parallel_identical_rows():
+def _one_core(monkeypatch) -> None:
+    """Make every threaded part of the package (E1/E2's trials and the
+    Rademacher MC sum loop) see one usable core, so it runs serially."""
+    monkeypatch.setattr(experiments, "usable_cores", lambda: 1)
+    monkeypatch.setattr(small_ball, "usable_cores", lambda: 1)
+
+
+def test_serial_parallel_identical_rows(monkeypatch):
+    callers = set()
+
+    def traced_summary(A, inner=experiments.spectral_summary):
+        callers.add(threading.get_ident())
+        return inner(A)
+
     for cfg in WORKER_CFGS:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            serial = run(cfg)
-            for workers in (2, 3):
-                threaded = run(cfg, workers=workers)
-                assert serial.rows == threaded.rows
-                assert emit(serial) == emit(threaded)
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, "spectral_summary", traced_summary)
+                threaded = run(cfg)
+            with monkeypatch.context() as patch:
+                _one_core(patch)
+                serial = run(cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(matrices, "_openblas", lambda: None)
+                fallback = run(cfg)
         assert [str(w.message) for w in caught] == []
+        assert serial.rows == threaded.rows == fallback.rows
+        assert emit(serial) == emit(threaded) == emit(fallback)
+    if usable_cores() > 1 and matrices.svd_releases_gil():
+        assert len(callers) > 1  # the threaded runs did use the pool
     singular = [r[6] for r in run(WORKER_CFGS[1]).rows]
     assert 0 < sum(singular) < len(singular)
+
+
+def test_threaded_trial_errors_name_the_first_failing_trial(monkeypatch):
+    def failing_summary(A):
+        if A.seed in bad_seeds:
+            raise RegimeError(f"seed {A.seed}")
+        return spectral_summary(A)
+
+    cfg = WORKER_CFGS[2]
+    bad_seeds = {derive_substream_seed(cfg.master_seed, i) for i in (7, 3, 15)}
+    monkeypatch.setattr(experiments, "spectral_summary", failing_summary)
+    with pytest.raises(RegimeError, match=r"^trial 3: "):
+        run(cfg)
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.5, True])

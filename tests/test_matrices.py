@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,11 +10,14 @@ from oracles import (
     gauss_jordan_inverse,
     jacobi_singular_values,
 )
+from rmlab import matrices
 from rmlab.distributions import GAUSSIAN, RADEMACHER, UNIFORM_SYM
+from rmlab.errors import ConfigError
 from rmlab.matrices import (
     operator_norm,
     sample_matrix,
     spectral_summary,
+    svd_releases_gil,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -43,11 +48,23 @@ def test_sample_matrix_row_major_fill():
 
 
 def test_sample_matrix_dimension_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sample_matrix(GAUSSIAN, 0, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sample_matrix(GAUSSIAN, 4097, seed=1)
     assert sample_matrix(GAUSSIAN, 1, seed=1).entries.shape == (1, 1)
+    assert np.array_equal(sample_matrix(GAUSSIAN, np.int64(3), seed=np.uint64(1)).entries,
+                          sample_matrix(GAUSSIAN, 3, seed=1).entries)
+
+
+@pytest.mark.parametrize(
+    "dist, n, seed",
+    [(GAUSSIAN, 2.5, 1), (GAUSSIAN, True, 1), (GAUSSIAN, "4", 1), ("gaussian", 4, 1),
+     (None, 4, 1), (GAUSSIAN, 4, 1.5), (GAUSSIAN, 4, None), (GAUSSIAN, 4, False)],
+)
+def test_sample_matrix_rejects_bad_input(dist, n, seed):
+    with pytest.raises(ConfigError):
+        sample_matrix(dist, n, seed)
 
 
 def test_operator_norm_known_matrices():
@@ -153,12 +170,140 @@ def test_same_seed_same_summary():
 
 def test_rejects_non_square():
     for solver in (operator_norm, spectral_summary):
-        for bad in (np.ones((2, 3)), np.ones(4), np.zeros((0, 0))):
-            with pytest.raises(ValueError):
+        for bad in (np.ones((2, 3)), np.ones(4), np.zeros((0, 0)), 3.0, [[1.0, 2.0], [3.0]]):
+            with pytest.raises(ConfigError):
                 solver(bad)
+
+
+def test_rejects_non_finite_or_non_numeric_entries():
+    for bad in ([[1.0, "x"], [0.0, 1.0]], np.array([[1.0, np.nan], [0.0, 1.0]]), np.diag([1.0, np.inf])):
+        with pytest.raises(ConfigError):
+            spectral_summary(bad)
 
 
 def test_rademacher_singular_2x2_detected():
     # [[1,1],[1,1]] is singular; the rank-revealing rule must flag it
     rep = spectral_summary(np.ones((2, 2)))
     assert rep.singular_flag
+
+
+# ----------------------------------------------- the ctypes LAPACK binding
+
+needs_binding = pytest.mark.skipif(
+    not svd_releases_gil(), reason="numpy does not bundle an ILP64 OpenBLAS here"
+)
+
+
+def _bits(op_norm: float, sigma_min: float, singular_flag: bool) -> tuple:
+    return np.float64(op_norm).tobytes(), np.float64(sigma_min).tobytes(), bool(singular_flag)
+
+
+def _summary_bits(summary) -> tuple:
+    return _bits(summary.op_norm, summary.sigma_min, summary.singular_flag)
+
+
+def _binding_values(entries) -> np.ndarray:
+    return matrices._gesdd_values(matrices._openblas().gesdd, entries)
+
+
+@needs_binding
+@pytest.mark.parametrize("dist", (GAUSSIAN, RADEMACHER))
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 50, 100, 200))
+def test_binding_equals_numpy_svd_bit_for_bit(dist, n):
+    flagged = 0
+    for seed in range(12 if n <= 7 else 2):
+        m = sample_matrix(dist, n, seed=500 + seed)
+        s = np.linalg.svd(m.entries, compute_uv=False)
+        assert _binding_values(m.entries).tobytes() == s.tobytes()
+        singular = s[-1] <= n * EPS * s[0]
+        summary = spectral_summary(m)
+        assert _summary_bits(summary) == _bits(s[0], 0.0 if singular else s[-1], singular)
+        flagged += summary.singular_flag
+    if dist is RADEMACHER and n in (2, 3):
+        # small Rademacher matrices are often exactly singular
+        assert flagged > 0
+
+
+@needs_binding
+def test_binding_layouts_and_dtypes_give_the_same_values():
+    base = sample_matrix(RADEMACHER, 30, seed=8).entries
+    want = np.linalg.svd(base, compute_uv=False).tobytes()
+    wide = np.zeros((60, 90))
+    wide[::2, ::3] = base
+    for variant in (base.astype(np.int64), np.asfortranarray(base), wide[::2, ::3], base.tolist()):
+        assert _binding_values(np.asarray(variant, dtype=float)).tobytes() == want
+        assert spectral_summary(variant) == spectral_summary(base)
+    # the input is copied, never overwritten
+    kept = base.copy()
+    spectral_summary(base)
+    assert np.array_equal(base, kept)
+
+
+@needs_binding
+def test_binding_from_four_threads_at_once():
+    mats = [sample_matrix(GAUSSIAN, 120, seed=s).entries for s in range(8)]
+    want = [np.linalg.svd(m, compute_uv=False).tobytes() for m in mats]
+    barrier = threading.Barrier(4, timeout=60)
+    got = [None] * 4
+
+    def worker(k):
+        barrier.wait()
+        got[k] = [[_binding_values(m).tobytes() for m in mats] for _ in range(3)]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with matrices.one_blas_thread():
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want] * 3] * 4
+
+
+@needs_binding
+def test_one_blas_thread_restores_the_thread_count():
+    set_threads = matrices._openblas().set_threads
+    before = set_threads(2)
+    try:
+        with matrices.one_blas_thread() as init:
+            init()
+        assert set_threads(2) == 2
+    finally:
+        set_threads(before)
+
+
+@pytest.mark.parametrize("dist, n", [(GAUSSIAN, 40), (RADEMACHER, 3), (RADEMACHER, 40)])
+def test_forced_fallback_returns_the_same_values(dist, n, monkeypatch):
+    mats = [sample_matrix(dist, n, seed=s) for s in range(6)]
+    want = [spectral_summary(m) for m in mats]
+    monkeypatch.setattr(matrices, "_openblas", lambda: None)
+    assert not svd_releases_gil()
+    assert [_summary_bits(spectral_summary(m)) for m in mats] == [_summary_bits(w) for w in want]
+
+
+def test_lapack_failure_is_a_runtime_error_not_a_config_error(monkeypatch):
+    """A nonzero LAPACK info is a numerical failure, not bad input: it must
+    not be a ValueError, which the CLI reports as a config error."""
+    m = sample_matrix(GAUSSIAN, 5, seed=1)
+
+    def failing_gesdd(*args):
+        args[13].value = 2  # info: the bidiagonal SVD did not converge
+
+    monkeypatch.setattr(matrices, "_openblas", lambda: matrices._OpenBLAS(failing_gesdd, lambda k: 1))
+    with pytest.raises(RuntimeError, match="info=2") as caught:
+        spectral_summary(m)
+    assert not isinstance(caught.value, ValueError)
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(matrices, "_openblas", lambda: None)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(RuntimeError, match="did not converge") as caught:
+        spectral_summary(m)
+    assert not isinstance(caught.value, ValueError)

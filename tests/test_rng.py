@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 
 from rmlab.rng import (
@@ -9,6 +11,7 @@ from rmlab.rng import (
     derive_stream,
     derive_substream_seed,
     mix64,
+    usable_cores,
 )
 
 
@@ -68,3 +71,14 @@ def test_derive_substream_seed_composition():
     assert 0 <= s <= MASK64
     seen = {derive_substream_seed(55, i) for i in range(1000)}
     assert len(seen) == 1000
+
+
+def test_usable_cores_counts_the_affinity_mask_else_all_cores(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert usable_cores() == 3
+    # macOS and Windows have no affinity call; cpu_count may return None
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert usable_cores() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cores() == 1

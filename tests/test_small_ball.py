@@ -289,11 +289,11 @@ def test_sample_sums_match_table_order_for_any_part_count(n, monkeypatch):
         monkeypatch.setattr(small_ball, "_PART_MIN_SIGNS", 1)
         for cores in (1, 2, 3, "cpu_count"):
             if cores == "cpu_count":
-                monkeypatch.delattr(small_ball.os, "sched_getaffinity", raising=False)
-                monkeypatch.setattr(small_ball.os, "cpu_count", lambda: 2)
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+                monkeypatch.setattr(os, "cpu_count", lambda: 2)
             else:
                 usable = set(range(cores))
-                monkeypatch.setattr(small_ball.os, "sched_getaffinity", lambda pid, c=usable: c, raising=False)
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=usable: c, raising=False)
             got_rng = derive_stream(35, count)
             got_rng.integers(0, 2, size=prefix)
             got = list(sample_sums(RADEMACHER, x, count, got_rng))
