@@ -16,10 +16,10 @@ Determinism contract: rows must be a pure function of (config, trial index).
 Trial i draws from an RNG stream derived from (master_seed, i) by a fixed
 64-bit mix. run() keeps rows in task order: E1's and E2's trials, which
 spend their time in the GIL-free LAPACK call of rmlab.matrices, run on one
-thread per usable core; every other family, and E1/E2 where that call is not
-available, runs its trials serially. Re-emitting a result yields
-byte-identical CSV. Wall-clock runtime lives only in the JSON summary and is
-excluded from that contract.
+thread per usable core, started largest matrix first; every other family,
+and E1/E2 where that call is not available, runs its trials serially.
+Re-emitting a result yields byte-identical CSV. Wall-clock runtime lives
+only in the JSON summary and is excluded from that contract.
 """
 from __future__ import annotations
 
@@ -504,7 +504,8 @@ class _Experiment:
     tasks: Callable[[ExperimentConfig], list]
     run: Callable[[ExperimentConfig, tuple], list]
     summarize: Callable[[ExperimentConfig, tuple], dict]
-    # the tasks spend their time in matrices.spectral_summary, outside the GIL
+    # the tasks, payloads (trial, n), spend their time in
+    # matrices.spectral_summary, outside the GIL
     gil_free: bool = False
 
 
@@ -560,10 +561,15 @@ def _map_trials(spec: _Experiment, config: ExperimentConfig, tasks: list):
     threads = min(usable_cores(), len(tasks)) if spec.gil_free else 1
     if threads < 2 or not matrices.svd_releases_gil():
         return map(one, tasks)
+    # the largest matrices first, so that the threads finish together on the
+    # smallest ones instead of one thread idling through the last large one
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
     # one BLAS thread per pool thread (rmlab.matrices gives the timings); a
-    # task holds its one matrix only while it runs
+    # task holds its one matrix only while it runs, a thread one copy buffer
     with matrices.one_blas_thread() as init, ThreadPoolExecutor(threads, initializer=init) as pool:
-        return list(pool.map(one, tasks))
+        futures = {i: pool.submit(one, tasks[i]) for i in order}
+        # collected in task order, so an error names the first failing trial
+        return [futures[i].result() for i in range(len(tasks))]
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -572,10 +578,11 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     Raises ConfigError for a params key the experiment does not read.
 
     Rows are concatenated in the order tasks(config) lists the trials. E1's
-    and E2's trials run on one thread per usable core when rmlab.matrices
-    has its GIL-free LAPACK call, other trials serially on the calling
-    thread. workers must be a positive integer; it is accepted for
-    compatibility and does not change how trials run.
+    and E2's trials run on one thread per usable core, largest matrices
+    first, when rmlab.matrices has its GIL-free LAPACK call, other trials
+    serially on the calling thread. A trial error names the first failing
+    trial in task order. workers must be a positive integer; it is accepted
+    for compatibility and does not change how trials run.
     """
     if type(workers) is not int or workers < 1:
         raise ConfigError(f"workers={workers!r} must be a positive integer")

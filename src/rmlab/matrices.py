@@ -20,7 +20,10 @@ routine, and returns the same values bit for bit. experiments.run() maps
 E1's and E2's trials over one thread per usable core, each running BLAS on
 one thread: on the same 2 vCPUs, 16 400 x 400 matrices took 0.31 s on one
 thread, 0.36 s on two threads with OpenBLAS's own threads, and 0.16 s on
-two threads with one BLAS thread each. The library is loaded on first use.
+two threads with one BLAS thread each. A pool thread copies every matrix
+into one buffer that it keeps until it ends, not into a fresh array: on
+the same 2 vCPUs that took a benchmark spectral_pool pass from about 2580
+page faults to 500-1300. The library is loaded on first use.
 Where it, its symbols or its 64-bit-integer build are missing (numpy built
 against macOS Accelerate or a system BLAS), the values come from
 numpy.linalg.svd and run() keeps those trials serial.
@@ -121,22 +124,46 @@ _ONE_BLAS_THREAD = threading.Lock()
 @contextmanager
 def one_blas_thread():
     """Run BLAS on one thread per calling thread inside the block; yields the
-    setter for the threads of a pool to call as their initializer. Needs
+    initializer for the threads of a pool, which sets their BLAS thread count
+    and gives each a reusable buffer for its column-major copies. Needs
     svd_releases_gil(). OpenBLAS's pthreads build keeps the count
     process-wide, so the count in force before is restored on exit."""
     set_threads = _openblas().set_threads
     with _ONE_BLAS_THREAD:
         previous = set_threads(1)
         try:
-            yield functools.partial(set_threads, 1)
+            yield functools.partial(_init_pool_thread, set_threads)
         finally:
             set_threads(previous)
+
+
+# a pool thread's buffer for the column-major copy, reused from one matrix to
+# the next so that the copy does not fault fresh pages in every call; it ends
+# with the thread, and so with the pool
+_POOL_THREAD = threading.local()
+
+
+def _init_pool_thread(set_threads: Callable[[int], int]) -> None:
+    set_threads(1)
+    _POOL_THREAD.copy = np.empty(0)
+
+
+def _column_major_copy(entries: np.ndarray) -> np.ndarray:
+    n = entries.shape[0]
+    buf = getattr(_POOL_THREAD, "copy", None)
+    if buf is None:
+        return np.array(entries, dtype=np.float64, order="F")
+    if buf.size < n * n:
+        buf = _POOL_THREAD.copy = np.empty(n * n)
+    a = buf[: n * n].reshape((n, n), order="F")
+    a[...] = entries
+    return a
 
 
 def _gesdd_values(gesdd: Callable, entries: np.ndarray) -> np.ndarray:
     """Singular values of a square float matrix, descending: a workspace
     query, then dgesdd with jobz='N' on a column-major copy."""
-    a = np.array(entries, dtype=np.float64, order="F")  # a copy: gesdd overwrites it
+    a = _column_major_copy(entries)  # a copy: gesdd overwrites it
     n = a.shape[0]
     s = np.empty(n)
     iwork = np.empty(8 * n, dtype=np.int64)

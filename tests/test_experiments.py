@@ -207,6 +207,26 @@ def test_serial_parallel_identical_rows(monkeypatch):
     assert 0 < sum(singular) < len(singular)
 
 
+@pytest.mark.skipif(not matrices.svd_releases_gil(), reason="E1/E2 trials run serially here")
+def test_threaded_trials_start_largest_matrix_first(monkeypatch):
+    submitted = []
+
+    class Recording(experiments.ThreadPoolExecutor):
+        def submit(self, fn, payload):
+            submitted.append(payload)
+            return super().submit(fn, payload)
+
+    cfg = ExperimentConfig(experiment="E1_sigma_min_tail", dist=GAUSSIAN, n_list=(5, 40, 20), trials=3, master_seed=35)
+    want = run(cfg)
+    monkeypatch.setattr(experiments, "usable_cores", lambda: 2)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
+    got = run(cfg)
+    assert [n for _, n in submitted] == [40] * 3 + [20] * 3 + [5] * 3
+    # ties keep task order, and the rows come back in task order
+    assert [i for i, _ in submitted] == [3, 4, 5, 6, 7, 8, 0, 1, 2]
+    assert got.rows == want.rows
+
+
 def test_threaded_trial_errors_name_the_first_failing_trial(monkeypatch):
     def failing_summary(A):
         if A.seed in bad_seeds:

@@ -266,12 +266,38 @@ def test_binding_from_four_threads_at_once():
 
 
 @needs_binding
+def test_pool_thread_copy_buffer_gives_the_same_values():
+    """A pool thread reuses one copy buffer across sizes, shrinking and
+    growing; the values stay bit-identical and the inputs untouched."""
+    mats = [sample_matrix(GAUSSIAN, n, seed=n).entries for n in (60, 7, 1, 60, 90, 30)]
+    kept = [m.copy() for m in mats]
+    want = [np.linalg.svd(m, compute_uv=False).tobytes() for m in mats]
+    got = []
+
+    def worker(init):
+        init()
+        got.extend(_binding_values(m).tobytes() for m in mats)
+        got.append(matrices._POOL_THREAD.copy.size)
+
+    with matrices.one_blas_thread() as init:
+        t = threading.Thread(target=worker, args=(init,))
+        t.start()
+        t.join(timeout=60)
+    assert got == want + [90 * 90]
+    assert all(np.array_equal(m, k) for m, k in zip(mats, kept))
+    # the buffer belongs to the pool thread, not to the caller
+    assert not hasattr(matrices._POOL_THREAD, "copy")
+
+
+@needs_binding
 def test_one_blas_thread_restores_the_thread_count():
     set_threads = matrices._openblas().set_threads
     before = set_threads(2)
     try:
         with matrices.one_blas_thread() as init:
-            init()
+            pool_thread = threading.Thread(target=init)
+            pool_thread.start()
+            pool_thread.join(timeout=60)
         assert set_threads(2) == 2
     finally:
         set_threads(before)
