@@ -201,6 +201,21 @@ def _add_output_flags(p) -> None:
     )
 
 
+# command, experiment, help, default --n (None: the one dimension is --l),
+# default trials, default dist, and the params with their defaults; each
+# param's flag is typed like its default
+_SHORTCUTS = (
+    ("sigma-min", "E1_sigma_min_tail", "smallest singular value tail (E1)", "200", 200, "rademacher",
+     {"eps": constants.SIGMA_TAIL_EPS, "coeff": constants.SIGMA_TAIL_COEFF}),
+    ("op-norm", "E2_op_norm", "operator norm tail (E2)", "200", 500, "gaussian",
+     {"coeff": constants.OP_NORM_COEFF}),
+    ("peaked", "E2b_peaked", "peaked-direction image norm (E2b)", "100", 2000, "rademacher",
+     {"spikes": 2, "coeff": constants.PEAKED_NORM_COEFF}),
+    ("allocation", "E4_allocation", "balls-in-urns concentration (E4)", None, 1000, "rademacher",
+     {"l": 1000, "k": 1000}),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmlab",
@@ -223,43 +238,17 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sigma-min", help="smallest singular value tail (E1)")
-    p.add_argument("--n", default="200")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--dist", default="rademacher")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=constants.SIGMA_TAIL_EPS)
-    p.add_argument("--coeff", type=float, default=constants.SIGMA_TAIL_COEFF)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_shortcut, experiment="E1_sigma_min_tail", params=("eps", "coeff"))
-
-    p = sub.add_parser("op-norm", help="operator norm tail (E2)")
-    p.add_argument("--n", default="200")
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--dist", default="gaussian")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coeff", type=float, default=constants.OP_NORM_COEFF)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_shortcut, experiment="E2_op_norm", params=("coeff",))
-
-    p = sub.add_parser("peaked", help="peaked-direction image norm (E2b)")
-    p.add_argument("--n", default="100")
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--dist", default="rademacher")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spikes", type=int, default=2)
-    p.add_argument("--coeff", type=float, default=constants.PEAKED_NORM_COEFF)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_shortcut, experiment="E2b_peaked", params=("spikes", "coeff"))
-
-    p = sub.add_parser("allocation", help="balls-in-urns concentration (E4)")
-    p.add_argument("--l", type=int, default=1000)
-    p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--dist", default="rademacher")
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_shortcut, experiment="E4_allocation", params=("l", "k"))
+    for command, experiment, text, n, trials, dist, params in _SHORTCUTS:
+        p = sub.add_parser(command, help=text)
+        if n is not None:
+            p.add_argument("--n", default=n)
+        p.add_argument("--trials", type=int, default=trials)
+        p.add_argument("--dist", default=dist)
+        p.add_argument("--seed", type=int, default=0)
+        for key, default in params.items():
+            p.add_argument(f"--{key}", type=type(default), default=default)
+        _add_output_flags(p)
+        p.set_defaults(func=_cmd_shortcut, experiment=experiment, params=tuple(params))
 
     p = sub.add_parser("profile", help="classify a unit vector's delta-profile")
     p.add_argument("--x", required=True, help="file with one coordinate per line")

@@ -23,7 +23,9 @@ only in the JSON summary and is excluded from that contract.
 """
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import math
 import time
@@ -57,16 +59,6 @@ __all__ = [
     "parse_config",
     "run",
 ]
-
-EXPERIMENTS = (
-    "E1_sigma_min_tail",
-    "E2_op_norm",
-    "E2b_peaked",
-    "E3_regular_smallball",
-    "E4_allocation",
-    "E5_profile_census",
-    "E6_bound_calibration",
-)
 
 _MAX_SEED = 2**64
 
@@ -224,18 +216,8 @@ def _run_e1(config, payload):
     idx, n = payload
     seed = derive_substream_seed(config.master_seed, idx)
     summ = spectral_summary(sample_matrix(config.dist, n, seed))
-    return [
-        (
-            idx,
-            n,
-            config.dist.spec_string(),
-            seed,
-            summ.sigma_min,
-            summ.op_norm,
-            int(summ.singular_flag),
-            0,
-        )
-    ]
+    flag = int(summ.singular_flag)
+    return [(idx, n, config.dist.spec_string(), seed, summ.sigma_min, summ.op_norm, flag)]
 
 
 def _summary_e1(config, rows):
@@ -262,7 +244,7 @@ def _run_e2(config, payload):
     coeff = float(config.param("coeff", constants.OP_NORM_COEFF))
     rep = operator_norm(sample_matrix(config.dist, n, seed))
     exceed = int(rep.value > coeff * math.sqrt(n))
-    return [(idx, n, config.dist.spec_string(), seed, rep.value, exceed, 0)]
+    return [(idx, n, config.dist.spec_string(), seed, rep.value, exceed)]
 
 
 def _norm_per_n(config, rows, coeff, flag_key, ratio_key) -> dict:
@@ -293,7 +275,7 @@ def _run_e2b(config, payload):
     A = sample_matrix(config.dist, n, seed)
     ax = float(np.linalg.norm(A.entries @ _spike_vector(n, spikes)))
     small = int(ax <= coeff * math.sqrt(n))
-    return [(idx, n, config.dist.spec_string(), seed, ax, small, 0)]
+    return [(idx, n, config.dist.spec_string(), seed, ax, small)]
 
 
 def _summary_e2b(config, rows):
@@ -337,7 +319,7 @@ def _run_e3(config, payload):
     ts = [mult * delta for mult in range(1, t_steps + 1)]
     q_hats = empirical_sup_concentration(sums, ts).tolist()
     return [
-        (idx, n, config.dist.spec_string(), seed, t, q_hat, cls.min_ssq, cls.threshold, 0)
+        (idx, n, config.dist.spec_string(), seed, t, q_hat, cls.min_ssq, cls.threshold)
         for t, q_hat in zip(ts, q_hats)
     ]
 
@@ -381,7 +363,7 @@ def _run_e4(config, payload):
     instance = sample_allocation(l, k, derive_stream(config.master_seed, idx))
     min_ssq, _ = min_half_subset_ssq(instance.occupancy, math.ceil(l / 2))
     stat = min_ssq * k / l**2
-    return [(idx, l, k, seed, min_ssq, stat, 0)]
+    return [(idx, l, k, seed, min_ssq, stat)]
 
 
 def _summary_e4(config, rows):
@@ -427,7 +409,7 @@ def _run_e5(config, payload):
     else:
         cls = classify_profile(x, params, delta, q)
         verdict, min_ssq = cls.verdict, cls.min_ssq
-    return [(idx, n, config.dist.spec_string(), seed, sphere_class, verdict, min_ssq, 0)]
+    return [(idx, n, config.dist.spec_string(), seed, sphere_class, verdict, min_ssq)]
 
 
 def _summary_e5(config, rows):
@@ -461,17 +443,8 @@ def _run_e6(config, payload):
     c = constants.FITTED[query.bound]
     dominated = int(res.exact <= c * res.bound_value * (1.0 + 1e-12))
     return [
-        (
-            idx,
-            query.bound,
-            query.dist.spec_string(),
-            query.x.size,
-            res.exact,
-            res.bound_value,
-            res.ratio,
-            dominated,
-            0,
-        )
+        (idx, query.bound, query.dist.spec_string(), query.x.size,
+         res.exact, res.bound_value, res.ratio, dominated)
     ]
 
 
@@ -511,41 +484,43 @@ class _Experiment:
 
 _RUNNERS = {
     "E1_sigma_min_tail": _Experiment(
-        columns=("trial", "n", "dist", "seed", "sigma_min", "op_norm", "singular_flag", "elapsed_ms"),
+        columns=("trial", "n", "dist", "seed", "sigma_min", "op_norm", "singular_flag"),
         params=("eps", "coeff"),
         tasks=_tasks_matrix, run=_run_e1, summarize=_summary_e1, gil_free=True,
     ),
     "E2_op_norm": _Experiment(
-        columns=("trial", "n", "dist", "seed", "op_norm", "exceed_flag", "elapsed_ms"),
+        columns=("trial", "n", "dist", "seed", "op_norm", "exceed_flag"),
         params=("coeff",),
         tasks=_tasks_matrix, run=_run_e2, summarize=_summary_e2, gil_free=True,
     ),
     "E2b_peaked": _Experiment(
-        columns=("trial", "n", "dist", "seed", "ax_norm", "small_flag", "elapsed_ms"),
+        columns=("trial", "n", "dist", "seed", "ax_norm", "small_flag"),
         params=("spikes", "coeff"),
         tasks=_tasks_matrix, run=_run_e2b, summarize=_summary_e2b,
     ),
     "E3_regular_smallball": _Experiment(
-        columns=("trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold", "elapsed_ms"),
+        columns=("trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold"),
         params=("delta", "q", "r", "R", "band_lo", "band_hi", "t_steps", "mc_samples", "max_tries"),
         tasks=_tasks_e3, run=_run_e3, summarize=_summary_e3,
     ),
     "E4_allocation": _Experiment(
-        columns=("trial", "l", "k", "seed", "min_ssq", "stat", "elapsed_ms"),
+        columns=("trial", "l", "k", "seed", "min_ssq", "stat"),
         params=("l", "k"),
         tasks=_tasks_trials, run=_run_e4, summarize=_summary_e4,
     ),
     "E5_profile_census": _Experiment(
-        columns=("trial", "n", "dist", "seed", "sphere_class", "verdict", "min_ssq", "elapsed_ms"),
+        columns=("trial", "n", "dist", "seed", "sphere_class", "verdict", "min_ssq"),
         params=("delta", "q", "r", "R"),
         tasks=_tasks_matrix, run=_run_e5, summarize=_summary_e5,
     ),
     "E6_bound_calibration": _Experiment(
-        columns=("trial", "bound", "dist", "m", "exact", "bound_value", "ratio", "dominated", "elapsed_ms"),
+        columns=("trial", "bound", "dist", "m", "exact", "bound_value", "ratio", "dominated"),
         params=("per_bound",),
         tasks=_tasks_e6, run=_run_e6, summarize=_summary_e6,
     ),
 }
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def _trial(spec: _Experiment, config: ExperimentConfig, payload: tuple) -> list:
@@ -654,13 +629,15 @@ def emit(result: ExperimentResult, format: str = "csv", path: str | None = None)
     summary. Both embed the config echo and artifact version.
     """
     if format == "csv":
-        lines = [
-            f"# artifact={constants.ARTIFACT_NAME}/{constants.ARTIFACT_VERSION}",
-            f"# config {_config_line(result.config)}",
-            ",".join(result.columns),
-        ]
-        lines += [",".join(_format_cell(v) for v in row) for row in result.rows]
-        text = "\n".join(lines) + "\n"
+        out = io.StringIO()
+        out.write(f"# artifact={constants.ARTIFACT_NAME}/{constants.ARTIFACT_VERSION}\n")
+        out.write(f"# config {_config_line(result.config)}\n")
+        # minimal quoting: only a cell holding a comma, quote or line break,
+        # such as a discrete law's spec, is quoted
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(result.columns)
+        writer.writerows([_format_cell(v) for v in row] for row in result.rows)
+        text = out.getvalue()
     elif format == "json":
         text = (
             json.dumps(

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import product_concentration
 from rmlab import constants
-from rmlab.cli import main
+from rmlab.cli import _build_parser, main
 
 E4_ARGS = [
     "run", "--experiment", "E4_allocation", "--trials", "2", "--seed", "8",
@@ -29,7 +29,7 @@ def test_run_emits_csv_to_stdout(capsys):
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert lines[0] == f"# artifact={constants.ARTIFACT_NAME}/{constants.ARTIFACT_VERSION}"
-    assert lines[2] == "trial,n,dist,seed,op_norm,exceed_flag,elapsed_ms"
+    assert lines[2] == "trial,n,dist,seed,op_norm,exceed_flag"
     assert len(lines) == 5
 
 
@@ -119,6 +119,43 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
     out = tmp_path / "no_dir" / "x.csv"
     assert main(E4_ARGS + ["--out", str(out)]) == 4
     assert "io error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, trials, config, header",
+    [
+        (
+            "sigma-min", 200,
+            "experiment=E1_sigma_min_tail dist=rademacher n_list=200 trials=2 master_seed=0"
+            " params.coeff=1.0 params.eps=0.1",
+            "trial,n,dist,seed,sigma_min,op_norm,singular_flag",
+        ),
+        (
+            "op-norm", 500,
+            "experiment=E2_op_norm dist=gaussian n_list=200 trials=2 master_seed=0 params.coeff=2.5",
+            "trial,n,dist,seed,op_norm,exceed_flag",
+        ),
+        (
+            "peaked", 2000,
+            "experiment=E2b_peaked dist=rademacher n_list=100 trials=2 master_seed=0"
+            " params.coeff=0.3 params.spikes=2",
+            "trial,n,dist,seed,ax_norm,small_flag",
+        ),
+        (
+            "allocation", 1000,
+            "experiment=E4_allocation dist=rademacher n_list=1000 trials=2 master_seed=0"
+            " params.k=1000 params.l=1000",
+            "trial,l,k,seed,min_ssq,stat",
+        ),
+    ],
+)
+def test_shortcut_defaults(command, trials, config, header, capsys):
+    assert _build_parser().parse_args([command]).trials == trials
+    assert main([command, "--trials", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"# config {config}"
+    assert lines[2] == header
+    assert len(lines) == 5
 
 
 def test_sigma_min_shortcut(capsys):

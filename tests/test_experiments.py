@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import threading
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from rmlab import constants, experiments, matrices, small_ball
-from rmlab.distributions import GAUSSIAN, RADEMACHER
+from rmlab.distributions import GAUSSIAN, RADEMACHER, discrete, parse_dist_spec
 from rmlab.errors import ConfigError, RegimeError
 from rmlab.experiments import (
     EXPERIMENTS,
@@ -131,7 +132,7 @@ E1_CFG = ExperimentConfig(
 def test_e1_rows_and_summary():
     res = run(E1_CFG)
     assert res.columns == (
-        "trial", "n", "dist", "seed", "sigma_min", "op_norm", "singular_flag", "elapsed_ms",
+        "trial", "n", "dist", "seed", "sigma_min", "op_norm", "singular_flag",
     )
     assert len(res.rows) == 6
     assert [r[0] for r in res.rows] == list(range(6))
@@ -139,10 +140,10 @@ def test_e1_rows_and_summary():
     idx, n = 2, res.rows[2][1]
     seed = derive_substream_seed(5, idx)
     summ = spectral_summary(sample_matrix(RADEMACHER, n, seed))
-    assert res.rows[2] == (idx, n, "rademacher", seed, summ.sigma_min, summ.op_norm, int(summ.singular_flag), 0)
+    assert res.rows[2] == (idx, n, "rademacher", seed, summ.sigma_min, summ.op_norm, int(summ.singular_flag))
     for r in res.rows:
         assert r[4] <= r[5]  # sigma_min <= op_norm
-        assert r[7] == 0
+        assert len(r) == len(res.columns)
     assert set(res.summary["per_n"]) == {"8", "16"}
     block = res.summary["per_n"]["16"]
     assert block["tail_threshold"] == pytest.approx(0.1 * 1.0 * 16**-1.5)
@@ -249,7 +250,7 @@ def test_run_rejects_bad_workers(workers):
 def test_e2_rows():
     cfg = ExperimentConfig(experiment="E2_op_norm", dist=GAUSSIAN, n_list=(16,), trials=4, master_seed=6)
     res = run(cfg)
-    assert res.columns == ("trial", "n", "dist", "seed", "op_norm", "exceed_flag", "elapsed_ms")
+    assert res.columns == ("trial", "n", "dist", "seed", "op_norm", "exceed_flag")
     assert len(res.rows) == 4
     for r in res.rows:
         assert r[5] == int(r[4] > 2.5 * 4.0)
@@ -259,7 +260,7 @@ def test_e2_rows():
 def test_e2b_rows_match_direct_computation():
     cfg = ExperimentConfig(experiment="E2b_peaked", dist=RADEMACHER, n_list=(16,), trials=3, master_seed=7)
     res = run(cfg)
-    assert res.columns == ("trial", "n", "dist", "seed", "ax_norm", "small_flag", "elapsed_ms")
+    assert res.columns == ("trial", "n", "dist", "seed", "ax_norm", "small_flag")
     spike = np.zeros(16)
     spike[:2] = 1.0 / math.sqrt(2.0)
     for idx, r in enumerate(res.rows):
@@ -279,7 +280,7 @@ def test_e3_rows_and_summary():
     )
     res = run(cfg)
     assert res.columns == (
-        "trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold", "elapsed_ms",
+        "trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold",
     )
     assert len(res.rows) == 16  # 2 vectors x 8 window widths
     for idx in (0, 1):
@@ -346,7 +347,7 @@ def test_e4_rows_single_bin():
         params={"l": 10, "k": 1},
     )
     res = run(cfg)
-    assert res.columns == ("trial", "l", "k", "seed", "min_ssq", "stat", "elapsed_ms")
+    assert res.columns == ("trial", "l", "k", "seed", "min_ssq", "stat")
     # k=1 forces occupancy (l,), keep=5, ssq=25, stat = 25*1/100 = 0.25
     for r in res.rows:
         assert (r[1], r[2], r[4]) == (10, 1, 25)
@@ -364,7 +365,7 @@ def test_e5_census_peaked_regime():
     )
     res = run(cfg)
     assert res.columns == (
-        "trial", "n", "dist", "seed", "sphere_class", "verdict", "min_ssq", "elapsed_ms",
+        "trial", "n", "dist", "seed", "sphere_class", "verdict", "min_ssq",
     )
     # uniform directions at n=64 under (r=0.9, R=1.3) are all peaked
     for r in res.rows:
@@ -412,7 +413,7 @@ def test_e6_rows_and_summary():
     )
     res = run(cfg)
     assert res.columns == (
-        "trial", "bound", "dist", "m", "exact", "bound_value", "ratio", "dominated", "elapsed_ms",
+        "trial", "bound", "dist", "m", "exact", "bound_value", "ratio", "dominated",
     )
     assert len(res.rows) == 8
     assert [r[1] for r in res.rows] == (
@@ -452,10 +453,48 @@ def test_emit_csv_layout_and_determinism():
     # float cells are repr() and survive the round trip exactly
     first = lines[3].split(",")
     assert float(first[4]) == res.rows[0][4]
-    assert first[7] == "0"
+    assert len(first) == len(res.columns)
     # byte identity across a re-run of the same config
     again = emit(run(E1_CFG))
     assert again == text
+
+
+# a law whose spec string holds commas, so its dist cell must be quoted
+_SPREAD_LAW = discrete([(-math.sqrt(2.0), 0.25), (0.0, 0.5), (math.sqrt(2.0), 0.25)])
+SMALL_CFGS = (
+    ExperimentConfig(experiment="E1_sigma_min_tail", dist=_SPREAD_LAW, n_list=(8,), trials=2, master_seed=1),
+    ExperimentConfig(experiment="E2_op_norm", dist=_SPREAD_LAW, n_list=(8,), trials=2, master_seed=1),
+    ExperimentConfig(experiment="E2b_peaked", dist=_SPREAD_LAW, n_list=(8,), trials=2, master_seed=1),
+    ExperimentConfig(
+        experiment="E3_regular_smallball", dist=_SPREAD_LAW, n_list=(16,), trials=1, master_seed=106,
+        params={"delta": 0.016, "q": 4.0, "mc_samples": 2_000, "t_steps": 2},
+    ),
+    ExperimentConfig(experiment="E4_allocation", n_list=(10,), trials=2, master_seed=8),
+    ExperimentConfig(
+        experiment="E5_profile_census", dist=_SPREAD_LAW, n_list=(32,), trials=2, master_seed=9,
+        params={"delta": 0.003, "q": 2.0},
+    ),
+    # the first 8 queries per bound include discrete laws
+    ExperimentConfig(
+        experiment="E6_bound_calibration", master_seed=constants.VALIDATION_SEED, params={"per_bound": 8},
+    ),
+)
+
+
+@pytest.mark.parametrize("cfg", SMALL_CFGS, ids=lambda cfg: cfg.experiment)
+def test_emit_csv_rows_parse_to_the_header_width(cfg):
+    res = run(cfg)
+    lines = emit(res).splitlines()
+    table = list(csv.reader(lines[2:]))
+    assert tuple(table[0]) == res.columns
+    assert len(table) == 1 + len(res.rows)
+    assert all(len(cells) == len(res.columns) for cells in table[1:])
+    if "dist" in res.columns:  # E4 has no dist column
+        at = res.columns.index("dist")
+        dists = [row[at] for row in res.rows]
+        assert [cells[at] for cells in table[1:]] == dists
+        assert all(parse_dist_spec(d).spec_string() == d for d in dists)
+        assert any("," in d for d in dists)  # the config exercises the quoting
 
 
 def test_emit_json_shape():
