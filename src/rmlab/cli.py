@@ -18,7 +18,7 @@ import numpy as np
 from . import constants
 from .distributions import parse_dist_spec
 from .errors import ConfigError, RegimeError
-from .experiments import ExperimentConfig, emit, parse_config, run
+from .experiments import PARAMS, ExperimentConfig, emit, parse_config, run
 from .nets import (
     SINGULAR_GRID,
     VOLUMETRIC,
@@ -106,7 +106,7 @@ def _cmd_shortcut(args) -> int:
         ("trials", args.trials),
         ("master_seed", args.seed),
     ]
-    pairs += [(f"params.{key}", getattr(args, key)) for key in args.params]
+    pairs += [(f"params.{key}", getattr(args, key)) for key in PARAMS[args.experiment]]
     return _run_and_emit(_config(pairs), args)
 
 
@@ -202,17 +202,13 @@ def _add_output_flags(p) -> None:
 
 
 # command, experiment, help, default --n (None: the one dimension is --l),
-# default trials, default dist, and the params with their defaults; each
-# param's flag is typed like its default
+# default trials, default dist; each param's flag has its experiments.PARAMS
+# type and default, but allocation's --l/--k, derived there, default to 1000
 _SHORTCUTS = (
-    ("sigma-min", "E1_sigma_min_tail", "smallest singular value tail (E1)", "200", 200, "rademacher",
-     {"eps": constants.SIGMA_TAIL_EPS, "coeff": constants.SIGMA_TAIL_COEFF}),
-    ("op-norm", "E2_op_norm", "operator norm tail (E2)", "200", 500, "gaussian",
-     {"coeff": constants.OP_NORM_COEFF}),
-    ("peaked", "E2b_peaked", "peaked-direction image norm (E2b)", "100", 2000, "rademacher",
-     {"spikes": 2, "coeff": constants.PEAKED_NORM_COEFF}),
-    ("allocation", "E4_allocation", "balls-in-urns concentration (E4)", None, 1000, "rademacher",
-     {"l": 1000, "k": 1000}),
+    ("sigma-min", "E1_sigma_min_tail", "smallest singular value tail (E1)", "200", 200, "rademacher"),
+    ("op-norm", "E2_op_norm", "operator norm tail (E2)", "200", 500, "gaussian"),
+    ("peaked", "E2b_peaked", "peaked-direction image norm (E2b)", "100", 2000, "rademacher"),
+    ("allocation", "E4_allocation", "balls-in-urns concentration (E4)", None, 1000, "rademacher"),
 )
 
 
@@ -238,17 +234,17 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_run)
 
-    for command, experiment, text, n, trials, dist, params in _SHORTCUTS:
+    for command, experiment, text, n, trials, dist in _SHORTCUTS:
         p = sub.add_parser(command, help=text)
         if n is not None:
             p.add_argument("--n", default=n)
         p.add_argument("--trials", type=int, default=trials)
         p.add_argument("--dist", default=dist)
         p.add_argument("--seed", type=int, default=0)
-        for key, default in params.items():
-            p.add_argument(f"--{key}", type=type(default), default=default)
+        for key, (kind, default) in PARAMS[experiment].items():
+            p.add_argument(f"--{key}", type=kind, default=1000 if callable(default) else default)
         _add_output_flags(p)
-        p.set_defaults(func=_cmd_shortcut, experiment=experiment, params=tuple(params))
+        p.set_defaults(func=_cmd_shortcut, experiment=experiment)
 
     p = sub.add_parser("profile", help="classify a unit vector's delta-profile")
     p.add_argument("--x", required=True, help="file with one coordinate per line")

@@ -7,10 +7,11 @@ allocation concentration (E4), a sphere-partition census (E5), and bound
 calibration audits (E6).
 
 Every family has the same shape, one `_Experiment` entry in `_RUNNERS`:
-its CSV columns; the params keys it reads, which are the only ones run()
-accepts; tasks(config), the list of task payloads in trial-index order,
-each led by its trial index; run(config, payload), the rows of one task;
-and summarize(config, rows), the JSON summary built from the rows alone.
+its CSV columns; its params, each key with its type and default, the only
+keys run() accepts; tasks(config), the list of task payloads in trial-index
+order, each led by its trial index; run(config, payload), the rows of one
+task; and summarize(config, rows), the JSON summary built from the rows
+alone. These three get the config with its params complete and typed.
 
 Determinism contract: rows must be a pure function of (config, trial index).
 Trial i draws from an RNG stream derived from (master_seed, i) by a fixed
@@ -30,7 +31,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentResult",
+    "PARAMS",
     "derive_stream",
     "emit",
     "parse_config",
@@ -91,11 +93,6 @@ class ExperimentConfig:
 
     def param(self, key: str, default=None):
         return self.params.get(key, default)
-
-    def require(self, key: str):
-        if key not in self.params:
-            raise ConfigError(f"experiment {self.experiment} requires params.{key}")
-        return self.params[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,8 +218,7 @@ def _run_e1(config, payload):
 
 
 def _summary_e1(config, rows):
-    eps = float(config.param("eps", constants.SIGMA_TAIL_EPS))
-    coeff = float(config.param("coeff", constants.SIGMA_TAIL_COEFF))
+    eps, coeff = config.params["eps"], config.params["coeff"]
 
     def entry(n, sub):
         sigmas = np.array([r[4] for r in sub])
@@ -241,19 +237,18 @@ def _summary_e1(config, rows):
 def _run_e2(config, payload):
     idx, n = payload
     seed = derive_substream_seed(config.master_seed, idx)
-    coeff = float(config.param("coeff", constants.OP_NORM_COEFF))
     rep = operator_norm(sample_matrix(config.dist, n, seed))
-    exceed = int(rep.value > coeff * math.sqrt(n))
+    exceed = int(rep.value > config.params["coeff"] * math.sqrt(n))
     return [(idx, n, config.dist.spec_string(), seed, rep.value, exceed)]
 
 
-def _norm_per_n(config, rows, coeff, flag_key, ratio_key) -> dict:
+def _norm_per_n(config, rows, flag_key, ratio_key) -> dict:
     """E2/E2b per-n entries: a norm in column 4 and its 0/1 flag against
-    coeff * sqrt(n) in column 5."""
+    params.coeff * sqrt(n) in column 5."""
 
     def entry(n, sub):
         return {
-            "threshold": coeff * math.sqrt(n),
+            "threshold": config.params["coeff"] * math.sqrt(n),
             flag_key: _freq(int(sum(r[5] for r in sub)), len(sub)),
             ratio_key: _quantiles(np.array([r[4] for r in sub]) / math.sqrt(n)),
         }
@@ -262,61 +257,42 @@ def _norm_per_n(config, rows, coeff, flag_key, ratio_key) -> dict:
 
 
 def _summary_e2(config, rows):
-    coeff = float(config.param("coeff", constants.OP_NORM_COEFF))
-    per_n = _norm_per_n(config, rows, coeff, "exceed", "op_norm_over_sqrt_n")
-    return {"coeff": coeff, "per_n": per_n}
+    per_n = _norm_per_n(config, rows, "exceed", "op_norm_over_sqrt_n")
+    return {"coeff": config.params["coeff"], "per_n": per_n}
 
 
 def _run_e2b(config, payload):
     idx, n = payload
     seed = derive_substream_seed(config.master_seed, idx)
-    spikes = int(config.param("spikes", 2))
-    coeff = float(config.param("coeff", constants.PEAKED_NORM_COEFF))
     A = sample_matrix(config.dist, n, seed)
-    ax = float(np.linalg.norm(A.entries @ _spike_vector(n, spikes)))
-    small = int(ax <= coeff * math.sqrt(n))
+    ax = float(np.linalg.norm(A.entries @ _spike_vector(n, config.params["spikes"])))
+    small = int(ax <= config.params["coeff"] * math.sqrt(n))
     return [(idx, n, config.dist.spec_string(), seed, ax, small)]
 
 
 def _summary_e2b(config, rows):
-    coeff = float(config.param("coeff", constants.PEAKED_NORM_COEFF))
-    per_n = _norm_per_n(config, rows, coeff, "small", "ax_over_sqrt_n")
-    return {"coeff": coeff, "spikes": int(config.param("spikes", 2)), "per_n": per_n}
-
-
-def _e3_settings(config):
-    delta = float(config.require("delta"))
-    q = float(config.require("q"))
-    reg = calibration.REG_PARAMS
-    params = PartitionParams(r=float(config.param("r", reg.r)), R=float(config.param("R", reg.R)))
-    lo, hi = calibration.REG_BAND
-    band = (float(config.param("band_lo", lo)), float(config.param("band_hi", hi)))
-    return delta, q, params, band
+    per_n = _norm_per_n(config, rows, "small", "ax_over_sqrt_n")
+    return {"coeff": config.params["coeff"], "spikes": config.params["spikes"], "per_n": per_n}
 
 
 def _tasks_e3(config):
     if len(config.n_list) != 1:
         raise ConfigError("E3 uses a single dimension in n_list")
-    for key in ("mc_samples", "t_steps", "max_tries"):
-        if key in config.params and int(config.params[key]) < 1:
-            raise ConfigError(f"params.{key}={config.params[key]!r} must be at least 1")
     return _tasks_trials(config)
 
 
 def _run_e3(config, payload):
     idx = payload[0]
     n = config.n_list[0]
-    delta, q, params, band = _e3_settings(config)
-    t_steps = int(config.param("t_steps", 8))
-    mc = int(config.param("mc_samples", 200_000))
-    max_tries = int(config.param("max_tries", calibration.REG_MAX_TRIES))
+    p = config.params
     rng = derive_stream(config.master_seed, idx)
     x, cls = calibration.sample_regular_vector(
-        rng, delta, q, n=n, params=params, band=band, max_tries=max_tries
+        rng, p["delta"], p["q"], n=n, params=PartitionParams(r=p["r"], R=p["R"]),
+        band=(p["band_lo"], p["band_hi"]), max_tries=p["max_tries"],
     )
-    sums = np.concatenate(list(sample_sums(config.dist, x, mc, rng)))
+    sums = np.concatenate(list(sample_sums(config.dist, x, p["mc_samples"], rng)))
     seed = derive_substream_seed(config.master_seed, idx)
-    ts = [mult * delta for mult in range(1, t_steps + 1)]
+    ts = [mult * p["delta"] for mult in range(1, p["t_steps"] + 1)]
     q_hats = empirical_sup_concentration(sums, ts).tolist()
     return [
         (idx, n, config.dist.spec_string(), seed, t, q_hat, cls.min_ssq, cls.threshold)
@@ -325,7 +301,7 @@ def _run_e3(config, payload):
 
 
 def _summary_e3(config, rows):
-    delta, q, _, _ = _e3_settings(config)
+    delta, q = config.params["delta"], config.params["q"]
     c_fit = constants.FITTED["regular_smallball"]
     per_vector = {}
     ratios = []
@@ -350,15 +326,16 @@ def _summary_e3(config, rows):
     }
 
 
-def _e4_sizes(config):
-    l = int(config.param("l", config.n_list[0]))
-    k = int(config.param("k", l))
-    return l, k
+def _tasks_e4(config):
+    l, k = config.params["l"], config.params["k"]
+    if k > l:
+        raise ConfigError(f"params.k={k} must be at most params.l={l}")
+    return _tasks_trials(config)
 
 
 def _run_e4(config, payload):
     idx = payload[0]
-    l, k = _e4_sizes(config)
+    l, k = config.params["l"], config.params["k"]
     seed = derive_substream_seed(config.master_seed, idx)
     instance = sample_allocation(l, k, derive_stream(config.master_seed, idx))
     min_ssq, _ = min_half_subset_ssq(instance.occupancy, math.ceil(l / 2))
@@ -367,7 +344,7 @@ def _run_e4(config, payload):
 
 
 def _summary_e4(config, rows):
-    l, k = _e4_sizes(config)
+    l, k = config.params["l"], config.params["k"]
     stats = np.array([r[5] for r in rows])
     exceed = int(np.count_nonzero(stats >= constants.ALLOCATION_C_HALF))
     qs = _quantiles(stats)
@@ -383,17 +360,10 @@ def _summary_e4(config, rows):
     }
 
 
-def _e5_settings(config):
-    params = PartitionParams(
-        r=float(config.param("r", constants.DEFAULT_R_LOWER)),
-        R=float(config.param("R", constants.DEFAULT_R_UPPER)),
-    )
-    return float(config.require("delta")), float(config.require("q")), params
-
-
 def _run_e5(config, payload):
     idx, n = payload
-    delta, q, params = _e5_settings(config)
+    p = config.params
+    params = PartitionParams(r=p["r"], R=p["R"])
     rng = derive_stream(config.master_seed, idx)
     seed = derive_substream_seed(config.master_seed, idx)
     # census over uniform sphere directions, independent of config.dist
@@ -407,20 +377,18 @@ def _run_e5(config, payload):
     if sphere_class == "V_P":
         verdict, min_ssq = "peaked", float("nan")
     else:
-        cls = classify_profile(x, params, delta, q)
+        cls = classify_profile(x, params, p["delta"], p["q"])
         verdict, min_ssq = cls.verdict, cls.min_ssq
     return [(idx, n, config.dist.spec_string(), seed, sphere_class, verdict, min_ssq)]
 
 
 def _summary_e5(config, rows):
-    delta, q, params = _e5_settings(config)
-
     def entry(n, sub):
         verdicts = [r[5] for r in sub]
         return {name: _freq(verdicts.count(name), len(sub)) for name in ("peaked", "regular", "singular")}
 
-    per_n = _per_n(config, rows, entry)
-    return {"delta": delta, "q": q, "r": params.r, "R": params.R, "per_n": per_n}
+    p = config.params
+    return {"delta": p["delta"], "q": p["q"], "r": p["r"], "R": p["R"], "per_n": _per_n(config, rows, entry)}
 
 
 def _tasks_e6(config):
@@ -428,12 +396,9 @@ def _tasks_e6(config):
     laws, so n_list and dist are not read, and each query runs once."""
     if config.trials != 1:
         raise ConfigError(f"trials={config.trials!r} must be 1: E6 runs each corpus query once")
-    per_bound = int(config.param("per_bound", 50))
-    if per_bound < 1:
-        raise ConfigError(f"params.per_bound={config.params['per_bound']!r} must be at least 1")
     queries = []
     for bound in calibration.DOMINATION_BOUNDS:
-        queries.extend(calibration.build_corpus(bound, config.master_seed, per_bound))
+        queries.extend(calibration.build_corpus(bound, config.master_seed, config.params["per_bound"]))
     return list(enumerate(queries))
 
 
@@ -473,7 +438,9 @@ class _Experiment:
     """One experiment family; the module docstring gives the contract."""
 
     columns: tuple[str, ...]
-    params: tuple[str, ...]
+    # key -> (int or float, default); a default of None makes the key
+    # required, a callable derives it from (config, the params before it)
+    params: dict[str, tuple[type, object]]
     tasks: Callable[[ExperimentConfig], list]
     run: Callable[[ExperimentConfig, tuple], list]
     summarize: Callable[[ExperimentConfig, tuple], dict]
@@ -485,42 +452,82 @@ class _Experiment:
 _RUNNERS = {
     "E1_sigma_min_tail": _Experiment(
         columns=("trial", "n", "dist", "seed", "sigma_min", "op_norm", "singular_flag"),
-        params=("eps", "coeff"),
+        params={"eps": (float, constants.SIGMA_TAIL_EPS), "coeff": (float, constants.SIGMA_TAIL_COEFF)},
         tasks=_tasks_matrix, run=_run_e1, summarize=_summary_e1, gil_free=True,
     ),
     "E2_op_norm": _Experiment(
         columns=("trial", "n", "dist", "seed", "op_norm", "exceed_flag"),
-        params=("coeff",),
+        params={"coeff": (float, constants.OP_NORM_COEFF)},
         tasks=_tasks_matrix, run=_run_e2, summarize=_summary_e2, gil_free=True,
     ),
     "E2b_peaked": _Experiment(
         columns=("trial", "n", "dist", "seed", "ax_norm", "small_flag"),
-        params=("spikes", "coeff"),
+        params={"spikes": (int, 2), "coeff": (float, constants.PEAKED_NORM_COEFF)},
         tasks=_tasks_matrix, run=_run_e2b, summarize=_summary_e2b,
     ),
     "E3_regular_smallball": _Experiment(
         columns=("trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold"),
-        params=("delta", "q", "r", "R", "band_lo", "band_hi", "t_steps", "mc_samples", "max_tries"),
+        params={"delta": (float, None), "q": (float, None),
+                "r": (float, calibration.REG_PARAMS.r), "R": (float, calibration.REG_PARAMS.R),
+                "band_lo": (float, calibration.REG_BAND[0]), "band_hi": (float, calibration.REG_BAND[1]),
+                "t_steps": (int, 8), "mc_samples": (int, 200_000),
+                "max_tries": (int, calibration.REG_MAX_TRIES)},
         tasks=_tasks_e3, run=_run_e3, summarize=_summary_e3,
     ),
     "E4_allocation": _Experiment(
         columns=("trial", "l", "k", "seed", "min_ssq", "stat"),
-        params=("l", "k"),
-        tasks=_tasks_trials, run=_run_e4, summarize=_summary_e4,
+        params={"l": (int, lambda config, p: config.n_list[0]), "k": (int, lambda config, p: p["l"])},
+        tasks=_tasks_e4, run=_run_e4, summarize=_summary_e4,
     ),
     "E5_profile_census": _Experiment(
         columns=("trial", "n", "dist", "seed", "sphere_class", "verdict", "min_ssq"),
-        params=("delta", "q", "r", "R"),
+        params={"delta": (float, None), "q": (float, None),
+                "r": (float, constants.DEFAULT_R_LOWER), "R": (float, constants.DEFAULT_R_UPPER)},
         tasks=_tasks_matrix, run=_run_e5, summarize=_summary_e5,
     ),
     "E6_bound_calibration": _Experiment(
         columns=("trial", "bound", "dist", "m", "exact", "bound_value", "ratio", "dominated"),
-        params=("per_bound",),
+        params={"per_bound": (int, 50)},
         tasks=_tasks_e6, run=_run_e6, summarize=_summary_e6,
     ),
 }
 
 EXPERIMENTS = tuple(_RUNNERS)
+PARAMS = {name: spec.params for name, spec in _RUNNERS.items()}
+
+
+def _typed(key: str, kind: type, value):
+    """value as kind: an int param is a positive integer, a float param finite."""
+    try:
+        out = kind(value)
+        fits = out == value and (out >= 1 if kind is int else math.isfinite(out))
+    except (TypeError, ValueError, OverflowError):
+        fits = False
+    if not fits or isinstance(value, bool):
+        what = "a positive integer" if kind is int else "a finite number"
+        raise ConfigError(f"params.{key}={value!r} must be {what}")
+    return out
+
+
+def _resolve(config: ExperimentConfig) -> ExperimentConfig:
+    """config with every param of its experiment present and typed.
+
+    Raises ConfigError for a params key the experiment does not read, a
+    missing key that has no default, and a value of the wrong type."""
+    spec = _RUNNERS[config.experiment]
+    if unknown := sorted(set(config.params) - set(spec.params)):
+        extra, known = ", ".join(unknown), ", ".join(spec.params)
+        raise ConfigError(f"experiment {config.experiment} has no params {extra}; it reads {known}")
+    params = {}
+    for key, (kind, default) in spec.params.items():
+        if key in config.params:
+            value = config.params[key]
+        elif default is None:
+            raise ConfigError(f"experiment {config.experiment} requires params.{key}")
+        else:
+            value = default(config, params) if callable(default) else default
+        params[key] = _typed(key, kind, value)
+    return replace(config, params=params)
 
 
 def _trial(spec: _Experiment, config: ExperimentConfig, payload: tuple) -> list:
@@ -550,7 +557,9 @@ def _map_trials(spec: _Experiment, config: ExperimentConfig, tasks: list):
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Execute every trial of the config and assemble rows plus summary.
 
-    Raises ConfigError for a params key the experiment does not read.
+    Raises ConfigError for a params key the experiment does not read, a
+    missing required one, or a value that is not of its type (an int param
+    is a positive integer, a float param finite).
 
     Rows are concatenated in the order tasks(config) lists the trials. E1's
     and E2's trials run on one thread per usable core, largest matrices
@@ -562,17 +571,12 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     if type(workers) is not int or workers < 1:
         raise ConfigError(f"workers={workers!r} must be a positive integer")
     spec = _RUNNERS[config.experiment]
-    unknown = sorted(set(config.params) - set(spec.params))
-    if unknown:
-        raise ConfigError(
-            f"experiment {config.experiment} has no params {', '.join(unknown)}; "
-            f"it reads {', '.join(spec.params)}"
-        )
-    tasks = spec.tasks(config)
+    resolved = _resolve(config)
+    tasks = spec.tasks(resolved)
     start = time.perf_counter()
-    rows = tuple(row for part in _map_trials(spec, config, tasks) for row in part)
+    rows = tuple(row for part in _map_trials(spec, resolved, tasks) for row in part)
     runtime = time.perf_counter() - start
-    summary = {"experiment": config.experiment, **spec.summarize(config, rows)}
+    summary = {"experiment": config.experiment, **spec.summarize(resolved, rows)}
     summary["runtime_seconds"] = runtime
     return ExperimentResult(
         config=config, columns=spec.columns, rows=rows, summary=summary, runtime_seconds=runtime
@@ -583,7 +587,7 @@ def recompute_summary(result: ExperimentResult) -> dict:
     """Summary rebuilt from (config, rows) alone; equals result.summary up to
     the runtime_seconds entry."""
     summarize = _RUNNERS[result.config.experiment].summarize
-    return {"experiment": result.config.experiment, **summarize(result.config, result.rows)}
+    return {"experiment": result.config.experiment, **summarize(_resolve(result.config), result.rows)}
 
 
 # -------------------------------------------------------------------- emit

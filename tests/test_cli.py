@@ -158,6 +158,12 @@ def test_shortcut_defaults(command, trials, config, header, capsys):
     assert len(lines) == 5
 
 
+def test_run_rejects_a_truncated_param(capsys):
+    code = main(["run", "--experiment", "E2b_peaked", "--n", "8", "--trials", "1", "--param", "spikes=2.7"])
+    assert code == 2
+    assert "params.spikes" in capsys.readouterr().err
+
+
 def test_sigma_min_shortcut(capsys):
     code = main(["sigma-min", "--n", "8", "--trials", "2", "--seed", "3"])
     assert code == 0

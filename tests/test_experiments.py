@@ -72,9 +72,6 @@ def test_config_validation():
     cfg = ExperimentConfig(experiment="E1_sigma_min_tail", params={"eps": 0.2})
     assert cfg.param("eps") == 0.2
     assert cfg.param("coeff", 1.0) == 1.0
-    assert cfg.require("eps") == 0.2
-    with pytest.raises(ConfigError):
-        cfg.require("coeff")
 
 
 CONFIG_TEXT = """\
@@ -316,6 +313,13 @@ def test_e3_requires_delta_and_q():
         run(cfg)
 
 
+@pytest.mark.parametrize("params, key", [({}, "delta"), ({"delta": 0.003}, "q")])
+def test_e5_requires_delta_and_q(params, key):
+    cfg = ExperimentConfig(experiment="E5_profile_census", n_list=(16,), trials=1, params=params)
+    with pytest.raises(ConfigError, match=f"requires params.{key}"):
+        run(cfg)
+
+
 @pytest.mark.parametrize("key", ["mc_samples", "t_steps", "max_tries"])
 def test_e3_rejects_counts_below_one(key):
     cfg = ExperimentConfig(
@@ -356,6 +360,17 @@ def test_e4_rows_single_bin():
         assert res.summary["stat"][key] == 0.25
     assert res.summary["reference_c_half"] == 65536.0
     assert res.summary["exceed_reference"]["count"] == 0
+
+
+@pytest.mark.parametrize("l, k, key", [(5, 10, "k"), (0, 1, "l"), (10, 0, "k")])
+def test_e4_rejects_sizes_before_any_trial(l, k, key, monkeypatch):
+    """sample_allocation needs 1 <= k <= l; the config fails before it is called."""
+    calls = []
+    monkeypatch.setattr(experiments, "sample_allocation", lambda *a: calls.append(a))
+    cfg = ExperimentConfig(experiment="E4_allocation", n_list=(10,), params={"l": l, "k": k})
+    with pytest.raises(ConfigError, match=f"params.{key}="):
+        run(cfg)
+    assert calls == []
 
 
 def test_e5_census_peaked_regime():
@@ -528,6 +543,39 @@ def test_run_rejects_params_the_experiment_does_not_read():
     cfg = ExperimentConfig(experiment="E2_op_norm", n_list=(8,), params={"coef": 0.1})
     with pytest.raises(ConfigError, match="coef"):
         run(cfg)
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [
+        ("E2b_peaked", "spikes", 2.7),
+        ("E3_regular_smallball", "t_steps", 2.5),
+        ("E3_regular_smallball", "mc_samples", 100.9),
+        ("E2b_peaked", "spikes", True),
+        ("E2b_peaked", "coeff", "abc"),
+        ("E2b_peaked", "coeff", float("nan")),
+        ("E1_sigma_min_tail", "coeff", float("inf")),
+        ("E6_bound_calibration", "per_bound", float("inf")),
+    ],
+)
+def test_params_must_have_their_type(experiment, key, value):
+    """An int param is a positive integer and a float param a finite number;
+    anything else fails naming the key instead of being rounded or cast."""
+    params = {"delta": 0.016, "q": 4.0} if experiment == "E3_regular_smallball" else {}
+    cfg = ExperimentConfig(experiment=experiment, n_list=(4,), trials=1, params={**params, key: value})
+    with pytest.raises(ConfigError, match=f"params.{key}="):
+        run(cfg)
+
+
+def test_params_are_resolved_to_their_types():
+    """An integral float runs as its int and an int as a float: the summary
+    carries the typed values, the result the caller's config."""
+    cfg = ExperimentConfig(experiment="E2b_peaked", n_list=(4,), trials=2, params={"spikes": 2.0, "coeff": 1})
+    res = run(cfg)
+    assert res.config is cfg
+    assert type(res.summary["spikes"]) is int and type(res.summary["coeff"]) is float
+    assert recompute_summary(res) == {k: v for k, v in res.summary.items() if k != "runtime_seconds"}
+    assert res.rows == run(ExperimentConfig(experiment="E2b_peaked", n_list=(4,), trials=2, params={"coeff": 1.0})).rows
 
 
 def test_config_error_for_bad_spike_count():
