@@ -9,7 +9,7 @@ cannot breach domination by sampling noise alone.
 from __future__ import annotations
 
 ARTIFACT_NAME = "rmlab"
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.2.1"
 
 # ---------------------------------------------------------------- structural
 # Sphere partition defaults (recorded config values; see PartitionParams).
@@ -58,7 +58,7 @@ FITTED_RAW = {
     "halasz_profile": 1.3560152053,
     "halasz_integral": 22.8082931671,
     "berry_esseen": 0.5811539913,
-    "regular_smallball": 0.5166666667,
+    "regular_smallball": 0.5272222222,
 }
 
 FITTED = {name: CALIBRATION_MARGIN * raw for name, raw in FITTED_RAW.items()}

@@ -194,15 +194,35 @@ def _linfit(ts, qs) -> dict:
 
 
 def _spike_vector(n: int, spikes: int) -> np.ndarray:
-    if not 1 <= spikes <= n:
-        raise ConfigError(f"spike count {spikes} outside 1..{n}")
     x = np.zeros(n)
     x[:spikes] = 1.0 / math.sqrt(spikes)
     return x
 
 
+def _check_partition(config: ExperimentConfig) -> None:
+    """ConfigError unless 0 < r < 1 < R and, where the experiment has a
+    band, r/2 < band_lo < band_hi < R."""
+    p = config.params
+    if not 0.0 < p["r"] < 1.0:
+        raise ConfigError(f"params.r={p['r']!r} must be in (0, 1)")
+    if not p["R"] > 1.0:
+        raise ConfigError(f"params.R={p['R']!r} must be > 1")
+    if "band_lo" in p and not p["r"] / 2.0 < p["band_lo"] < p["band_hi"] < p["R"]:
+        raise ConfigError(
+            f"params.band_lo={p['band_lo']!r} and params.band_hi={p['band_hi']!r}"
+            f" must satisfy r/2 < band_lo < band_hi < R = {p['R']!r}"
+        )
+
+
 def _tasks_matrix(config: ExperimentConfig):
     return [(i, n) for i, n in enumerate(n for n in config.n_list for _ in range(config.trials))]
+
+
+def _tasks_e2b(config):
+    spikes, n = config.params["spikes"], min(config.n_list)
+    if spikes > n:
+        raise ConfigError(f"params.spikes={spikes} must be at most the smallest n, {n}")
+    return _tasks_matrix(config)
 
 
 def _tasks_trials(config: ExperimentConfig):
@@ -278,6 +298,7 @@ def _summary_e2b(config, rows):
 def _tasks_e3(config):
     if len(config.n_list) != 1:
         raise ConfigError("E3 uses a single dimension in n_list")
+    _check_partition(config)
     return _tasks_trials(config)
 
 
@@ -358,6 +379,11 @@ def _summary_e4(config, rows):
         "reference_c_half": constants.ALLOCATION_C_HALF,
         "exceed_reference": _freq(exceed, len(rows)),
     }
+
+
+def _tasks_e5(config):
+    _check_partition(config)
+    return _tasks_matrix(config)
 
 
 def _run_e5(config, payload):
@@ -463,7 +489,7 @@ _RUNNERS = {
     "E2b_peaked": _Experiment(
         columns=("trial", "n", "dist", "seed", "ax_norm", "small_flag"),
         params={"spikes": (int, 2), "coeff": (float, constants.PEAKED_NORM_COEFF)},
-        tasks=_tasks_matrix, run=_run_e2b, summarize=_summary_e2b,
+        tasks=_tasks_e2b, run=_run_e2b, summarize=_summary_e2b,
     ),
     "E3_regular_smallball": _Experiment(
         columns=("trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold"),
@@ -483,7 +509,7 @@ _RUNNERS = {
         columns=("trial", "n", "dist", "seed", "sphere_class", "verdict", "min_ssq"),
         params={"delta": (float, None), "q": (float, None),
                 "r": (float, constants.DEFAULT_R_LOWER), "R": (float, constants.DEFAULT_R_UPPER)},
-        tasks=_tasks_matrix, run=_run_e5, summarize=_summary_e5,
+        tasks=_tasks_e5, run=_run_e5, summarize=_summary_e5,
     ),
     "E6_bound_calibration": _Experiment(
         columns=("trial", "bound", "dist", "m", "exact", "bound_value", "ratio", "dominated"),

@@ -55,8 +55,8 @@ def derive_substream_seed(master_seed: int, index: int) -> int:
 
 def usable_cores() -> int:
     """CPU cores this process may run on: its affinity mask where the OS has
-    one, else os.cpu_count(). The threaded parts of the package (the Monte
-    Carlo sign reader and E1/E2's matrices) split their work by it."""
+    one, else os.cpu_count(). The one threaded part of the package, E1/E2's
+    matrices, splits its work by it."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -18,7 +18,6 @@ front of them are fitted once by `rmlab.calibration` and frozen in
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,26 +26,22 @@ from scipy.special import betaincinv, ndtr
 from . import constants
 from .distributions import (
     EntryDistribution,
-    _read_top_bits,
     abs_third_moment,
     char_fn,
     sample,
     symmetrized_atoms,
 )
 from .errors import RegimeError
-from .rng import RngStream, usable_cores
+from .rng import RngStream
 from .sphere_profile import delta_profile
 
 _ENUM_LIMIT = 2**24
 _ENUM_TRIAL_LIMIT = 2**20
 _CONV_CELL_LIMIT = 2**26
 _SCAN_BLOCK = 64
-# Signs below which a part is not worth a thread (about 1 ms of Philox), and
-# signs per chunk of a part (about 1 MB of buffers per thread); at least 256
-# rows per chunk keep the adds, one numpy call per 8 coordinates, cheap.
-_PART_MIN_SIGNS = 1 << 18
-_CHUNK_SIGNS = 1 << 17
-_CHUNK_MIN_ROWS = 256
+# Table lookups per chunk of Monte Carlo rows: 512 KiB of indices and as
+# much of terms, so a chunk stays in cache between its passes.
+_CHUNK_TERMS = 1 << 16
 
 PROBABILITY_METHODS = frozenset({"exact", "convolution", "monte_carlo"})
 BOUND_METHODS = frozenset(
@@ -268,34 +263,10 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     )
 
 
-def _philox_ahead(state: dict, halves: int) -> np.random.Philox:
-    """A new Philox left where reading `halves` half-words from a Philox in
-    `state` (see distributions._read_top_bits) leaves it, pending half-word
-    included. Only the last word read is computed; the rest are skipped by
-    counter arithmetic."""
-    bg = np.random.Philox(0)
-    bg.state = state
-    fresh = halves - state["has_uint32"]
-    end = bg.state
-    if fresh > 0:
-        skip = (fresh - 1) // 2
-        over = skip - (4 - state["buffer_pos"])  # words past the buffer, 4 per counter step
-        if over > 0:
-            bg.advance(over // 4)
-            skip = over % 4
-        bg.random_raw(skip)
-        last = int(bg.random_raw())
-        end = bg.state
-        end["uinteger"] = last >> 32
-    end["has_uint32"] = fresh % 2
-    bg.state = end
-    return bg
-
-
 def _sign_tables(x: np.ndarray) -> np.ndarray:
     """T[g, c] = sum over k = 0..7, added in that order, of x[8g+k] if bit k
     of c is set, else -x[8g+k]. x is padded with zeros to a multiple of 8; a
-    padded coordinate's bit is always 0, and adding -0.0 changes no sum."""
+    padded coordinate adds +0.0 or -0.0, which changes no sum's value."""
     padded = np.zeros(-(-x.size // 8) * 8)
     padded[: x.size] = x
     padded = padded.reshape(-1, 8)
@@ -306,50 +277,30 @@ def _sign_tables(x: np.ndarray) -> np.ndarray:
     return tables
 
 
-def _rows_sums(bg, tables: np.ndarray, n: int, out: np.ndarray) -> None:
-    """Write into out the sums of out.size rows of n signs read from bg."""
-    state = bg.state
-    tail = (state["has_uint32"], state["uinteger"])
+def _rademacher_sums(rng: RngStream, tables: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """Sums of `rows` rows of n signs, each row read from its own
+    ceil(n/64) Philox words (see sample_sums)."""
+    words = -(-n // 64)
     groups = tables.shape[0]
-    rows_per = min(out.size, max(_CHUNK_MIN_ROWS, _CHUNK_SIGNS // n))
-    # reused across chunks; rows padded with zero bits to whole bytes pack flat
-    bits = np.empty(rows_per * n, dtype=bool)
-    padded = np.zeros((rows_per, 8 * groups), dtype=bool)
+    rows_per = min(rows, max(1, _CHUNK_TERMS // groups))
+    # reused across chunks; row g of group_terms holds T[g, b_g] of every
+    # row of the chunk, so each add is contiguous
     index = np.empty(groups * rows_per, dtype=np.intp)
     terms = np.empty(groups * rows_per)
     offsets = 256 * np.arange(groups)[:, None]
-    for start in range(0, out.size, rows_per):
-        rows = min(rows_per, out.size - start)
-        tail = _read_top_bits(bg, bits[: rows * n], tail)
-        padded[:rows, :n] = bits[: rows * n].reshape(rows, n)
-        packed = np.packbits(padded[:rows], bitorder="little").reshape(rows, groups)
-        # row g of group_terms holds T[g, b_g] of every row, so each add is contiguous
-        group_index = index[: groups * rows].reshape(groups, rows)
-        np.add(packed.T, offsets, out=group_index)
-        group_terms = terms[: groups * rows].reshape(groups, rows)
+    sums = np.empty(rows)
+    for start in range(0, rows, rows_per):
+        chunk = min(rows_per, rows - start)
+        raw = rng.bit_generator.random_raw(chunk * words)
+        sign_bytes = raw.astype("<u8", copy=False).view(np.uint8).reshape(chunk, 8 * words)
+        group_index = index[: groups * chunk].reshape(groups, chunk)
+        np.add(sign_bytes[:, :groups].T, offsets, out=group_index)
+        group_terms = terms[: groups * chunk].reshape(groups, chunk)
         np.take(tables, group_index, out=group_terms, mode="clip")
-        acc = out[start : start + rows]
+        acc = sums[start : start + chunk]
         acc[:] = group_terms[0]
         for term in group_terms[1:]:
             acc += term
-
-
-def _rademacher_sums(rng: RngStream, tables: np.ndarray, n: int, rows: int) -> np.ndarray:
-    state = rng.bit_generator.state
-    parts = max(1, min(usable_cores(), rows // -(-_PART_MIN_SIGNS // n)))
-    bounds = [rows * k // parts for k in range(parts + 1)]
-    sums = np.empty(rows)
-    jobs = [
-        (_philox_ahead(state, lo * n), tables, n, sums[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    # threads start on submit only, so a single part starts none
-    with ThreadPoolExecutor(max(1, parts - 1)) as pool:
-        futures = [pool.submit(_rows_sums, *job) for job in jobs[1:]]
-        _rows_sums(*jobs[0])
-        for future in futures:
-            future.result()
-    rng.bit_generator.state = _philox_ahead(state, rows * n).state
     return sums
 
 
@@ -362,16 +313,18 @@ def sample_sums(dist: EntryDistribution, x, count: int, rng: RngStream):
     sum depends on the row and x alone, not on the block's row count or the
     BLAS thread count.
 
-    Rademacher blocks hold no float signs. The signs are those of
-    2 * rng.integers(0, 2, (rows, n)) - 1, and rng is left where that call
-    leaves it. Coordinate 8g+k of a row goes to bit k of its sign byte b_g,
-    and the row's sum is ((T[0, b_0] + T[1, b_1]) + T[2, b_2]) + ..., added
-    left to right, with the tables T of _sign_tables built once per call.
-    A block's rows are split into contiguous parts, at most one per usable
-    core and each of at least _PART_MIN_SIGNS signs; each part reads its own
-    Philox, placed at its first word by counter arithmetic, and the main
-    thread computes one part. So the sums depend on the stream and x alone,
-    not on the block size, the part count or the BLAS library.
+    Rademacher blocks hold no float signs. Each row reads its own ceil(n/64)
+    words with rng.bit_generator.random_raw, so a block of rows leaves rng
+    rows * ceil(n/64) words on, with a pending 32-bit half-word kept for the
+    next integers() call. Byte g of a row's words, viewed little-endian, is
+    its sign byte b_g: bit k set means +x[8g+k], else -x[8g+k]. A bit past
+    coordinate n - 1 adds a signed zero, and the bytes after b_{ceil(n/8)-1}
+    are not read. The row's sum is
+    ((T[0, b_0] + T[1, b_1]) + T[2, b_2]) + ..., added left to right, with
+    the tables T of _sign_tables built once per call. So the sums depend on
+    the stream and x alone, not on the block or chunk size or the BLAS
+    library. They are not the sums of sample() rows, which read one
+    half-word per sign.
     """
     n = x.size
     block = max(1, 5_000_000 // n)

@@ -208,9 +208,13 @@ def min_half_subset_ssq(occupancy, keep: int) -> tuple[int, tuple[int, ...]]:
     level with sum min(occupancy_i, L) >= keep; every bin takes
     min(occupancy_i, L - 1) and the remaining units go one each to the
     lowest-index bins with occupancy_i >= L. Returns (min_ssq, kept_per_bin)
-    with kept_per_bin aligned to the input order.
+    with kept_per_bin aligned to the input order, all Python ints.
     """
-    occ = np.array([int(c) for c in occupancy], dtype=np.int64)
+    integral = isinstance(occupancy, np.ndarray) and np.can_cast(occupancy.dtype, np.int64)
+    if integral and occupancy.ndim == 1:
+        occ = occupancy.astype(np.int64)
+    else:
+        occ = np.array([int(c) for c in occupancy], dtype=np.int64)
     if np.any(occ < 0):
         raise ValueError("occupancy counts must be nonnegative")
     if keep < 0:
@@ -227,8 +231,11 @@ def min_half_subset_ssq(occupancy, keep: int) -> tuple[int, tuple[int, ...]]:
             lo = mid + 1
     counts = np.minimum(occ, max(lo - 1, 0))
     counts[np.flatnonzero(occ >= lo)[: keep - int(counts.sum())]] += 1
-    kept = counts.tolist()
-    return sum(c * c for c in kept), tuple(kept)
+    kept = tuple(counts.tolist())
+    # sum c_i^2 <= max c_i * keep, so below 2^63 no int64 square or sum wraps
+    if lo * int(keep) < 2**63:
+        return int(np.dot(counts, counts)), kept
+    return sum(c * c for c in kept), kept
 
 
 def classify_profile(

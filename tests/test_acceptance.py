@@ -4,8 +4,8 @@ Each test covers one release criterion and prints a single
 ``[criterion k] PASS/FAIL`` line with the measured numbers, then asserts.
 Heavy experiment configs run once in a module-scoped fixture; the
 determinism criterion reruns each of them twice more, once as is and once
-forced onto one core, so E1/E2's threaded trials and the threaded Monte
-Carlo sum loop are compared with truly serial runs. Rows are a pure function
+forced onto one core, so E1/E2's threaded trials are compared with truly
+serial runs. Rows are a pure function
 of (config, trial index).
 """
 import math
@@ -21,7 +21,7 @@ from oracles import (
     jacobi_singular_values,
     ks_distance,
 )
-from rmlab import calibration, constants, experiments, small_ball
+from rmlab import calibration, constants, experiments
 from rmlab.distributions import GAUSSIAN, RADEMACHER, UNIFORM_SYM, discrete
 from rmlab.experiments import ExperimentConfig, emit, run
 from rmlab.matrices import sample_matrix, spectral_summary
@@ -351,7 +351,6 @@ def test_criterion_9_determinism(capsys, results, monkeypatch):
         rerun = emit(run(cfg), format="csv")
         with monkeypatch.context() as patch:
             patch.setattr(experiments, "usable_cores", lambda: 1)
-            patch.setattr(small_ball, "usable_cores", lambda: 1)
             one_core = emit(run(cfg), format="csv")
         if not (base == rerun == one_core):
             mismatched.append(name)

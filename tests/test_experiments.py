@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rmlab import constants, experiments, matrices, small_ball
+from rmlab import constants, experiments, matrices
 from rmlab.distributions import GAUSSIAN, RADEMACHER, discrete, parse_dist_spec
 from rmlab.errors import ConfigError, RegimeError
 from rmlab.experiments import (
@@ -157,8 +157,8 @@ WORKER_CFGS = (
     ),
     ExperimentConfig(experiment="E1_sigma_min_tail", dist=GAUSSIAN, n_list=(5, 40), trials=10, master_seed=32),
     ExperimentConfig(experiment="E2_op_norm", dist=GAUSSIAN, n_list=(40,), trials=20, master_seed=33),
-    # 20k sums of 64 signs: on two or more cores the Rademacher MC sum loop
-    # splits each block across threads
+    # 20k sums of 64 signs: the Rademacher MC sum loop runs on the calling
+    # thread, so its rows must not move with the usable cores either
     ExperimentConfig(
         experiment="E3_regular_smallball",
         dist=RADEMACHER,
@@ -171,10 +171,9 @@ WORKER_CFGS = (
 
 
 def _one_core(monkeypatch) -> None:
-    """Make every threaded part of the package (E1/E2's trials and the
-    Rademacher MC sum loop) see one usable core, so it runs serially."""
+    """Make the one threaded part of the package, E1/E2's trials, see one
+    usable core, so it runs serially."""
     monkeypatch.setattr(experiments, "usable_cores", lambda: 1)
-    monkeypatch.setattr(small_ball, "usable_cores", lambda: 1)
 
 
 def test_serial_parallel_identical_rows(monkeypatch):
@@ -578,9 +577,41 @@ def test_params_are_resolved_to_their_types():
     assert res.rows == run(ExperimentConfig(experiment="E2b_peaked", n_list=(4,), trials=2, params={"coeff": 1.0})).rows
 
 
-def test_config_error_for_bad_spike_count():
+def test_config_error_for_bad_spike_count(monkeypatch):
+    """spikes above the smallest n fails before any trial draws a matrix."""
+    def no_matrix(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "sample_matrix", no_matrix)
     cfg = ExperimentConfig(
-        experiment="E2b_peaked", n_list=(4,), trials=1, params={"spikes": 9}
+        experiment="E2b_peaked", n_list=(300, 4), trials=50, params={"spikes": 9}
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="params.spikes=9"):
+        run(cfg)
+
+
+@pytest.mark.parametrize(
+    "experiment, bad, key",
+    [
+        ("E3_regular_smallball", {"r": 1.0}, "r"),
+        ("E3_regular_smallball", {"r": 0.0}, "r"),
+        ("E3_regular_smallball", {"R": 1.0}, "R"),
+        ("E3_regular_smallball", {"band_lo": 0.4}, "band_lo"),
+        ("E3_regular_smallball", {"band_lo": 1.1, "band_hi": 1.0}, "band_lo"),
+        ("E3_regular_smallball", {"band_hi": 1.3}, "band_hi"),
+        ("E5_profile_census", {"r": -0.5}, "r"),
+        ("E5_profile_census", {"R": 0.5}, "R"),
+    ],
+)
+def test_partition_params_are_checked_before_any_trial(experiment, bad, key, monkeypatch):
+    """0 < r < 1, R > 1 and r/2 < band_lo < band_hi < R (E3's defaults r = 0.9,
+    R = 1.3) fail naming the key before any trial draws a vector."""
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "derive_stream", no_trial)
+    cfg = ExperimentConfig(
+        experiment=experiment, n_list=(64,), trials=2, params={"delta": 0.004, "q": 4.0, **bad}
+    )
+    with pytest.raises(ConfigError, match=f"params.{key}="):
         run(cfg)

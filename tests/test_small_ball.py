@@ -250,60 +250,78 @@ def test_monte_carlo_deterministic_given_stream():
 
 def _table_order_sums(signs, x):
     """Row sums of signs @ x in the order sample_sums documents: left to right
-    within each group of 8 coordinates, then the groups left to right."""
+    within each group of 8 coordinates, x padded with zeros to whole groups,
+    then the groups left to right."""
+    padded = np.zeros(-(-x.size // 8) * 8)
+    padded[: x.size] = x
     total = None
-    for g in range(0, x.size, 8):
-        group = signs[:, g] * x[g]
-        for j in range(g + 1, min(g + 8, x.size)):
-            group = group + signs[:, j] * x[j]
+    for g in range(0, padded.size, 8):
+        group = signs[:, g] * padded[g]
+        for j in range(g + 1, g + 8):
+            group = group + signs[:, j] * padded[j]
         total = group if total is None else total + group
     return total
 
 
-@pytest.mark.parametrize("n", [5, 63, 64, 4999])
-def test_sample_sums_match_table_order_for_any_part_count(n, monkeypatch):
-    """Rademacher sums, block by block, equal sums of 2 * integers(0, 2) - 1
-    signs in the documented table order bit for bit, for 1, 2 or 3 parts, with
-    or without os.sched_getaffinity, and with a half-word pending or not, and
-    the stream ends where integers leaves it. A wrong or shifted sign moves a
-    sum by 2|x_j|, so the signs are the integers(0, 2) draws."""
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 4999])
+def test_sample_sums_match_table_order_for_any_chunk_count(n, monkeypatch):
+    """Rademacher sums, block by block, equal in the documented table order,
+    bit for bit, the sums of signs read from raw Philox words: row r takes the
+    next ceil(n/64) words, and bit k of their little-endian byte g is the sign
+    of coordinate 8g+k. That holds for two chunk sizes, with a half-word
+    pending or not, and the stream ends exactly rows * ceil(n/64) words on with
+    the pending half-word kept. A wrong or shifted sign moves a sum by 2|x_j|."""
     x = derive_stream(34, n).uniform(-1.0, 1.0, size=n)
+    words, groups = -(-n // 64), -(-n // 8)
     block = 5_000_000 // n
-    ref_chunk = max(1, 2**20 // n)
+    ref_chunk = max(1, 2**18 // groups)
     for prefix, count in enumerate((block - 1, block, block + 1, 2 * block + 3)):
-        ref = derive_stream(35, count)
-        ref.integers(0, 2, size=prefix)  # an odd prefix leaves a half-word pending
+        start_rng = derive_stream(35, count)
+        start_rng.integers(0, 2, size=prefix)  # an odd prefix leaves a half-word pending
+        ref = np.random.Philox(0)
+        ref.state = start_rng.bit_generator.state
         want, checked = [], 0
         for start in range(0, count, ref_chunk):
-            signs = 2.0 * ref.integers(0, 2, size=(min(ref_chunk, count - start), n)) - 1.0
+            rows = min(ref_chunk, count - start)
+            raw = ref.random_raw(rows * words).reshape(rows, words)
+            row_bytes = raw.astype("<u8").view(np.uint8)
+            bits = np.unpackbits(row_bytes[:, :groups], axis=1, bitorder="little")
+            signs = 2.0 * bits - 1.0
             want.append(_table_order_sums(signs, x))
-            # (d) within n * eps * sum|x_j| of the exactly rounded sum
-            for row in range(0, signs.shape[0], 97):
-                exact = math.fsum((signs[row] * x).tolist())
+            # within n * eps * sum|x_j| of the exactly rounded sum
+            for row in range(0, rows, 97 * (1 + count // 200_000)):
+                exact = math.fsum((signs[row, :n] * x).tolist())
                 assert abs(want[-1][row] - exact) <= n * 2.0**-52 * np.abs(x).sum()
                 checked += 1
         assert checked > 0
         want = np.concatenate(want)
-        # (c) 1, 2 and 3 parts: the usable cores, and a part size of one row;
-        # without os.sched_getaffinity (macOS, Windows) os.cpu_count() parts
-        monkeypatch.setattr(small_ball, "_PART_MIN_SIGNS", 1)
-        for cores in (1, 2, 3, "cpu_count"):
-            if cores == "cpu_count":
-                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-                monkeypatch.setattr(os, "cpu_count", lambda: 2)
-            else:
-                usable = set(range(cores))
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=usable: c, raising=False)
+        assert ref.state["has_uint32"] == prefix % 2
+        for chunk_terms in (small_ball._CHUNK_TERMS, 40_000):
+            monkeypatch.setattr(small_ball, "_CHUNK_TERMS", chunk_terms)
             got_rng = derive_stream(35, count)
             got_rng.integers(0, 2, size=prefix)
             got = list(sample_sums(RADEMACHER, x, count, got_rng))
             assert [s.size for s in got] == [min(block, count - i) for i in range(0, count, block)]
-            # (b) the table-order sums, bit for bit; (a) the stream ends where integers left it
             assert np.concatenate(got).tobytes() == want.tobytes()
-            assert _philox_state(got_rng) == _philox_state(ref)
-            probe = derive_stream(35, count)
-            probe.bit_generator.state = ref.bit_generator.state
+            probe = np.random.Generator(np.random.Philox(0))
+            probe.bit_generator.state = ref.state
+            assert _philox_state(got_rng) == _philox_state(probe)
             assert got_rng.integers(0, 2, size=3).tolist() == probe.integers(0, 2, size=3).tolist()
+
+
+def test_monte_carlo_sums_of_regular_vectors_meet_the_grid_oracle():
+    """For 3 regular n = 64 vectors at t = 8 delta, the 200k-row MC
+    Clopper-Pearson interval meets the grid convolution's interval, value
+    plus or minus its rigorous error radius."""
+    delta = 0.004
+    vectors = derive_stream(5, 0)
+    for i in range(3):
+        x, _ = calibration.sample_regular_vector(vectors, delta, 4.0)
+        q = rademacher_query(x, v=0.0, t=8 * delta)
+        mc = monte_carlo_concentration(q, 200_000, derive_stream(5, 1 + i))
+        grid = exact_concentration(q, path="convolve")
+        radius = grid.metadata["error_radius"]
+        assert mc.ci[0] <= grid.value + radius and grid.value - radius <= mc.ci[1], (i, mc, grid)
 
 
 _GAUSSIAN_SUMS_HASH = """

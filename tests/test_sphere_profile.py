@@ -147,6 +147,18 @@ def test_min_half_subset_ssq_edge_cases():
         min_half_subset_ssq((2, 2), -1)
 
 
+def test_min_half_subset_ssq_integer_arrays_and_past_int64():
+    """An integer array gives the list's answer in Python ints, and a minimum
+    past 2^63 is exact rather than wrapped."""
+    for dtype in (np.uint8, np.int32, np.int64, bool):
+        occ = np.array([5, 3, 0, 2, 1], dtype=dtype)
+        got = min_half_subset_ssq(occ, 4)
+        assert got == min_half_subset_ssq(occ.tolist(), 4)
+        assert all(type(v) is int for v in (got[0], *got[1]))
+    big = 3 * 10**9
+    assert min_half_subset_ssq(np.array([big, big]), 2 * big) == (2 * big**2, (big, big))
+
+
 def test_min_half_subset_ssq_kept_is_feasible():
     occ = (7, 1, 4, 0, 2)
     ssq, kept = min_half_subset_ssq(occ, 9)
