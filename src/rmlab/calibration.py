@@ -27,7 +27,7 @@ from .distributions import (
     discrete,
     sample,
 )
-from .errors import RegimeError
+from .errors import ConfigError, RegimeError
 from .rng import derive_stream, derive_substream_seed
 from .small_ball import (
     SmallBallQuery,
@@ -74,7 +74,7 @@ class BoundQuery:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         if self.bound not in BOUNDS:
-            raise ValueError(f"unknown bound {self.bound!r}")
+            raise ConfigError(f"unknown bound {self.bound!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +144,7 @@ def bound_value(query: BoundQuery) -> float:
 def _checked_bound(query: BoundQuery) -> float:
     b = bound_value(query)
     if not b > 0.0:
-        raise ValueError(f"degenerate corpus query: bound value {b} for {query.bound}")
+        raise RegimeError(f"degenerate corpus query: bound value {b} for {query.bound}")
     return b
 
 
@@ -242,7 +242,7 @@ def _two_sided_reach(dist: EntryDistribution) -> float:
     sup = dist.support()
     pos, neg = sup[sup > 0], sup[sup < 0]
     if pos.size == 0 or neg.size == 0:
-        raise ValueError("law must have atoms of both signs")
+        raise RegimeError("law must have atoms of both signs")
     return float(min(pos.max(), -neg.min()))
 
 
@@ -348,7 +348,7 @@ def build_corpus(bound: str, seed: int, count: int) -> list[BoundQuery]:
     """Deterministic corpus for one bound: structured envelope plus seeded
     random queries, truncated or padded to exactly count entries."""
     if count < 1:
-        raise ValueError(f"count={count} must be at least 1")
+        raise ConfigError(f"count={count} must be at least 1")
     if bound == "regular_smallball":
         return _regular_queries(seed, count)
     rng = derive_stream(seed, _BOUND_STREAM[bound])
@@ -363,7 +363,7 @@ def build_corpus(bound: str, seed: int, count: int) -> list[BoundQuery]:
     elif bound == "berry_esseen":
         structured, rand = _structured_berry(), _random_berry
     else:
-        raise ValueError(f"unknown bound {bound!r}")
+        raise ConfigError(f"unknown bound {bound!r}")
     if count <= len(structured):
         return structured[:count]
     return structured + rand(rng, count - len(structured))

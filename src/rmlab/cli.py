@@ -5,7 +5,8 @@
 profile / small-ball / nets commands expose the corresponding library
 calls with JSON output.
 
-Exit codes: 0 success, 2 config error, 3 regime violation, 4 I/O error.
+Exit codes: 0 success, 1 any other error (a bug), with traceback, 2 config
+error, 3 regime violation, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -40,9 +41,20 @@ from .small_ball import (
 from .sphere_profile import PartitionParams, classify_profile
 
 
-def _read_vector(path: str) -> np.ndarray:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        values = [float(line) for line in fh if line.strip()]
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_vector(path: str) -> np.ndarray:
+    text = _read_text(path)
+    try:
+        values = [float(line) for line in text.split("\n") if line.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad coordinate in {path}: {exc}") from None
     if not values:
         raise ConfigError(f"no coordinates in {path}")
     return np.array(values)
@@ -88,10 +100,7 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"--param expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         pairs.append((f"params.{key.strip()}", value))
-    text = ""
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    text = _read_text(args.config) if args.config else ""
     return _run_and_emit(_config(pairs, text), args)
 
 
@@ -166,7 +175,10 @@ def _cmd_nets(args) -> int:
         }
     else:
         if args.j:
-            j_set = tuple(int(part) for part in args.j.split(",") if part.strip())
+            try:
+                j_set = tuple(int(part) for part in args.j.split(",") if part.strip())
+            except ValueError:
+                raise ConfigError(f"--j {args.j!r} must be comma-separated integers") from None
         elif args.l is not None:
             j_set = tuple(range(args.l))
         else:
@@ -308,9 +320,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

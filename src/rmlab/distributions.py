@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
+from .errors import ConfigError, RegimeError
 from .rng import RngStream
 
 SQRT3 = math.sqrt(3.0)
@@ -38,29 +39,29 @@ class EntryDistribution:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown distribution kind: {self.kind!r}")
+            raise ConfigError(f"unknown distribution kind: {self.kind!r}")
         if self.kind != "discrete":
             if self.atoms:
-                raise ValueError(f"atoms are only valid for kind='discrete'")
+                raise ConfigError(f"atoms are only valid for kind='discrete'")
             return
         if len(self.atoms) < 2:
-            raise ValueError("discrete law needs at least 2 atoms")
+            raise ConfigError("discrete law needs at least 2 atoms")
         vals = np.array([a[0] for a in self.atoms], dtype=float)
         probs = np.array([a[1] for a in self.atoms], dtype=float)
         if not np.all(np.isfinite(vals)):
-            raise ValueError("atom values must be finite")
+            raise ConfigError("atom values must be finite")
         if len(np.unique(vals)) != len(vals):
-            raise ValueError("atom values must be distinct")
+            raise ConfigError("atom values must be distinct")
         if np.any(probs <= 0):
-            raise ValueError("atom probabilities must be positive")
+            raise ConfigError("atom probabilities must be positive")
         if abs(probs.sum() - 1.0) > _PROB_SUM_TOL:
-            raise ValueError(f"atom probabilities sum to {probs.sum()!r}, not 1")
+            raise ConfigError(f"atom probabilities sum to {probs.sum()!r}, not 1")
         mean = float(probs @ vals)
         var = float(probs @ vals**2)
         if abs(mean) > _MOMENT_TOL:
-            raise ValueError(f"discrete law has mean {mean!r}, not 0")
+            raise ConfigError(f"discrete law has mean {mean!r}, not 0")
         if abs(var - 1.0) > _MOMENT_TOL:
-            raise ValueError(f"discrete law has second moment {var!r}, not 1")
+            raise ConfigError(f"discrete law has second moment {var!r}, not 1")
 
     # ---- derived structure ------------------------------------------------
 
@@ -74,7 +75,7 @@ class EntryDistribution:
             return np.array([-1.0, 1.0])
         if self.kind == "discrete":
             return np.sort(np.array([a[0] for a in self.atoms], dtype=float))
-        raise ValueError(f"{self.kind} has no finite support")
+        raise RegimeError(f"{self.kind} has no finite support")
 
     def support_probs(self) -> np.ndarray:
         """Probabilities aligned with support()."""
@@ -83,7 +84,7 @@ class EntryDistribution:
         if self.kind == "discrete":
             order = np.argsort([a[0] for a in self.atoms])
             return np.array([self.atoms[i][1] for i in order], dtype=float)
-        raise ValueError(f"{self.kind} has no finite support")
+        raise RegimeError(f"{self.kind} has no finite support")
 
     def support_radius(self) -> float:
         """max |value| over the support; sqrt(3) for uniform_sym, inf for gaussian."""
@@ -144,12 +145,13 @@ def parse_dist_spec(spec: str) -> EntryDistribution:
         body = s[len("discrete:"):]
         atoms = []
         for pair in body.split(","):
-            bits = pair.split(":")
-            if len(bits) != 2:
-                raise ValueError(f"bad atom {pair!r} in {spec!r} (want value:prob)")
-            atoms.append((float(bits[0]), float(bits[1])))
+            try:  # a count other than two fails the unpacking
+                value, prob = (float(bit) for bit in pair.split(":"))
+            except ValueError:
+                raise ConfigError(f"bad atom {pair!r} in {spec!r} (want value:prob)") from None
+            atoms.append((value, prob))
         return discrete(atoms)
-    raise ValueError(f"unknown distribution spec: {spec!r}")
+    raise ConfigError(f"unknown distribution spec: {spec!r}")
 
 
 # ---- sampling --------------------------------------------------------------
@@ -188,7 +190,7 @@ def _fill_rademacher(rng: RngStream, out: np.ndarray) -> None:
     and rng is left where that call leaves it (see _read_top_bits).
     """
     if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
+        raise ConfigError("out must be C-contiguous")
     flat = out.reshape(-1)
     if flat.size == 0:
         return
@@ -243,7 +245,7 @@ def char_fn(dist: EntryDistribution, t):
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
-        raise ValueError("char_fn requires finite t")
+        raise ConfigError("char_fn requires finite t")
     if dist.kind == "rademacher":
         out = np.cos(t_arr)
     elif dist.kind == "gaussian":

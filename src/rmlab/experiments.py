@@ -200,9 +200,13 @@ def _spike_vector(n: int, spikes: int) -> np.ndarray:
 
 
 def _check_partition(config: ExperimentConfig) -> None:
-    """ConfigError unless 0 < r < 1 < R and, where the experiment has a
-    band, r/2 < band_lo < band_hi < R."""
+    """ConfigError unless delta > 0, q > 1, 0 < r < 1 < R and, where the
+    experiment has a band, r/2 < band_lo < band_hi < R."""
     p = config.params
+    if not p["delta"] > 0.0:
+        raise ConfigError(f"params.delta={p['delta']!r} must be positive")
+    if not p["q"] > 1.0:
+        raise ConfigError(f"params.q={p['q']!r} must be > 1")
     if not 0.0 < p["r"] < 1.0:
         raise ConfigError(f"params.r={p['r']!r} must be in (0, 1)")
     if not p["R"] > 1.0:
@@ -686,7 +690,7 @@ def emit(result: ExperimentResult, format: str = "csv", path: str | None = None)
             + "\n"
         )
     else:
-        raise ValueError(f"unknown format {format!r}")
+        raise ConfigError(f"unknown format {format!r}")
     if path is not None:
         try:
             with open(path, "w", encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import RegimeError
+from .errors import ConfigError, RegimeError
 from .sphere_profile import PartitionParams, ProfileContext
 
 VOLUMETRIC = "volumetric_formula"
@@ -31,9 +31,9 @@ class CoveringEstimate:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise ConfigError(f"unknown kind {self.kind!r}")
         if self.log_count < 0.0:
-            raise ValueError(f"log_count {self.log_count} < 0")
+            raise ConfigError(f"log_count {self.log_count} < 0")
 
 
 def log_volume(shape: str, n: int, scale: float = 1.0) -> float:
@@ -43,7 +43,7 @@ def log_volume(shape: str, n: int, scale: float = 1.0) -> float:
     elif shape == "cube":
         base = n * math.log(2.0)
     else:
-        raise ValueError(f"unknown shape {shape!r}")
+        raise ConfigError(f"unknown shape {shape!r}")
     return base + n * math.log(scale)
 
 
@@ -59,12 +59,12 @@ def _contains_scaled(K: str, D: str, t: float, n: int) -> bool:
 def volumetric_bound(n: int, K: str, D: str, t: float) -> float:
     """log of the volumetric covering bound N(K, tD) <= 3^n |K| / |tD|."""
     if n < 1:
-        raise ValueError("n must be >= 1")
-    if t <= 0:
-        raise ValueError("t must be positive")
+        raise ConfigError("n must be >= 1")
+    if not t > 0:
+        raise ConfigError("t must be positive")
     for shape in (K, D):
         if shape not in ("euclidean_ball", "cube"):
-            raise ValueError(f"unknown shape {shape!r}")
+            raise ConfigError(f"unknown shape {shape!r}")
     if not _contains_scaled(K, D, t, n):
         raise RegimeError(f"t*D with t={t} is not contained in K ({D} in {K}, n={n})")
     return n * math.log(3.0) + log_volume(K, n) - log_volume(D, n, scale=t)
@@ -75,9 +75,9 @@ def vp_entropy_bound(n: int, r: float, R: float) -> float:
     if not r < 0.5:
         raise RegimeError(f"r = {r} >= 1/2")
     if r <= 0 or R <= 1.0:
-        raise ValueError("need 0 < r < 1/2 and R > 1")
+        raise ConfigError("need 0 < r < 1/2 and R > 1")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     return (n / R) * math.log(3.0 * R / r)
 
 
@@ -115,9 +115,9 @@ def singular_grid_net(n: int, delta: float, r: float, R: float, j_set) -> GridNe
     ctx = ProfileContext.from_params(n, delta, params)
     j_set = tuple(int(j) for j in j_set)
     if len(set(j_set)) != len(j_set):
-        raise ValueError("j_set has repeated indices")
+        raise ConfigError("j_set has repeated indices")
     if any(j < 0 or j >= n for j in j_set):
-        raise ValueError("j_set indices out of range")
+        raise ConfigError("j_set indices out of range")
     if len(j_set) < ctx.m:
         raise RegimeError(f"|j_set| = {len(j_set)} < m = {ctx.m}")
     idx = np.arange(ctx.k0, ctx.k0 + ctx.k + 1)
@@ -147,17 +147,17 @@ def greedy_net(points, metric: str = "l2", eps: float = 1.0) -> np.ndarray:
     farthest from the chosen centers until everything is within eps.
     """
     if metric not in ("l2", "linf"):
-        raise ValueError(f"unknown metric {metric!r}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ConfigError(f"unknown metric {metric!r}")
+    if not eps > 0:  # no distance is <= nan, so the loop below would not end
+        raise ConfigError("eps must be positive")
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
     if points.size == 0:
-        raise ValueError("points must be nonempty")
+        raise ConfigError("points must be nonempty")
     if not np.all(np.isfinite(points)):
         # a NaN distance never drops to eps, so the loop below would not end
-        raise ValueError("points must be finite")
+        raise ConfigError("points must be finite")
     chosen = [0]
     dists = _pairwise_dist(points, points[0], metric)
     while True:

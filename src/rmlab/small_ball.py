@@ -31,7 +31,7 @@ from .distributions import (
     sample,
     symmetrized_atoms,
 )
-from .errors import RegimeError
+from .errors import ConfigError, RegimeError
 from .rng import RngStream
 from .sphere_profile import delta_profile
 
@@ -65,13 +65,13 @@ class SmallBallQuery:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         if self.x.ndim != 1 or self.x.size == 0:
-            raise ValueError("x must be a nonempty 1-d weight vector")
+            raise ConfigError("x must be a nonempty 1-d weight vector")
         if not np.all(np.isfinite(self.x)) or not np.any(self.x != 0.0):
-            raise ValueError("x must be finite and nonzero")
+            raise ConfigError("x must be finite and nonzero")
         if not (self.t > 0.0 and math.isfinite(self.t)):
-            raise ValueError(f"t={self.t} must be a positive real")
+            raise ConfigError(f"t={self.t} must be a positive real")
         if not math.isfinite(self.v):
-            raise ValueError("v must be finite")
+            raise ConfigError("v must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,22 +83,22 @@ class ConcentrationEstimate:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ConfigError(f"unknown method {self.method!r}")
         if self.method in PROBABILITY_METHODS:
             if not (-1e-12 <= self.value <= 1.0 + 1e-12):
-                raise ValueError(f"probability {self.value!r} outside [0, 1]")
+                raise ConfigError(f"probability {self.value!r} outside [0, 1]")
         elif self.value < 0.0:
-            raise ValueError("bound value must be nonnegative")
+            raise ConfigError("bound value must be nonnegative")
         if self.ci is not None:
             lo, hi = self.ci
             if not (lo <= self.value + 1e-12 and self.value - 1e-12 <= hi):
-                raise ValueError(f"ci {self.ci!r} does not bracket value {self.value!r}")
+                raise ConfigError(f"ci {self.ci!r} does not bracket value {self.value!r}")
 
 
 def clopper_pearson(count: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact binomial confidence interval for count successes in trials."""
     if not 0 <= count <= trials or trials < 1:
-        raise ValueError("need 0 <= count <= trials, trials >= 1")
+        raise ConfigError("need 0 <= count <= trials, trials >= 1")
     lo = 0.0 if count == 0 else float(betaincinv(count, trials - count + 1, alpha / 2))
     hi = 1.0 if count == trials else float(betaincinv(count + 1, trials - count, 1 - alpha / 2))
     return lo, hi
@@ -214,7 +214,7 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     if not q.dist.finite_support:
         raise RegimeError("continuous dist rejected; use monte_carlo_concentration")
     if path not in ("auto", "enumerate", "convolve"):
-        raise ValueError(f"unknown path {path!r}")
+        raise ConfigError(f"unknown path {path!r}")
     weights = q.x[q.x != 0.0]
     m = weights.size
     if path != "convolve":
@@ -342,7 +342,7 @@ def monte_carlo_concentration(
 ) -> ConcentrationEstimate:
     """Monte Carlo estimate with an exact-coverage 95 percent binomial ci."""
     if trials < 100:
-        raise ValueError(f"trials={trials} < 100")
+        raise ConfigError(f"trials={trials} < 100")
     count = sum(
         int(np.count_nonzero(np.abs(sums - q.v) < q.t))
         for sums in sample_sums(q.dist, q.x, trials, rng)
@@ -379,14 +379,14 @@ def empirical_sup_concentration(samples, t):
     """
     windows = np.asarray(t, dtype=float)
     if windows.ndim > 1 or not np.all(windows > 0):
-        raise ValueError(f"t={t!r} must be positive, one window or a 1-d array of them")
+        raise ConfigError(f"t={t!r} must be positive, one window or a 1-d array of them")
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size == 0:
-        raise ValueError("samples must be a nonempty 1-d array")
+        raise ConfigError("samples must be a nonempty 1-d array")
     s = np.sort(s)
     # sorting puts -inf first and +inf and nan last
     if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
-        raise ValueError("samples must be finite")
+        raise ConfigError("samples must be finite")
     starts = np.arange(0, s.size, _SCAN_BLOCK)
     ends = np.minimum(starts + (_SCAN_BLOCK - 1), s.size - 1)
     q_hat = []
@@ -448,8 +448,10 @@ def halasz_integral_bound(
     """
     x = np.asarray(x, dtype=float)
     m = x.size
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not a > 0:
+        raise ConfigError("a must be positive")
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ConfigError(f"delta={delta} must be a positive real")
     if not dist.finite_support:
         raise RegimeError("finite-support law required for the piecewise-exact integral")
     if not (delta < a / (2.0 * math.pi)):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import constants
 from .distributions import RADEMACHER, sample
-from .errors import RegimeError
+from .errors import ConfigError, RegimeError
 from .rng import RngStream
 
 _UNIT_NORM_TOL = 1e-9
@@ -31,9 +31,9 @@ class PartitionParams:
 
     def __post_init__(self):
         if not (0.0 < self.r < 1.0):
-            raise ValueError(f"r={self.r} must be in (0, 1)")
+            raise ConfigError(f"r={self.r} must be in (0, 1)")
         if not (self.R > 1.0):
-            raise ValueError(f"R={self.R} must be > 1")
+            raise ConfigError(f"R={self.R} must be > 1")
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,12 @@ class ProfileContext:
     @classmethod
     def from_params(cls, n: int, delta: float, params: PartitionParams) -> "ProfileContext":
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise ConfigError("n must be >= 1")
         if delta <= 0:
-            raise ValueError("delta must be positive")
+            raise ConfigError("delta must be positive")
         a = params.r / (2.0 * math.sqrt(n))
         if not math.isfinite(a / delta):
-            raise ValueError(f"delta={delta} too fine: r/(2 sqrt(n)) / delta overflows")
+            raise ConfigError(f"delta={delta} too fine: r/(2 sqrt(n)) / delta overflows")
         k0 = max(0, math.ceil(a / delta) - 1)
         # a / delta can round across an integer (n=225, delta=0.001); one step
         # makes k0 * delta < a <= (k0 + 1) * delta hold in floating point
@@ -73,9 +73,9 @@ class ProfileContext:
         # either check fails only when delta is too fine for floats to
         # resolve bins of width delta
         if not k0 * delta < a <= (k0 + 1) * delta:
-            raise ValueError(f"delta={delta} too fine: bin k0={k0} misses r/(2 sqrt(n))={a}")
+            raise ConfigError(f"delta={delta} too fine: bin k0={k0} misses r/(2 sqrt(n))={a}")
         if (k0 + k + 1) * delta < params.R / math.sqrt(n):
-            raise ValueError(f"delta={delta} too fine: bins up to {k0 + k} stop short of R/sqrt(n)")
+            raise ConfigError(f"delta={delta} too fine: bins up to {k0 + k} stop short of R/sqrt(n)")
         return cls(n=n, delta=delta, k0=k0, k=k, m=m)
 
 
@@ -137,15 +137,15 @@ class AllocationInstance:
 
     def __post_init__(self):
         if int(np.sum(self.occupancy)) != self.l:
-            raise ValueError(f"occupancy sums to {int(np.sum(self.occupancy))}, not l={self.l}")
+            raise ConfigError(f"occupancy sums to {int(np.sum(self.occupancy))}, not l={self.l}")
         if np.any(self.occupancy < 0):
-            raise ValueError("occupancy counts must be nonnegative")
+            raise ConfigError("occupancy counts must be nonnegative")
 
 
 def _check_unit(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(x) - 1.0) > _UNIT_NORM_TOL:
-        raise ValueError(f"non-unit input: |x| = {np.linalg.norm(x)!r}")
+    if not abs(np.linalg.norm(x) - 1.0) <= _UNIT_NORM_TOL:  # a nan fails too
+        raise ConfigError(f"non-unit input: |x| = {np.linalg.norm(x)!r}")
     return x
 
 
@@ -189,8 +189,8 @@ def delta_profile(x, delta: float) -> DeltaProfile:
     A coordinate exactly at a bin boundary k*delta lands in bin k-1
     (half-open on the left).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not delta > 0:
+        raise ConfigError("delta must be positive")
     ax = np.abs(np.asarray(x, dtype=float))
     below = int(np.count_nonzero(ax <= delta))
     big = ax[ax > delta]
@@ -209,19 +209,27 @@ def min_half_subset_ssq(occupancy, keep: int) -> tuple[int, tuple[int, ...]]:
     min(occupancy_i, L - 1) and the remaining units go one each to the
     lowest-index bins with occupancy_i >= L. Returns (min_ssq, kept_per_bin)
     with kept_per_bin aligned to the input order, all Python ints.
+    ConfigError for a count that is not an integer (2.0 is one, 2.7 is not).
     """
     integral = isinstance(occupancy, np.ndarray) and np.can_cast(occupancy.dtype, np.int64)
     if integral and occupancy.ndim == 1:
         occ = occupancy.astype(np.int64)
     else:
-        occ = np.array([int(c) for c in occupancy], dtype=np.int64)
+        counts = list(occupancy)
+        try:
+            ints = [int(c) for c in counts]
+        except (TypeError, ValueError, OverflowError):  # nan, inf, not a number
+            ints = None
+        if ints != counts:
+            raise ConfigError("occupancy counts must be integers")
+        occ = np.array(ints, dtype=np.int64)
     if np.any(occ < 0):
-        raise ValueError("occupancy counts must be nonnegative")
+        raise ConfigError("occupancy counts must be nonnegative")
     if keep < 0:
-        raise ValueError("keep must be nonnegative")
+        raise ConfigError("keep must be nonnegative")
     total = int(occ.sum())
     if keep > total:
-        raise ValueError(f"infeasible: keep={keep} > total occupancy {total}")
+        raise ConfigError(f"infeasible: keep={keep} > total occupancy {total}")
     lo, hi = 0, int(occ.max(initial=0))
     while lo < hi:
         mid = (lo + hi) // 2
@@ -255,8 +263,8 @@ def classify_profile(
     delta above r/(4 pi sqrt(n)) is allowed but flagged via halasz_regime,
     since the downstream bounds need that inequality.
     """
-    if Q <= 1.0:
-        raise ValueError(f"Q={Q} must be > 1")
+    if not Q > 1.0:
+        raise ConfigError(f"Q={Q} must be > 1")
     x = _check_unit(x)
     n = x.size
     sphere_class, sigma = classify_sphere(x, params)
@@ -299,7 +307,7 @@ def classify_profile(
 def sample_allocation(l: int, k: int, rng: RngStream) -> AllocationInstance:
     """Occupancy of l i.i.d. uniform draws over k bins."""
     if not (1 <= k <= l):
-        raise ValueError(f"need 1 <= k <= l, got k={k}, l={l}")
+        raise ConfigError(f"need 1 <= k <= l, got k={k}, l={l}")
     draws = rng.integers(0, k, size=l)
     occupancy = np.bincount(draws, minlength=k)
     return AllocationInstance(l=l, k=k, occupancy=occupancy)
@@ -322,7 +330,7 @@ def sample_spread_direction(
     """
     lo, hi = band
     if not (params.r / 2.0 < lo < hi < params.R):
-        raise ValueError(f"band {band} not inside (r/2, R) = ({params.r/2}, {params.R})")
+        raise ConfigError(f"band {band} not inside (r/2, R) = ({params.r/2}, {params.R})")
     mags = rng.uniform(lo / math.sqrt(n), hi / math.sqrt(n), size=n)
     signs = sample(RADEMACHER, rng, size=n)
     x = mags * signs

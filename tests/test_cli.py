@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import product_concentration
-from rmlab import constants
+from rmlab import cli, constants
 from rmlab.cli import _build_parser, main
 
 E4_ARGS = [
@@ -113,6 +117,69 @@ def test_regime_violation_exits_3(capsys):
     ])
     assert code == 3
     assert "regime violation" in capsys.readouterr().err
+
+
+# coordinate files for the bad-input cases, written to the working directory
+VECTORS = {
+    "x.txt": b"0.6\n0.8\n",
+    "abc.txt": b"0.6\nabc\n",
+    "ones3.txt": b"1\n1\n1\n",
+    "long.txt": b"0.2\n" * 64,
+    "latin1.txt": b"0.6\n\xe9\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "small-ball --x abc.txt --dist rademacher --t 0.1",
+        "small-ball --x latin1.txt --dist rademacher --t 0.1",
+        "small-ball --x x.txt --dist rademacher --t -1",
+        "small-ball --x x.txt --dist discrete:1:abc --t 0.1",
+        "small-ball --x x.txt --dist rademacher --t 0.1 --method monte_carlo --trials 50",
+        "small-ball --x ones3.txt --dist rademacher --t 0.1 --method halasz_integral --delta -0.01 --a 0.5",
+        "small-ball --x ones3.txt --dist rademacher --t 0.1 --method halasz_integral --delta 0 --a 0.5",
+        "profile --x long.txt --delta 0.004 --q 4.0 --r 0.9 --R 1.3",
+        "nets --check volumetric --n 0",
+        "nets --check grid --n 25 --delta 0.05 --r 0.9 --R 1.3 --j 1,a",
+    ],
+)
+def test_bad_input_is_a_config_error(argv, tmp_path, capsys, monkeypatch):
+    """Inputs that a catch-all ValueError branch once sent to exit 2 raise
+    ConfigError where they are checked."""
+    monkeypatch.chdir(tmp_path)
+    for name, data in VECTORS.items():
+        (tmp_path / name).write_bytes(data)
+    assert main(argv.split()) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_a_plain_value_error_is_a_bug_with_exit_1(monkeypatch, capsys):
+    """Only ConfigError, RegimeError and OSError have exit codes of their own;
+    a numpy error or a library bug propagates and exits 1 with its traceback."""
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast")
+
+    monkeypatch.setattr(cli, "run", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["sigma-min", "--n", "4", "--trials", "1"])
+    assert capsys.readouterr().err == ""
+
+    code = (
+        "import sys\n"
+        "from rmlab import cli\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise ValueError('operands could not be broadcast')\n"
+        "cli.run = broken\n"
+        "sys.exit(cli.main(['sigma-min', '--n', '4', '--trials', '1']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stderr.startswith("Traceback")
+    assert out.stderr.rstrip().endswith("ValueError: operands could not be broadcast")
+    assert "config error" not in out.stderr
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

@@ -601,11 +601,16 @@ def test_config_error_for_bad_spike_count(monkeypatch):
         ("E3_regular_smallball", {"band_hi": 1.3}, "band_hi"),
         ("E5_profile_census", {"r": -0.5}, "r"),
         ("E5_profile_census", {"R": 0.5}, "R"),
+        ("E3_regular_smallball", {"q": 0.5}, "q"),
+        ("E5_profile_census", {"q": 1.0}, "q"),
+        ("E3_regular_smallball", {"delta": 0.0}, "delta"),
+        ("E5_profile_census", {"delta": -0.004}, "delta"),
     ],
 )
 def test_partition_params_are_checked_before_any_trial(experiment, bad, key, monkeypatch):
-    """0 < r < 1, R > 1 and r/2 < band_lo < band_hi < R (E3's defaults r = 0.9,
-    R = 1.3) fail naming the key before any trial draws a vector."""
+    """delta > 0, q > 1, 0 < r < 1, R > 1 and r/2 < band_lo < band_hi < R
+    (E3's defaults r = 0.9, R = 1.3) fail naming the key before any trial
+    draws a vector."""
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 

@@ -314,7 +314,7 @@ def test_forced_fallback_returns_the_same_values(dist, n, monkeypatch):
 
 def test_lapack_failure_is_a_runtime_error_not_a_config_error(monkeypatch):
     """A nonzero LAPACK info is a numerical failure, not bad input: it must
-    not be a ValueError, which the CLI reports as a config error."""
+    not be a ValueError, the base of ConfigError and RegimeError."""
     m = sample_matrix(GAUSSIAN, 5, seed=1)
 
     def failing_gesdd(*args):

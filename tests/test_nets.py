@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmlab.cli import main
-from rmlab.errors import RegimeError
+from rmlab.errors import ConfigError, RegimeError
 from rmlab.nets import (
     GREEDY,
     SINGULAR_GRID,
@@ -62,6 +62,8 @@ def test_volumetric_bound_containment_gate():
         volumetric_bound(0, BALL, BALL, 0.5)
     with pytest.raises(ValueError):
         volumetric_bound(3, "simplex", BALL, 0.5)
+    with pytest.raises(ConfigError, match="t must be positive"):  # was a RegimeError
+        volumetric_bound(3, BALL, BALL, math.nan)
 
 
 @given(
@@ -241,6 +243,8 @@ def test_greedy_net_validation():
         greedy_net(np.ones((2, 2)), eps=0.0)
     with pytest.raises(ValueError):
         greedy_net(np.empty((0, 2)))
+    with pytest.raises(ConfigError, match="eps"):  # no distance is <= nan: a hang
+        greedy_net(np.ones((2, 2)), eps=math.nan)
 
 
 def test_greedy_linf_within_cube_volumetric():

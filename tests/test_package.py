@@ -56,3 +56,22 @@ def test_import_leaves_scipy_integrate_unloaded():
     code = "import sys, rmlab; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_src_raises_no_bare_value_error_and_asserts_nothing():
+    """Input checks raise ConfigError or RegimeError, which the CLI maps to
+    exits 2 and 3; a bare ValueError would exit 1 as a bug. An assert
+    statement is stripped by python -O, so a check must raise instead."""
+    paths = sorted(Path(rmlab.__file__).resolve().parent.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}: assert")
+            elif isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append(f"{path.name}:{node.lineno}: raise ValueError")
+    assert not found, found

@@ -13,7 +13,7 @@ from oracles import product_concentration, window_sup_probability
 from test_distributions import _philox_state
 from rmlab import calibration, constants, small_ball
 from rmlab.distributions import GAUSSIAN, RADEMACHER, discrete
-from rmlab.errors import RegimeError
+from rmlab.errors import ConfigError, RegimeError
 from rmlab.rng import derive_stream
 from rmlab.small_ball import (
     ConcentrationEstimate,
@@ -537,9 +537,18 @@ def test_halasz_integral_bound_regime_errors():
         halasz_integral_bound(x, GAUSSIAN, 0.01, 0.999)  # continuous law
     with pytest.raises(ValueError):
         halasz_integral_bound(x, RADEMACHER, 0.01, 0.0)
+    with pytest.raises(ConfigError, match="a must be positive"):  # was a RegimeError
+        halasz_integral_bound(x, RADEMACHER, 0.01, math.nan)
     # SKEW scaled so the positive atom cannot clear the level
     with pytest.raises(RegimeError):
         halasz_integral_bound(np.ones(4), SKEW, 0.01, 0.7)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.01, math.nan, math.inf])
+def test_halasz_integral_bound_rejects_a_nonpositive_delta(delta):
+    """delta = 0 divided by zero and delta < 0 returned a bound of -0.0."""
+    with pytest.raises(ConfigError, match="delta="):
+        halasz_integral_bound(np.ones(4), RADEMACHER, delta, 0.5)
 
 
 def test_halasz_profile_bound_frozen_value():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import exhaustive_min_ssq
 from rmlab import constants
-from rmlab.errors import RegimeError
+from rmlab.errors import ConfigError, RegimeError
 from rmlab.experiments import ExperimentConfig, run
 from rmlab.rng import derive_stream
 from rmlab.sphere_profile import (
@@ -124,6 +124,8 @@ def test_delta_profile_binning_rules():
     assert delta_profile([-0.15], 0.1).counts == {1: 1}
     with pytest.raises(ValueError):
         delta_profile([0.1], 0.0)
+    with pytest.raises(ConfigError, match="positive"):  # was an empty profile
+        delta_profile([0.1], math.nan)
 
 
 # ---------------------------------------------------------- exact minimizer
@@ -157,6 +159,22 @@ def test_min_half_subset_ssq_integer_arrays_and_past_int64():
         assert all(type(v) is int for v in (got[0], *got[1]))
     big = 3 * 10**9
     assert min_half_subset_ssq(np.array([big, big]), 2 * big) == (2 * big**2, (big, big))
+
+
+@pytest.mark.parametrize(
+    "occ",
+    [[2.7, 3.9], np.array([2.7, 3.9]), (2, 0.5), [math.nan, 1], [math.inf, 1], ["2", 3]],
+    ids=["list", "float_array", "tuple", "nan", "inf", "str"],
+)
+def test_min_half_subset_ssq_rejects_fractional_counts(occ):
+    """Fractional counts were truncated: [2.7, 3.9] solved for (2, 3)."""
+    with pytest.raises(ConfigError, match="must be integers"):
+        min_half_subset_ssq(occ, 4)
+
+
+def test_min_half_subset_ssq_takes_whole_floats():
+    assert min_half_subset_ssq([2.0, 3.0], 4) == min_half_subset_ssq([2, 3], 4) == (8, (2, 2))
+    assert min_half_subset_ssq(np.array([2.0, 3.0]), 4) == (8, (2, 2))
 
 
 def test_min_half_subset_ssq_kept_is_feasible():
@@ -209,6 +227,11 @@ def test_classify_profile_rejects_bad_inputs():
     x = np.full(64, 0.125)
     with pytest.raises(ValueError):
         classify_profile(x, PARAMS, delta=0.004, Q=1.0)
+    # nan compares false both ways, so these once gave a verdict
+    with pytest.raises(ConfigError, match="must be > 1"):
+        classify_profile(x, PARAMS, delta=0.004, Q=math.nan)
+    with pytest.raises(ConfigError, match="non-unit"):
+        classify_profile(np.where(np.arange(64) == 0, math.nan, x), PARAMS, delta=0.004, Q=4.0)
     spike = np.zeros(64)
     spike[0] = 1.0
     with pytest.raises(RegimeError):
