@@ -290,29 +290,40 @@ def _random_berry(rng, count: int) -> list[BoundQuery]:
     return out
 
 
-# Regular-vector regime: the defaults of E3 as well as of the corpus below.
+# Regular-vector regime of E3 and of the corpus below: the partition and the
+# coordinate band that FITTED["regular_smallball"] was fitted in.
 REG_PARAMS = PartitionParams(r=0.9, R=1.3)
 REG_BAND = (0.9, 1.1)
 REG_MAX_TRIES = 200
 _REG_N = 64
 
 
-def sample_regular_vector(
-    rng,
-    delta: float,
-    q: float,
-    n: int = _REG_N,
-    params: PartitionParams = REG_PARAMS,
-    band: tuple[float, float] = REG_BAND,
-    max_tries: int = REG_MAX_TRIES,
-):
-    """Spread direction passing the regular-profile classification in the
-    Halasz regime, with its classification; RegimeError after max_tries
+def check_halasz_regime(n: int, delta: float, name: str = "delta") -> None:
+    """RegimeError unless delta <= r/(4 pi sqrt(n)) at r = REG_PARAMS.r, the
+    Halasz regime that the regular-vector small-ball bound needs; ConfigError
+    unless delta is positive and finite. name labels delta in the message."""
+    if not 0.0 < delta < math.inf:
+        raise ConfigError(f"{name}={delta!r} must be positive and finite")
+    bound = REG_PARAMS.r / (4.0 * math.pi * math.sqrt(n))
+    if not delta <= bound:
+        raise RegimeError(
+            f"{name}={delta!r} outside the Halasz regime delta <= r/(4 pi sqrt(n))"
+            f" = {REG_PARAMS.r}/(4 pi sqrt({n})) = {bound!r}"
+        )
+
+
+def sample_regular_vector(rng, delta: float, q: float, n: int = _REG_N, max_tries: int = REG_MAX_TRIES):
+    """Spread direction of REG_PARAMS, its coordinates drawn in REG_BAND/sqrt(n),
+    that classify_profile calls regular, with its classification.
+
+    The Halasz condition does not depend on the draw, so check_halasz_regime
+    runs once, before the first draw; RegimeError from it, or after max_tries
     rejected draws."""
+    check_halasz_regime(n, delta)
     for _ in range(max_tries):
-        x = sample_spread_direction(n, params, rng, band=band)
-        cls = classify_profile(x, params, delta, q)
-        if cls.verdict == "regular" and cls.halasz_regime:
+        x = sample_spread_direction(n, REG_PARAMS, rng, band=REG_BAND)
+        cls = classify_profile(x, REG_PARAMS, delta, q)
+        if cls.verdict == "regular":
             return x, cls
     raise RegimeError(f"no regular vector sampled within max_tries={max_tries}")
 

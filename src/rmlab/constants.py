@@ -22,10 +22,10 @@ OP_NORM_COEFF = 2.5
 # Peaked-direction experiment threshold: event is |Ax| <= PEAKED_NORM_COEFF * sqrt(n).
 PEAKED_NORM_COEFF = 0.3
 
-# Tail experiment defaults: event is sigma_min < SIGMA_TAIL_EPS * n^(-3/2)
-# (threshold coefficient fixed at 1; any larger coefficient only weakens the event).
+# Tail experiment default: the paper's event sigma_min < eps * n^(-3/2), whose
+# probability is O(eps); E1 reads eps alone and criterion 2 compares the
+# tail frequency with it.
 SIGMA_TAIL_EPS = 0.1
-SIGMA_TAIL_COEFF = 1.0
 
 # Berry-Esseen comparator regime: the window half-width must satisfy
 # t >= BERRY_ESSEEN_T_LOWER / sqrt(m). Below that scale single atoms dominate

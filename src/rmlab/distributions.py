@@ -294,16 +294,3 @@ def abs_third_moment(dist: EntryDistribution) -> float:
         # (1/(2 sqrt(3))) * 2 * integral_0^sqrt(3) u^3 du = 3 sqrt(3) / 4
         return 3.0 * SQRT3 / 4.0
     return float(sum(p * abs(v) ** 3 for v, p in dist.atoms))
-
-
-def symmetrized_atoms(dist: EntryDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Atom law of beta - beta' for finite-support dist: (values, probs)."""
-    vals = dist.support()
-    probs = dist.support_probs()
-    diff = np.subtract.outer(vals, vals).ravel()
-    pp = np.multiply.outer(probs, probs).ravel()
-    uniq, inv = np.unique(diff, return_inverse=True)
-    agg = np.zeros_like(uniq)
-    np.add.at(agg, inv, pp)
-    return uniq, agg
-

@@ -199,23 +199,13 @@ def _spike_vector(n: int, spikes: int) -> np.ndarray:
     return x
 
 
-def _check_partition(config: ExperimentConfig) -> None:
-    """ConfigError unless delta > 0, q > 1, 0 < r < 1 < R and, where the
-    experiment has a band, r/2 < band_lo < band_hi < R."""
+def _check_profile(config: ExperimentConfig) -> None:
+    """ConfigError unless delta > 0 and q > 1."""
     p = config.params
     if not p["delta"] > 0.0:
         raise ConfigError(f"params.delta={p['delta']!r} must be positive")
     if not p["q"] > 1.0:
         raise ConfigError(f"params.q={p['q']!r} must be > 1")
-    if not 0.0 < p["r"] < 1.0:
-        raise ConfigError(f"params.r={p['r']!r} must be in (0, 1)")
-    if not p["R"] > 1.0:
-        raise ConfigError(f"params.R={p['R']!r} must be > 1")
-    if "band_lo" in p and not p["r"] / 2.0 < p["band_lo"] < p["band_hi"] < p["R"]:
-        raise ConfigError(
-            f"params.band_lo={p['band_lo']!r} and params.band_hi={p['band_hi']!r}"
-            f" must satisfy r/2 < band_lo < band_hi < R = {p['R']!r}"
-        )
 
 
 def _tasks_matrix(config: ExperimentConfig):
@@ -242,11 +232,11 @@ def _run_e1(config, payload):
 
 
 def _summary_e1(config, rows):
-    eps, coeff = config.params["eps"], config.params["coeff"]
+    eps = config.params["eps"]
 
     def entry(n, sub):
         sigmas = np.array([r[4] for r in sub])
-        thr = eps * coeff * n**-1.5
+        thr = eps * n**-1.5
         return {
             "tail_threshold": thr,
             "tail": _freq(int(np.count_nonzero(sigmas < thr)), len(sub)),
@@ -255,7 +245,7 @@ def _summary_e1(config, rows):
             "sigma_n32_p05": float(np.quantile(sigmas * n**1.5, 0.05)),
         }
 
-    return {"eps": eps, "coeff": coeff, "per_n": _per_n(config, rows, entry)}
+    return {"eps": eps, "per_n": _per_n(config, rows, entry)}
 
 
 def _run_e2(config, payload):
@@ -302,7 +292,8 @@ def _summary_e2b(config, rows):
 def _tasks_e3(config):
     if len(config.n_list) != 1:
         raise ConfigError("E3 uses a single dimension in n_list")
-    _check_partition(config)
+    _check_profile(config)
+    calibration.check_halasz_regime(config.n_list[0], config.params["delta"], "params.delta")
     return _tasks_trials(config)
 
 
@@ -311,10 +302,7 @@ def _run_e3(config, payload):
     n = config.n_list[0]
     p = config.params
     rng = derive_stream(config.master_seed, idx)
-    x, cls = calibration.sample_regular_vector(
-        rng, p["delta"], p["q"], n=n, params=PartitionParams(r=p["r"], R=p["R"]),
-        band=(p["band_lo"], p["band_hi"]), max_tries=p["max_tries"],
-    )
+    x, cls = calibration.sample_regular_vector(rng, p["delta"], p["q"], n=n, max_tries=p["max_tries"])
     sums = np.concatenate(list(sample_sums(config.dist, x, p["mc_samples"], rng)))
     seed = derive_substream_seed(config.master_seed, idx)
     ts = [mult * p["delta"] for mult in range(1, p["t_steps"] + 1)]
@@ -386,7 +374,12 @@ def _summary_e4(config, rows):
 
 
 def _tasks_e5(config):
-    _check_partition(config)
+    _check_profile(config)
+    p = config.params
+    if not 0.0 < p["r"] < 1.0:
+        raise ConfigError(f"params.r={p['r']!r} must be in (0, 1)")
+    if not p["R"] > 1.0:
+        raise ConfigError(f"params.R={p['R']!r} must be > 1")
     return _tasks_matrix(config)
 
 
@@ -482,7 +475,7 @@ class _Experiment:
 _RUNNERS = {
     "E1_sigma_min_tail": _Experiment(
         columns=("trial", "n", "dist", "seed", "sigma_min", "op_norm", "singular_flag"),
-        params={"eps": (float, constants.SIGMA_TAIL_EPS), "coeff": (float, constants.SIGMA_TAIL_COEFF)},
+        params={"eps": (float, constants.SIGMA_TAIL_EPS)},
         tasks=_tasks_matrix, run=_run_e1, summarize=_summary_e1, gil_free=True,
     ),
     "E2_op_norm": _Experiment(
@@ -497,11 +490,8 @@ _RUNNERS = {
     ),
     "E3_regular_smallball": _Experiment(
         columns=("trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold"),
-        params={"delta": (float, None), "q": (float, None),
-                "r": (float, calibration.REG_PARAMS.r), "R": (float, calibration.REG_PARAMS.R),
-                "band_lo": (float, calibration.REG_BAND[0]), "band_hi": (float, calibration.REG_BAND[1]),
-                "t_steps": (int, 8), "mc_samples": (int, 200_000),
-                "max_tries": (int, calibration.REG_MAX_TRIES)},
+        params={"delta": (float, None), "q": (float, None), "t_steps": (int, 8),
+                "mc_samples": (int, 200_000), "max_tries": (int, calibration.REG_MAX_TRIES)},
         tasks=_tasks_e3, run=_run_e3, summarize=_summary_e3,
     ),
     "E4_allocation": _Experiment(

@@ -60,8 +60,8 @@ def volumetric_bound(n: int, K: str, D: str, t: float) -> float:
     """log of the volumetric covering bound N(K, tD) <= 3^n |K| / |tD|."""
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if not t > 0:
-        raise ConfigError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ConfigError(f"t must be positive and finite, got t={t}")
     for shape in (K, D):
         if shape not in ("euclidean_ball", "cube"):
             raise ConfigError(f"unknown shape {shape!r}")
@@ -72,6 +72,8 @@ def volumetric_bound(n: int, K: str, D: str, t: float) -> float:
 
 def vp_entropy_bound(n: int, r: float, R: float) -> float:
     """Entropy bound (n/R) ln(3R/r) for nets over almost-flat directions."""
+    if not (math.isfinite(r) and math.isfinite(R)):
+        raise ConfigError(f"r={r} and R={R} must be finite")
     if not r < 0.5:
         raise RegimeError(f"r = {r} >= 1/2")
     if r <= 0 or R <= 1.0:
@@ -106,6 +108,8 @@ def singular_grid_net(n: int, delta: float, r: float, R: float, j_set) -> GridNe
     |j_set| >= m with m from the partition context.
     """
     params = PartitionParams(r=r, R=R)
+    if not 0.0 < delta < math.inf:
+        raise ConfigError(f"delta={delta} must be positive and finite")
     lo = (2.0 * R**3 / r**2) * n**-1.5
     hi = n**-0.5
     if not (lo <= delta <= hi):

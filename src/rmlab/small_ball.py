@@ -29,7 +29,6 @@ from .distributions import (
     abs_third_moment,
     char_fn,
     sample,
-    symmetrized_atoms,
 )
 from .errors import ConfigError, RegimeError
 from .rng import RngStream
@@ -448,8 +447,10 @@ def halasz_integral_bound(
     """
     x = np.asarray(x, dtype=float)
     m = x.size
-    if not a > 0:
-        raise ConfigError("a must be positive")
+    if not np.all(np.isfinite(x)):
+        raise ConfigError("x must be finite")
+    if not 0.0 < a < math.inf:
+        raise ConfigError(f"a must be positive and finite, got a={a}")
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ConfigError(f"delta={delta} must be a positive real")
     if not dist.finite_support:
@@ -466,7 +467,8 @@ def halasz_integral_bound(
         if sup_probs[xi > a].sum() <= 0 or sup_probs[xi < -a].sum() <= 0:
             raise RegimeError(f"P(x_j beta > a) or P(x_j beta < -a) vanishes at x_j={w}")
 
-    dvals, dprobs = symmetrized_atoms(dist)
+    # the law of beta - beta'
+    dvals, dprobs = _atom_law_of_sum(np.array([1.0, -1.0]), dist, sup.size**2)
     centers = np.multiply.outer(x, dvals).ravel()
     weights_ = np.broadcast_to(dprobs, (m, dvals.size)).ravel()
     half = math.pi * delta
@@ -506,8 +508,12 @@ def halasz_profile_bound(x, delta: float) -> ConcentrationEstimate:
     """
     x = np.asarray(x, dtype=float)
     m = x.size
+    if not np.all(np.isfinite(x)):
+        raise ConfigError("x must be finite")
     ax = np.abs(x)
     a = float(np.min(ax))
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ConfigError(f"delta={delta} must be a positive real")
     if a <= 0.0:
         raise RegimeError("min |x_j| = 0; positive weights required")
     if not (delta < a / (2.0 * math.pi)):

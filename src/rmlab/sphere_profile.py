@@ -32,8 +32,8 @@ class PartitionParams:
     def __post_init__(self):
         if not (0.0 < self.r < 1.0):
             raise ConfigError(f"r={self.r} must be in (0, 1)")
-        if not (self.R > 1.0):
-            raise ConfigError(f"R={self.R} must be > 1")
+        if not 1.0 < self.R < math.inf:
+            raise ConfigError(f"R={self.R} must be > 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class ProfileContext:
     def from_params(cls, n: int, delta: float, params: PartitionParams) -> "ProfileContext":
         if n < 1:
             raise ConfigError("n must be >= 1")
-        if delta <= 0:
-            raise ConfigError("delta must be positive")
+        if not 0.0 < delta < math.inf:
+            raise ConfigError(f"delta={delta} must be positive and finite")
         a = params.r / (2.0 * math.sqrt(n))
         if not math.isfinite(a / delta):
             raise ConfigError(f"delta={delta} too fine: r/(2 sqrt(n)) / delta overflows")
@@ -263,8 +263,8 @@ def classify_profile(
     delta above r/(4 pi sqrt(n)) is allowed but flagged via halasz_regime,
     since the downstream bounds need that inequality.
     """
-    if not Q > 1.0:
-        raise ConfigError(f"Q={Q} must be > 1")
+    if not 1.0 < Q < math.inf:
+        raise ConfigError(f"Q={Q} must be > 1 and finite")
     x = _check_unit(x)
     n = x.size
     sphere_class, sigma = classify_sphere(x, params)

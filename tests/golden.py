@@ -7,6 +7,8 @@
 
   - one CSV per `ACCEPTANCE_CONFIGS` entry of `test_acceptance.py`, and
     `e5.csv` for the criterion-9 `E5_DETERMINISM_CONFIG`;
+  - the JSON summary of each of those configs (`<name>.json`), with the
+    wall-clock `runtime_seconds` entry removed;
   - `fit_all.txt`: the `repr` of every raw constant and every
     (exact, bound) pair of `calibration.fit_all(CALIBRATION_SEED, 60)`;
   - `stability.txt`: the `repr` of every refit of
@@ -22,6 +24,7 @@ takes about 40 s on two cores.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -56,7 +59,10 @@ def outputs():
     """Yield (file name, text) for every output in the golden copy."""
     configs = {**ACCEPTANCE_CONFIGS, "e5": E5_DETERMINISM_CONFIG}
     for name, cfg in configs.items():
-        yield f"{name}.csv", emit(run(cfg), format="csv")
+        result = run(cfg)
+        yield f"{name}.csv", emit(result, format="csv")
+        summary = {k: v for k, v in result.summary.items() if k != "runtime_seconds"}
+        yield f"{name}.json", emit(replace(result, summary=summary), format="json")
     yield "fit_all.txt", _fit_all_text()
     yield "stability.txt", _stability_text()
 

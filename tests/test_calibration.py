@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from test_distributions import _philox_state
 from rmlab import calibration, constants
 from rmlab.calibration import (
     BOUNDS,
@@ -19,7 +22,7 @@ from rmlab.calibration import (
     sample_regular_vector,
 )
 from rmlab.distributions import GAUSSIAN, RADEMACHER, UNIFORM_SYM
-from rmlab.errors import RegimeError
+from rmlab.errors import ConfigError, RegimeError
 from rmlab.experiments import ExperimentConfig, run
 from rmlab.rng import derive_stream
 from rmlab.small_ball import esseen_bound, SmallBallQuery
@@ -181,6 +184,17 @@ def test_sample_regular_vector():
     # threshold 1.5 * 4^2.5 * 0.016 = 0.768 < 2 at n=16, so no draw is regular
     with pytest.raises(RegimeError, match="max_tries=3"):
         sample_regular_vector(derive_stream(50, 0), 0.016, 1.5, n=16, max_tries=3)
+
+
+def test_sample_regular_vector_checks_the_halasz_regime_before_drawing():
+    # r/(4 pi sqrt(64)) = 0.9/(32 pi) = 0.00895 < 0.02, whatever the draw
+    rng = derive_stream(50, 0)
+    state = _philox_state(rng)
+    with pytest.raises(RegimeError, match=r"delta=0.02 outside the Halasz regime delta <= r/\(4 pi sqrt\(n\)\)"):
+        sample_regular_vector(rng, 0.02, 4.0)
+    assert _philox_state(rng) == state
+    with pytest.raises(ConfigError, match="delta=nan"):
+        sample_regular_vector(rng, math.nan, 4.0)
 
 
 @pytest.mark.parametrize("count", [2, 6])

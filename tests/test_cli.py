@@ -126,6 +126,7 @@ VECTORS = {
     "ones3.txt": b"1\n1\n1\n",
     "long.txt": b"0.2\n" * 64,
     "latin1.txt": b"0.6\n\xe9\n",
+    "nan.txt": b"0.6\nnan\n",
 }
 
 
@@ -152,6 +153,34 @@ def test_bad_input_is_a_config_error(argv, tmp_path, capsys, monkeypatch):
         (tmp_path / name).write_bytes(data)
     assert main(argv.split()) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ("nets --check vp --n 10 --r 0.25 --R nan", "R=nan"),
+        ("nets --check vp --n 10 --r 0.25 --R inf", "R=inf"),
+        ("nets --check vp --n 10 --r nan", "r=nan"),
+        ("nets --check grid --n 25 --delta nan --l 6 --r 0.9 --R 1.3", "delta=nan"),
+        ("profile --x x.txt --delta 0.01 --q 4 --r 0.5 --R inf", "R=inf"),
+        ("profile --x x.txt --delta 0.01 --q inf", "Q=inf"),
+        ("profile --x x.txt --delta nan --q 4", "delta=nan must be"),
+        ("profile --x x.txt --delta inf --q 4", "delta=inf must be"),
+        ("small-ball --x ones3.txt --dist rademacher --t 0.1 --method halasz_profile --delta nan", "delta=nan"),
+        ("small-ball --x nan.txt --dist rademacher --t 0.1 --method halasz_profile --delta 0.01", "x must be finite"),
+        ("small-ball --x x.txt --dist rademacher --t 0.1 --method halasz_integral --delta 0.01 --a inf", "a=inf"),
+        ("nets --check volumetric --n 2 --t inf", "t=inf"),
+    ],
+)
+def test_non_finite_input_is_a_config_error(argv, named, tmp_path, capsys, monkeypatch):
+    """A nan or inf is rejected by name before any hypothesis check runs,
+    instead of giving a nan or inf answer, a regime violation or a traceback."""
+    monkeypatch.chdir(tmp_path)
+    for name, data in VECTORS.items():
+        (tmp_path / name).write_bytes(data)
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
 
 
 def test_a_plain_value_error_is_a_bug_with_exit_1(monkeypatch, capsys):
@@ -193,8 +222,7 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
     [
         (
             "sigma-min", 200,
-            "experiment=E1_sigma_min_tail dist=rademacher n_list=200 trials=2 master_seed=0"
-            " params.coeff=1.0 params.eps=0.1",
+            "experiment=E1_sigma_min_tail dist=rademacher n_list=200 trials=2 master_seed=0 params.eps=0.1",
             "trial,n,dist,seed,sigma_min,op_norm,singular_flag",
         ),
         (
@@ -229,6 +257,14 @@ def test_run_rejects_a_truncated_param(capsys):
     code = main(["run", "--experiment", "E2b_peaked", "--n", "8", "--trials", "1", "--param", "spikes=2.7"])
     assert code == 2
     assert "params.spikes" in capsys.readouterr().err
+
+
+def test_sigma_min_has_no_coeff_flag(capsys):
+    # E1's event is sigma_min < eps * n^(-3/2): eps is its one threshold flag
+    with pytest.raises(SystemExit) as exc:
+        main(["sigma-min", "--coeff", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --coeff 2" in capsys.readouterr().err
 
 
 def test_sigma_min_shortcut(capsys):

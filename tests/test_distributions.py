@@ -16,7 +16,6 @@ from rmlab.distributions import (
     discrete,
     parse_dist_spec,
     sample,
-    symmetrized_atoms,
 )
 from rmlab.rng import derive_stream
 
@@ -216,10 +215,3 @@ def test_abs_third_moment_closed_forms():
     assert abs_third_moment(GAUSSIAN) == pytest.approx(2.0 * math.sqrt(2.0 / math.pi))
     assert abs_third_moment(UNIFORM_SYM) == pytest.approx(3.0 * SQRT3 / 4.0)
     assert abs_third_moment(SKEW) == pytest.approx(0.2 * 8.0 + 0.8 * 0.125)
-
-
-def test_symmetrized_atoms_rademacher():
-    vals, probs = symmetrized_atoms(RADEMACHER)
-    assert np.array_equal(vals, [-2.0, 0.0, 2.0])
-    assert np.allclose(probs, [0.25, 0.5, 0.25])
-    assert probs.sum() == pytest.approx(1.0)

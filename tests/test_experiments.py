@@ -553,7 +553,7 @@ def test_run_rejects_params_the_experiment_does_not_read():
         ("E2b_peaked", "spikes", True),
         ("E2b_peaked", "coeff", "abc"),
         ("E2b_peaked", "coeff", float("nan")),
-        ("E1_sigma_min_tail", "coeff", float("inf")),
+        ("E1_sigma_min_tail", "eps", float("inf")),
         ("E6_bound_calibration", "per_bound", float("inf")),
     ],
 )
@@ -593,12 +593,6 @@ def test_config_error_for_bad_spike_count(monkeypatch):
 @pytest.mark.parametrize(
     "experiment, bad, key",
     [
-        ("E3_regular_smallball", {"r": 1.0}, "r"),
-        ("E3_regular_smallball", {"r": 0.0}, "r"),
-        ("E3_regular_smallball", {"R": 1.0}, "R"),
-        ("E3_regular_smallball", {"band_lo": 0.4}, "band_lo"),
-        ("E3_regular_smallball", {"band_lo": 1.1, "band_hi": 1.0}, "band_lo"),
-        ("E3_regular_smallball", {"band_hi": 1.3}, "band_hi"),
         ("E5_profile_census", {"r": -0.5}, "r"),
         ("E5_profile_census", {"R": 0.5}, "R"),
         ("E3_regular_smallball", {"q": 0.5}, "q"),
@@ -608,9 +602,8 @@ def test_config_error_for_bad_spike_count(monkeypatch):
     ],
 )
 def test_partition_params_are_checked_before_any_trial(experiment, bad, key, monkeypatch):
-    """delta > 0, q > 1, 0 < r < 1, R > 1 and r/2 < band_lo < band_hi < R
-    (E3's defaults r = 0.9, R = 1.3) fail naming the key before any trial
-    draws a vector."""
+    """delta > 0, q > 1 and E5's 0 < r < 1 < R fail naming the key before
+    any trial draws a vector."""
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
@@ -620,3 +613,39 @@ def test_partition_params_are_checked_before_any_trial(experiment, bad, key, mon
     )
     with pytest.raises(ConfigError, match=f"params.{key}="):
         run(cfg)
+
+
+@pytest.mark.parametrize(
+    "experiment, key",
+    [
+        ("E1_sigma_min_tail", "coeff"),
+        ("E3_regular_smallball", "r"),
+        ("E3_regular_smallball", "R"),
+        ("E3_regular_smallball", "band_lo"),
+        ("E3_regular_smallball", "band_hi"),
+    ],
+)
+def test_fixed_values_are_not_params(experiment, key):
+    """E1's threshold is eps * n^(-3/2) and E3 draws in calibration's regime,
+    so E1's coeff and E3's partition and band are unknown keys, and the error
+    lists the keys the experiment reads."""
+    params = {"delta": 0.004, "q": 4.0} if experiment == "E3_regular_smallball" else {}
+    reads = ", ".join(experiments.PARAMS[experiment])
+    cfg = ExperimentConfig(experiment=experiment, n_list=(64,), params={**params, key: 1.0})
+    with pytest.raises(ConfigError, match=f"has no params {key}; it reads {reads}$"):
+        run(cfg)
+
+
+def test_e3_checks_the_halasz_regime_before_any_trial(monkeypatch):
+    """delta = 0.02 > r/(4 pi sqrt(n)) = 0.9/(4 pi 8) at n = 64 fails before
+    any trial draws a vector, not after max_tries rejected draws."""
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "derive_stream", no_trial)
+    cfg = ExperimentConfig(
+        experiment="E3_regular_smallball", n_list=(64,), trials=2, params={"delta": 0.02, "q": 4.0}
+    )
+    with pytest.raises(RegimeError, match="params.delta=0.02") as exc:
+        run(cfg)
+    assert repr(0.9 / (4.0 * math.pi * 8.0)) in str(exc.value)

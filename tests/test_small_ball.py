@@ -517,6 +517,14 @@ def test_esseen_bound_dominates_exact_with_fitted_constant():
         assert exact_concentration(q).value <= c * esseen_bound(q).value + 1e-12
 
 
+def test_pair_difference_atom_law_rademacher():
+    """The law of beta - beta', which halasz_integral_bound integrates."""
+    vals, probs = small_ball._atom_law_of_sum(np.array([1.0, -1.0]), RADEMACHER, 4)
+    assert np.array_equal(vals, [-2.0, 0.0, 2.0])
+    assert np.allclose(probs, [0.25, 0.5, 0.25])
+    assert probs.sum() == pytest.approx(1.0)
+
+
 def test_halasz_integral_bound_all_ones_closed_form():
     # S_delta is m/4 on a single window of length 2 pi delta, so the bound
     # reduces to pi / (8 sqrt(m))
