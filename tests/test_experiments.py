@@ -590,15 +590,22 @@ def test_config_error_for_bad_spike_count(monkeypatch):
         run(cfg)
 
 
+# Each case carries a fixed number in its id, so deleting a case renames no other.
+_PROFILE_PARAM_CASES = [
+    (6, "E5_profile_census", {"r": -0.5}, "r"),
+    (7, "E5_profile_census", {"R": 0.5}, "R"),
+    (8, "E3_regular_smallball", {"q": 0.5}, "q"),
+    (9, "E5_profile_census", {"q": 1.0}, "q"),
+    (10, "E3_regular_smallball", {"delta": 0.0}, "delta"),
+    (11, "E5_profile_census", {"delta": -0.004}, "delta"),
+]
+
+
 @pytest.mark.parametrize(
     "experiment, bad, key",
     [
-        ("E5_profile_census", {"r": -0.5}, "r"),
-        ("E5_profile_census", {"R": 0.5}, "R"),
-        ("E3_regular_smallball", {"q": 0.5}, "q"),
-        ("E5_profile_census", {"q": 1.0}, "q"),
-        ("E3_regular_smallball", {"delta": 0.0}, "delta"),
-        ("E5_profile_census", {"delta": -0.004}, "delta"),
+        pytest.param(experiment, bad, key, id=f"{experiment}-bad{i}-{key}")
+        for i, experiment, bad, key in _PROFILE_PARAM_CASES
     ],
 )
 def test_partition_params_are_checked_before_any_trial(experiment, bad, key, monkeypatch):
