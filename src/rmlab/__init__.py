@@ -49,7 +49,6 @@ from .sphere_profile import (
     classify_profile,
     classify_sphere,
     delta_profile,
-    j_set,
     min_half_subset_ssq,
     sample_allocation,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "greedy_net",
     "halasz_integral_bound",
     "halasz_profile_bound",
-    "j_set",
     "min_half_subset_ssq",
     "monte_carlo_concentration",
     "operator_norm",

@@ -290,10 +290,9 @@ def _random_berry(rng, count: int) -> list[BoundQuery]:
     return out
 
 
-# Regular-vector regime of E3 and of the corpus below: the partition and the
-# coordinate band that FITTED["regular_smallball"] was fitted in.
+# Regular-vector regime of E3 and of the corpus below: the partition that
+# FITTED["regular_smallball"] was fitted in; sample_spread_direction fixes the band.
 REG_PARAMS = PartitionParams(r=0.9, R=1.3)
-REG_BAND = (0.9, 1.1)
 REG_MAX_TRIES = 200
 _REG_N = 64
 
@@ -304,7 +303,7 @@ def check_halasz_regime(n: int, delta: float, name: str = "delta") -> None:
     unless delta is positive and finite. name labels delta in the message."""
     if not 0.0 < delta < math.inf:
         raise ConfigError(f"{name}={delta!r} must be positive and finite")
-    bound = REG_PARAMS.r / (4.0 * math.pi * math.sqrt(n))
+    bound = REG_PARAMS.halasz_ceiling(n)
     if not delta <= bound:
         raise RegimeError(
             f"{name}={delta!r} outside the Halasz regime delta <= r/(4 pi sqrt(n))"
@@ -313,15 +312,15 @@ def check_halasz_regime(n: int, delta: float, name: str = "delta") -> None:
 
 
 def sample_regular_vector(rng, delta: float, q: float, n: int = _REG_N, max_tries: int = REG_MAX_TRIES):
-    """Spread direction of REG_PARAMS, its coordinates drawn in REG_BAND/sqrt(n),
-    that classify_profile calls regular, with its classification.
+    """Spread direction of REG_PARAMS, drawn by sample_spread_direction, that
+    classify_profile calls regular, with its classification.
 
     The Halasz condition does not depend on the draw, so check_halasz_regime
     runs once, before the first draw; RegimeError from it, or after max_tries
     rejected draws."""
     check_halasz_regime(n, delta)
     for _ in range(max_tries):
-        x = sample_spread_direction(n, REG_PARAMS, rng, band=REG_BAND)
+        x = sample_spread_direction(n, REG_PARAMS, rng)
         cls = classify_profile(x, REG_PARAMS, delta, q)
         if cls.verdict == "regular":
             return x, cls

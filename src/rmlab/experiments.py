@@ -293,6 +293,9 @@ def _tasks_e3(config):
     if len(config.n_list) != 1:
         raise ConfigError("E3 uses a single dimension in n_list")
     _check_profile(config)
+    if config.params["t_steps"] < 2:
+        # a line through q_hat(t) needs two windows
+        raise ConfigError(f"params.t_steps={config.params['t_steps']!r} must be at least 2")
     calibration.check_halasz_regime(config.n_list[0], config.params["delta"], "params.delta")
     return _tasks_trials(config)
 
@@ -340,6 +343,8 @@ def _summary_e3(config, rows):
 
 
 def _tasks_e4(config):
+    if len(config.n_list) != 1:
+        raise ConfigError("E4 uses a single dimension in n_list")
     l, k = config.params["l"], config.params["k"]
     if k > l:
         raise ConfigError(f"params.k={k} must be at most params.l={l}")

@@ -71,13 +71,11 @@ def volumetric_bound(n: int, K: str, D: str, t: float) -> float:
 
 
 def vp_entropy_bound(n: int, r: float, R: float) -> float:
-    """Entropy bound (n/R) ln(3R/r) for nets over almost-flat directions."""
-    if not (math.isfinite(r) and math.isfinite(R)):
-        raise ConfigError(f"r={r} and R={R} must be finite")
+    """Entropy bound (n/R) ln(3R/r) for nets over almost-flat directions;
+    ConfigError outside PartitionParams's domain, RegimeError unless r < 1/2."""
+    PartitionParams(r=r, R=R)
     if not r < 0.5:
         raise RegimeError(f"r = {r} >= 1/2")
-    if r <= 0 or R <= 1.0:
-        raise ConfigError("need 0 < r < 1/2 and R > 1")
     if n < 1:
         raise ConfigError("n must be >= 1")
     return (n / R) * math.log(3.0 * R / r)

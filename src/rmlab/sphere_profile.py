@@ -24,7 +24,8 @@ _UNIT_NORM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PartitionParams:
-    """Split parameters r < 1 < R; defaults are the recorded config values."""
+    """Split parameters r < 1 < R (defaults: the recorded config values) and
+    the thresholds they set at dimension n, each computed only here."""
 
     r: float = constants.DEFAULT_R_LOWER
     R: float = constants.DEFAULT_R_UPPER
@@ -34,6 +35,22 @@ class PartitionParams:
             raise ConfigError(f"r={self.r} must be in (0, 1)")
         if not 1.0 < self.R < math.inf:
             raise ConfigError(f"R={self.R} must be > 1 and finite")
+
+    def floor(self, n: int) -> float:
+        """Annulus floor r/(2 sqrt(n)), the least |x_j| counted in J(x)."""
+        return self.r / (2.0 * math.sqrt(n))
+
+    def cap(self, n: int) -> float:
+        """Coordinate cap R/sqrt(n): sigma(x) and J(x) hold the |x_j| at most this."""
+        return self.R / math.sqrt(n)
+
+    def m(self, n: int) -> int:
+        """Least size ceil(r^2 n / (2 R^2)) of J(x) for a spread vector x."""
+        return math.ceil((self.r**2 / (2.0 * self.R**2)) * n)
+
+    def halasz_ceiling(self, n: int) -> float:
+        """Largest delta of the Halasz regime, r/(4 pi sqrt(n))."""
+        return self.r / (4.0 * math.pi * math.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -58,7 +75,7 @@ class ProfileContext:
             raise ConfigError("n must be >= 1")
         if not 0.0 < delta < math.inf:
             raise ConfigError(f"delta={delta} must be positive and finite")
-        a = params.r / (2.0 * math.sqrt(n))
+        a = params.floor(n)
         if not math.isfinite(a / delta):
             raise ConfigError(f"delta={delta} too fine: r/(2 sqrt(n)) / delta overflows")
         k0 = max(0, math.ceil(a / delta) - 1)
@@ -69,12 +86,12 @@ class ProfileContext:
         elif (k0 + 1) * delta < a:
             k0 += 1
         k = math.ceil((params.R - params.r / 2.0) / (math.sqrt(n) * delta))
-        m = math.ceil((params.r**2 / (2.0 * params.R**2)) * n)
+        m = params.m(n)
         # either check fails only when delta is too fine for floats to
         # resolve bins of width delta
         if not k0 * delta < a <= (k0 + 1) * delta:
             raise ConfigError(f"delta={delta} too fine: bin k0={k0} misses r/(2 sqrt(n))={a}")
-        if (k0 + k + 1) * delta < params.R / math.sqrt(n):
+        if (k0 + k + 1) * delta < params.cap(n):
             raise ConfigError(f"delta={delta} too fine: bins up to {k0 + k} stop short of R/sqrt(n)")
         return cls(n=n, delta=delta, k0=k0, k=k, m=m)
 
@@ -156,31 +173,10 @@ def classify_sphere(x, params: PartitionParams) -> tuple[str, np.ndarray]:
     mass on sigma(x) is below r, else spread (V_S). Indices are 0-based.
     """
     x = _check_unit(x)
-    n = x.size
-    sigma = np.flatnonzero(np.abs(x) <= params.R / math.sqrt(n))
+    sigma = np.flatnonzero(np.abs(x) <= params.cap(x.size))
     small_mass = float(np.linalg.norm(x[sigma])) if sigma.size else 0.0
     cls = "V_P" if small_mass < params.r else "V_S"
     return cls, sigma
-
-
-def j_set(x, params: PartitionParams) -> np.ndarray:
-    """Mid-range index set J(x) = {j : r/(2 sqrt(n)) <= |x_j| <= R/sqrt(n)}.
-
-    Caller must have classified x as V_S. |J(x)| >= m is guaranteed by the
-    partition geometry; a violation indicates an implementation bug and raises.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    lo = params.r / (2.0 * math.sqrt(n))
-    hi = params.R / math.sqrt(n)
-    ax = np.abs(x)
-    J = np.flatnonzero((ax >= lo) & (ax <= hi))
-    m = math.ceil((params.r**2 / (2.0 * params.R**2)) * n)
-    if J.size < m:
-        raise AssertionError(
-            f"internal consistency: |J(x)| = {J.size} < m = {m} for a V_S vector"
-        )
-    return J
 
 
 def delta_profile(x, delta: float) -> DeltaProfile:
@@ -254,7 +250,8 @@ def classify_profile(
 ) -> ProfileClassification:
     """Exact regular/singular decision for a spread unit vector.
 
-    Restricts x to J(x), bins those coordinates at resolution delta, and
+    Restricts x to J(x) = {j : r/(2 sqrt(n)) <= |x_j| <= R/sqrt(n)}, bins
+    those coordinates at resolution delta, and
     minimizes sum of squared bin counts over subsets of ceil(m/2)
     coordinates (bin-level minimization is exact because coordinates
     sharing a bin are interchangeable). Verdict is regular iff the minimum
@@ -265,15 +262,18 @@ def classify_profile(
     """
     if not 1.0 < Q < math.inf:
         raise ConfigError(f"Q={Q} must be > 1 and finite")
-    x = _check_unit(x)
-    n = x.size
-    sphere_class, sigma = classify_sphere(x, params)
+    sphere_class, sigma = classify_sphere(x, params)  # checks that x is a unit vector
     if sphere_class == "V_P":
         raise RegimeError("x is in V_P; profile classification applies to V_S only")
+    x = np.asarray(x, dtype=float)
+    n = x.size
     ctx = ProfileContext.from_params(n, delta, params)
-    J = j_set(x, params)
+    ax = np.abs(x)
+    J = np.flatnonzero((ax >= params.floor(n)) & (ax <= params.cap(n)))
+    if J.size < ctx.m:  # the partition geometry rules this out for a V_S vector
+        raise AssertionError(f"internal consistency: |J(x)| = {J.size} < m = {ctx.m}")
     profile = delta_profile(x[J], delta)
-    halasz_regime = delta <= params.r / (4.0 * math.pi * math.sqrt(n))
+    halasz_regime = delta <= params.halasz_ceiling(n)
 
     bin_keys = sorted(profile.counts)
     occupancy = [profile.counts[b] for b in bin_keys]
@@ -316,21 +316,17 @@ def sample_allocation(l: int, k: int, rng: RngStream) -> AllocationInstance:
 # ---- direction samplers ------------------------------------------------------
 
 
-def sample_spread_direction(
-    n: int,
-    params: PartitionParams,
-    rng: RngStream,
-    band: tuple[float, float] = (0.9, 1.1),
-) -> np.ndarray:
+def sample_spread_direction(n: int, params: PartitionParams, rng: RngStream) -> np.ndarray:
     """Unit vector in V_S with every |x_j| near 1/sqrt(n).
 
-    Coordinate magnitudes are drawn uniformly from band/sqrt(n) with random
-    signs and the vector is normalized; the band must sit strictly inside
-    (r/2, R) so normalization drift cannot leave the annulus.
+    Magnitudes are drawn uniformly from (0.9, 1.1)/sqrt(n), the band that
+    FITTED["regular_smallball"] was fitted in, with random signs, and the
+    vector is normalized. ConfigError unless the band sits strictly inside
+    (r/2, R), i.e. R > 1.1, so normalization drift cannot leave the annulus.
     """
-    lo, hi = band
+    lo, hi = 0.9, 1.1
     if not (params.r / 2.0 < lo < hi < params.R):
-        raise ConfigError(f"band {band} not inside (r/2, R) = ({params.r/2}, {params.R})")
+        raise ConfigError(f"band ({lo}, {hi}) not inside (r/2, R) = ({params.r/2}, {params.R})")
     mags = rng.uniform(lo / math.sqrt(n), hi / math.sqrt(n), size=n)
     signs = sample(RADEMACHER, rng, size=n)
     x = mags * signs
@@ -347,11 +343,8 @@ def sample_peaked_direction(
     """Unit vector in V_P: one spike above R/sqrt(n) plus small residual mass."""
     rho = rng.uniform(0.0, 0.9 * params.r)
     spike = math.sqrt(1.0 - rho**2)
-    if spike <= params.R / math.sqrt(n):
-        raise RegimeError(
-            f"n={n} too small: spike {spike:.4f} <= R/sqrt(n) = "
-            f"{params.R / math.sqrt(n):.4f}"
-        )
+    if spike <= params.cap(n):
+        raise RegimeError(f"n={n} too small: spike {spike:.4f} <= R/sqrt(n) = {params.cap(n):.4f}")
     j = int(rng.integers(0, n))
     x = np.zeros(n)
     if n > 1 and rho > 0:

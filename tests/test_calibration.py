@@ -197,6 +197,20 @@ def test_sample_regular_vector_checks_the_halasz_regime_before_drawing():
         sample_regular_vector(rng, math.nan, 4.0)
 
 
+def test_halasz_ceiling_is_one_formula():
+    """check_halasz_regime and classify_profile's halasz_regime flag share
+    the ceiling r/(4 pi sqrt(n)): both accept it and both refuse one ulp more."""
+    params = calibration.REG_PARAMS
+    ceiling = params.r / (4.0 * math.pi * 8.0)
+    x = calibration.sample_spread_direction(64, params, derive_stream(50, 1))
+    calibration.check_halasz_regime(64, ceiling)
+    assert calibration.classify_profile(x, params, ceiling, 4.0).halasz_regime
+    above = float(np.nextafter(ceiling, math.inf))
+    with pytest.raises(RegimeError):
+        calibration.check_halasz_regime(64, above)
+    assert not calibration.classify_profile(x, params, above, 4.0).halasz_regime
+
+
 @pytest.mark.parametrize("count", [2, 6])
 def test_fit_bound_draws_each_regular_sample_once(count, monkeypatch):
     # count=6 ends in a partial group: 4 windows of one vector, 2 of the next

@@ -417,6 +417,18 @@ def test_nets_vp(capsys):
     assert payload["params"] == {"n": 100, "r": 0.25, "R": 10.0}
 
 
+@pytest.mark.parametrize(
+    "r, R, code",
+    [("1.5", "40", 2), ("-0.1", "40", 2), ("0.25", "1.0", 2), ("0.7", "40", 3)],
+)
+def test_nets_vp_checks_the_partition_domain_before_r_below_half(r, R, code, capsys):
+    """An r or R outside 0 < r < 1 < R is a config error (exit 2); r in
+    [1/2, 1) is a regime violation of the bound's hypothesis (exit 3)."""
+    assert main(["nets", "--check", "vp", "--n", "10", "--r", r, "--R", R]) == code
+    err = capsys.readouterr().err
+    assert ("config error" in err) == (code == 2)
+
+
 def test_nets_grid(capsys):
     code = main([
         "nets", "--check", "grid", "--n", "25", "--delta", "0.05",

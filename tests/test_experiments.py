@@ -372,6 +372,17 @@ def test_e4_rejects_sizes_before_any_trial(l, k, key, monkeypatch):
     assert calls == []
 
 
+def test_e4_uses_a_single_dimension_before_any_trial(monkeypatch):
+    """l defaults to the first n, so a second n would be dropped unread."""
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "sample_allocation", no_trial)
+    cfg = ExperimentConfig(experiment="E4_allocation", n_list=(100, 200), trials=2)
+    with pytest.raises(ConfigError, match="single dimension"):
+        run(cfg)
+
+
 def test_e5_census_peaked_regime():
     cfg = ExperimentConfig(
         experiment="E5_profile_census", n_list=(64,), trials=6, master_seed=9,
@@ -598,6 +609,7 @@ _PROFILE_PARAM_CASES = [
     (9, "E5_profile_census", {"q": 1.0}, "q"),
     (10, "E3_regular_smallball", {"delta": 0.0}, "delta"),
     (11, "E5_profile_census", {"delta": -0.004}, "delta"),
+    (12, "E3_regular_smallball", {"t_steps": 1}, "t_steps"),
 ]
 
 
@@ -609,8 +621,9 @@ _PROFILE_PARAM_CASES = [
     ],
 )
 def test_partition_params_are_checked_before_any_trial(experiment, bad, key, monkeypatch):
-    """delta > 0, q > 1 and E5's 0 < r < 1 < R fail naming the key before
-    any trial draws a vector."""
+    """delta > 0, q > 1, E3's t_steps >= 2 (a line fit needs two windows)
+    and E5's 0 < r < 1 < R fail naming the key before any trial draws a
+    vector."""
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 

@@ -18,7 +18,6 @@ from rmlab.sphere_profile import (
     classify_profile,
     classify_sphere,
     delta_profile,
-    j_set,
     min_half_subset_ssq,
     sample_allocation,
     sample_peaked_direction,
@@ -101,14 +100,14 @@ def test_classify_sphere_rejects_non_unit():
 
 def test_j_set_flat_vector():
     x = np.full(16, 0.25)
-    J = j_set(x, PARAMS)
-    assert list(J) == list(range(16))
+    assert classify_profile(x, PARAMS, delta=0.004, Q=4.0).j_set == tuple(range(16))
 
 
 def test_j_set_sign_invariance():
     rng = derive_stream(17, 0)
     x = sample_spread_direction(32, PARAMS, rng)
-    assert np.array_equal(j_set(x, PARAMS), j_set(-x, PARAMS))
+    out = classify_profile(x, PARAMS, delta=0.004, Q=4.0)
+    assert out.j_set == classify_profile(-x, PARAMS, delta=0.004, Q=4.0).j_set
 
 
 # ------------------------------------------------------------------- profile
@@ -321,10 +320,9 @@ def test_sample_spread_direction_properties():
 
 
 def test_sample_spread_direction_band_validation():
+    # the band (0.9, 1.1) must sit inside (r/2, R)
     with pytest.raises(ValueError):
-        sample_spread_direction(16, PARAMS, derive_stream(11, 9), band=(0.3, 1.1))
-    with pytest.raises(ValueError):
-        sample_spread_direction(16, PARAMS, derive_stream(11, 9), band=(0.9, 1.4))
+        sample_spread_direction(16, PartitionParams(r=0.9, R=1.1), derive_stream(11, 9))
 
 
 def test_sample_peaked_direction_properties():
