@@ -98,14 +98,11 @@ class FitReport:
     results: tuple[QueryResult, ...]
 
 
-_MC_SAMPLES = 200_000
-
-
 def _mc_sums(query: BoundQuery) -> np.ndarray:
     """The Monte Carlo sums of a regular-vector query. They depend on
     (x, law, mc_seed) only, not on the window t."""
     rng = derive_stream(query.mc_seed, 0)
-    return np.concatenate(list(sample_sums(query.dist, query.x, _MC_SAMPLES, rng)))
+    return np.concatenate(list(sample_sums(query.dist, query.x, REG_MC_SAMPLES, rng)))
 
 
 def exact_value(query: BoundQuery) -> float:
@@ -290,10 +287,12 @@ def _random_berry(rng, count: int) -> list[BoundQuery]:
     return out
 
 
-# Regular-vector regime of E3 and of the corpus below: the partition that
-# FITTED["regular_smallball"] was fitted in; sample_spread_direction fixes the band.
+# Regular-vector regime of E3 and of the corpus below: the partition and the
+# Monte Carlo sums per query that FITTED["regular_smallball"] was fitted at;
+# sample_spread_direction fixes the band.
 REG_PARAMS = PartitionParams(r=0.9, R=1.3)
 REG_MAX_TRIES = 200
+REG_MC_SAMPLES = 200_000
 _REG_N = 64
 
 

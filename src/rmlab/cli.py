@@ -106,15 +106,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_shortcut(args) -> int:
     """`run` with the experiment fixed by the subcommand; allocation has no
-    --n, its one dimension is --l."""
-    n_list = args.l if args.experiment == "E4_allocation" else args.n
-    pairs = [
-        ("experiment", args.experiment),
-        ("dist", args.dist),
-        ("n_list", n_list),
-        ("trials", args.trials),
-        ("master_seed", args.seed),
-    ]
+    --dist, E4 reads none, and no --n, its one dimension is --l."""
+    if args.experiment == "E4_allocation":
+        pairs = [("n_list", args.l)]
+    else:
+        pairs = [("dist", args.dist), ("n_list", args.n)]
+    pairs += [("experiment", args.experiment), ("trials", args.trials), ("master_seed", args.seed)]
     pairs += [(f"params.{key}", getattr(args, key)) for key in PARAMS[args.experiment]]
     return _run_and_emit(_config(pairs), args)
 
@@ -214,13 +211,14 @@ def _add_output_flags(p) -> None:
 
 
 # command, experiment, help, default --n (None: the one dimension is --l),
-# default trials, default dist; each param's flag has its experiments.PARAMS
-# type and default, but allocation's --l/--k, derived there, default to 1000
+# default trials, default dist (None: no --dist, E4 reads none); each param's
+# flag has its experiments.PARAMS type and default, but allocation's --l/--k,
+# derived there, default to 1000
 _SHORTCUTS = (
     ("sigma-min", "E1_sigma_min_tail", "smallest singular value tail (E1)", "200", 200, "rademacher"),
     ("op-norm", "E2_op_norm", "operator norm tail (E2)", "200", 500, "gaussian"),
     ("peaked", "E2b_peaked", "peaked-direction image norm (E2b)", "100", 2000, "rademacher"),
-    ("allocation", "E4_allocation", "balls-in-urns concentration (E4)", None, 1000, "rademacher"),
+    ("allocation", "E4_allocation", "balls-in-urns concentration (E4)", None, 1000, None),
 )
 
 
@@ -251,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if n is not None:
             p.add_argument("--n", default=n)
         p.add_argument("--trials", type=int, default=trials)
-        p.add_argument("--dist", default=dist)
+        if dist is not None:
+            p.add_argument("--dist", default=dist)
         p.add_argument("--seed", type=int, default=0)
         for key, (kind, default) in PARAMS[experiment].items():
             p.add_argument(f"--{key}", type=kind, default=1000 if callable(default) else default)

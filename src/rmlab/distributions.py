@@ -157,68 +157,54 @@ def parse_dist_spec(spec: str) -> EntryDistribution:
 # ---- sampling --------------------------------------------------------------
 
 
-# Philox words read per chunk by _fill_rademacher: 128 KiB of words and
+# Philox words read per chunk by _rademacher: 128 KiB of words and
 # 256 KiB of signs, so a chunk stays in cache between its passes.
 _SIGN_CHUNK_WORDS = 1 << 14
 
 
-def _read_top_bits(bg, out: np.ndarray, tail: tuple[int, int]) -> tuple[int, int]:
-    """Write into the 1-d array out the top bits of the next out.size 32-bit
-    half-words of the Philox bg, as integers(0, 2) reads them: it never
-    rejects a word (Lemire's method), and a 64-bit word gives its low half
-    first. tail is (has_uint32, uinteger) before the read, and a pending
-    high half is read first; the pair after the read is returned. bg's own
-    has_uint32/uinteger are not used."""
-    has, uinteger = tail
-    pos = 0
-    if has and out.size:
-        out[0] = uinteger >> 31
-        has, pos = 0, 1
-    fresh = out.size - pos
-    if fresh:
-        words = bg.random_raw((fresh + 1) // 2)
-        halves = words.astype("<u8", copy=False).view("<u4")[:fresh]
-        np.greater_equal(halves, 1 << 31, out=out[pos:], casting="unsafe")
-        has, uinteger = fresh % 2, int(words[-1]) >> 32
-    return has, uinteger
+def _rademacher(rng: RngStream, size) -> np.ndarray:
+    """Rademacher signs of the given shape, read straight from rng's Philox words.
 
-
-def _fill_rademacher(rng: RngStream, out: np.ndarray) -> None:
-    """Fill the C-contiguous float array out with Rademacher signs, in place.
-
-    The signs equal 2.0 * rng.integers(0, 2, out.shape) - 1.0 bit for bit,
-    and rng is left where that call leaves it (see _read_top_bits).
+    They equal 2.0 * rng.integers(0, 2, size) - 1.0 bit for bit, and rng is
+    left where that call leaves it. integers(0, 2) takes the top bit of each
+    32-bit half-word and never rejects one (Lemire's method); a 64-bit word
+    gives its low half first, and a high half left pending by an earlier call
+    (the generator's has_uint32/uinteger) is read first. The chunks after it
+    are whole and even-sized, so only the last one can leave a half pending.
     """
-    if not out.flags.c_contiguous:
-        raise ConfigError("out must be C-contiguous")
+    out = np.empty(size)
     flat = out.reshape(-1)
-    if flat.size == 0:
-        return
     bg = rng.bit_generator
     state = bg.state
-    tail = (state["has_uint32"], state["uinteger"])
-    for pos in range(0, flat.size, 2 * _SIGN_CHUNK_WORDS):
-        dst = flat[pos : pos + 2 * _SIGN_CHUNK_WORDS]
-        tail = _read_top_bits(bg, dst, tail)
+    has, uinteger = state["has_uint32"], state["uinteger"]
+    pos = 0
+    if has and flat.size:
+        flat[0] = 2.0 * (uinteger >> 31) - 1.0
+        has, pos = 0, 1
+    for start in range(pos, flat.size, 2 * _SIGN_CHUNK_WORDS):
+        dst = flat[start : start + 2 * _SIGN_CHUNK_WORDS]
+        words = bg.random_raw((dst.size + 1) // 2)
+        halves = words.astype("<u8", copy=False).view("<u4")[: dst.size]
+        np.greater_equal(halves, 1 << 31, out=dst, casting="unsafe")
         np.multiply(dst, 2.0, out=dst)
         np.subtract(dst, 1.0, out=dst)
+        has, uinteger = dst.size % 2, int(words[-1]) >> 32
     state = bg.state
-    state["has_uint32"], state["uinteger"] = tail
+    state["has_uint32"], state["uinteger"] = has, uinteger
     bg.state = state
+    return out
 
 
 def sample(dist: EntryDistribution, rng: RngStream, size=None):
     """Draw from the law; deterministic given the stream state.
 
     Returns a scalar float when size is None, else an ndarray of that shape.
-    Rademacher signs are read straight from the Philox words into one
-    array by _fill_rademacher; they equal 2 * rng.integers(0, 2, size) - 1
-    bit for bit, and tests/test_distributions.py pins that for the
-    installed numpy.
+    Rademacher signs are read straight from the Philox words by
+    _rademacher; they equal 2 * rng.integers(0, 2, size) - 1 bit for bit,
+    and tests/test_distributions.py pins that for the installed numpy.
     """
     if dist.kind == "rademacher":
-        out = np.empty(() if size is None else size)
-        _fill_rademacher(rng, out)
+        out = _rademacher(rng, () if size is None else size)
     elif dist.kind == "gaussian":
         out = rng.standard_normal(size=size)
     elif dist.kind == "uniform_sym":

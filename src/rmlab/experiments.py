@@ -496,7 +496,8 @@ _RUNNERS = {
     "E3_regular_smallball": _Experiment(
         columns=("trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold"),
         params={"delta": (float, None), "q": (float, None), "t_steps": (int, 8),
-                "mc_samples": (int, 200_000), "max_tries": (int, calibration.REG_MAX_TRIES)},
+                "mc_samples": (int, calibration.REG_MC_SAMPLES),
+                "max_tries": (int, calibration.REG_MAX_TRIES)},
         tasks=_tasks_e3, run=_run_e3, summarize=_summary_e3,
     ),
     "E4_allocation": _Experiment(

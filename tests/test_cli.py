@@ -267,6 +267,14 @@ def test_sigma_min_has_no_coeff_flag(capsys):
     assert "unrecognized arguments: --coeff 2" in capsys.readouterr().err
 
 
+def test_allocation_has_no_dist_flag(capsys):
+    # E4 throws balls into urns and never draws from an entry law
+    with pytest.raises(SystemExit) as exc:
+        main(["allocation", "--dist", "gaussian"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dist gaussian" in capsys.readouterr().err
+
+
 def test_sigma_min_shortcut(capsys):
     code = main(["sigma-min", "--n", "8", "--trials", "2", "--seed", "3"])
     assert code == 0

@@ -119,7 +119,8 @@ def _philox_state(rng):
     )
 
 
-# Chunk edges of the sign reader: 2**15 signs per chunk of Philox words.
+# Edges of the sign reader: a pending half-word read before the first chunk,
+# 2**15 signs per chunk of Philox words, and empty draws with a half pending.
 @given(
     seed=st.integers(min_value=0, max_value=2**32),
     prefix=st.integers(min_value=0, max_value=3),
@@ -130,6 +131,8 @@ def _philox_state(rng):
     ),
 )
 @example(seed=5, prefix=1, size=None)
+@example(seed=5, prefix=1, size=0)
+@example(seed=5, prefix=1, size=(0, 67))
 @example(seed=5, prefix=0, size=2**15)
 @example(seed=5, prefix=1, size=2**15 + 1)
 @example(seed=5, prefix=3, size=(491, 67))
