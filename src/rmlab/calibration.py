@@ -287,9 +287,10 @@ def _random_berry(rng, count: int) -> list[BoundQuery]:
     return out
 
 
-# Regular-vector regime of E3 and of the corpus below: the partition and the
-# Monte Carlo sums per query that FITTED["regular_smallball"] was fitted at;
-# sample_spread_direction fixes the band.
+# Regular-vector regime of E3 and of the corpus below: the partition, the
+# draws per vector and the Monte Carlo sums per query that
+# FITTED["regular_smallball"] was fitted at; sample_spread_direction fixes
+# the band.
 REG_PARAMS = PartitionParams(r=0.9, R=1.3)
 REG_MAX_TRIES = 200
 REG_MC_SAMPLES = 200_000
@@ -310,20 +311,20 @@ def check_halasz_regime(n: int, delta: float, name: str = "delta") -> None:
         )
 
 
-def sample_regular_vector(rng, delta: float, q: float, n: int = _REG_N, max_tries: int = REG_MAX_TRIES):
+def sample_regular_vector(rng, delta: float, q: float, n: int = _REG_N):
     """Spread direction of REG_PARAMS, drawn by sample_spread_direction, that
     classify_profile calls regular, with its classification.
 
     The Halasz condition does not depend on the draw, so check_halasz_regime
-    runs once, before the first draw; RegimeError from it, or after max_tries
-    rejected draws."""
+    runs once, before the first draw; RegimeError from it, or after
+    REG_MAX_TRIES rejected draws."""
     check_halasz_regime(n, delta)
-    for _ in range(max_tries):
+    for _ in range(REG_MAX_TRIES):
         x = sample_spread_direction(n, REG_PARAMS, rng)
         cls = classify_profile(x, REG_PARAMS, delta, q)
         if cls.verdict == "regular":
             return x, cls
-    raise RegimeError(f"no regular vector sampled within max_tries={max_tries}")
+    raise RegimeError(f"no regular vector sampled within max_tries={REG_MAX_TRIES}")
 
 
 def _regular_queries(seed: int, count: int) -> list[BoundQuery]:
@@ -397,23 +398,19 @@ def fit_all(
     return {bound: fit_bound(bound, seed, per_bound) for bound in BOUNDS}
 
 
-def stability_report(
-    base_seed: int = constants.CALIBRATION_SEED,
-    per_bound: int = 60,
-    reseeds: tuple[int, ...] = (1, 2),
-    tolerance: float = 0.20,
-) -> dict[str, dict]:
-    """Refit under alternative corpus seeds; raw fits must stay within the
-    tolerance band of the frozen raw values."""
+def stability_report() -> dict[str, dict]:
+    """Refit each bound at per_bound=60 under the corpus seeds
+    CALIBRATION_SEED + 1 and + 2; a bound is stable when both raw fits stay
+    within 20% of its frozen raw value."""
     out = {}
     for bound in BOUNDS:
         frozen = constants.FITTED_RAW[bound]
-        refits = [fit_bound(bound, base_seed + off, per_bound).raw for off in reseeds]
+        refits = [fit_bound(bound, constants.CALIBRATION_SEED + off, 60).raw for off in (1, 2)]
         rel = [abs(v - frozen) / frozen for v in refits]
         out[bound] = {
             "frozen_raw": frozen,
             "refits": refits,
             "max_rel_drift": max(rel),
-            "stable": max(rel) <= tolerance,
+            "stable": max(rel) <= 0.20,
         }
     return out

@@ -293,9 +293,6 @@ def _tasks_e3(config):
     if len(config.n_list) != 1:
         raise ConfigError("E3 uses a single dimension in n_list")
     _check_profile(config)
-    if config.params["t_steps"] < 2:
-        # a line through q_hat(t) needs two windows
-        raise ConfigError(f"params.t_steps={config.params['t_steps']!r} must be at least 2")
     calibration.check_halasz_regime(config.n_list[0], config.params["delta"], "params.delta")
     return _tasks_trials(config)
 
@@ -305,10 +302,11 @@ def _run_e3(config, payload):
     n = config.n_list[0]
     p = config.params
     rng = derive_stream(config.master_seed, idx)
-    x, cls = calibration.sample_regular_vector(rng, p["delta"], p["q"], n=n, max_tries=p["max_tries"])
-    sums = np.concatenate(list(sample_sums(config.dist, x, p["mc_samples"], rng)))
+    x, cls = calibration.sample_regular_vector(rng, p["delta"], p["q"], n=n)
+    sums = np.concatenate(list(sample_sums(config.dist, x, calibration.REG_MC_SAMPLES, rng)))
     seed = derive_substream_seed(config.master_seed, idx)
-    ts = [mult * p["delta"] for mult in range(1, p["t_steps"] + 1)]
+    # the windows delta .. 8 delta that FITTED["regular_smallball"] was fitted on
+    ts = [mult * p["delta"] for mult in range(1, 9)]
     q_hats = empirical_sup_concentration(sums, ts).tolist()
     return [
         (idx, n, config.dist.spec_string(), seed, t, q_hat, cls.min_ssq, cls.threshold)
@@ -495,9 +493,7 @@ _RUNNERS = {
     ),
     "E3_regular_smallball": _Experiment(
         columns=("trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold"),
-        params={"delta": (float, None), "q": (float, None), "t_steps": (int, 8),
-                "mc_samples": (int, calibration.REG_MC_SAMPLES),
-                "max_tries": (int, calibration.REG_MAX_TRIES)},
+        params={"delta": (float, None), "q": (float, None)},
         tasks=_tasks_e3, run=_run_e3, summarize=_summary_e3,
     ),
     "E4_allocation": _Experiment(

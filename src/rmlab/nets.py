@@ -72,12 +72,13 @@ def volumetric_bound(n: int, K: str, D: str, t: float) -> float:
 
 def vp_entropy_bound(n: int, r: float, R: float) -> float:
     """Entropy bound (n/R) ln(3R/r) for nets over almost-flat directions;
-    ConfigError outside PartitionParams's domain, RegimeError unless r < 1/2."""
+    ConfigError unless n >= 1 or outside PartitionParams's domain,
+    RegimeError unless r < 1/2."""
+    if n < 1:
+        raise ConfigError("n must be >= 1")
     PartitionParams(r=r, R=R)
     if not r < 0.5:
         raise RegimeError(f"r = {r} >= 1/2")
-    if n < 1:
-        raise ConfigError("n must be >= 1")
     return (n / R) * math.log(3.0 * R / r)
 
 
@@ -105,6 +106,8 @@ def singular_grid_net(n: int, delta: float, r: float, R: float, j_set) -> GridNe
     Valid for (2R^3/r^2) n^{-3/2} <= delta <= n^{-1/2}; requires
     |j_set| >= m with m from the partition context.
     """
+    if n < 1:
+        raise ConfigError("n must be >= 1")
     params = PartitionParams(r=r, R=R)
     if not 0.0 < delta < math.inf:
         raise ConfigError(f"delta={delta} must be positive and finite")

@@ -35,10 +35,11 @@ def mix64(z: int) -> int:
 def derive_key(master_seed: int, index: int = 0) -> int:
     """128-bit Philox key from (master_seed, index).
 
-    Two chained splitmix64 words; mix64 is a bijection, so distinct indices
-    under one seed can never collide.
+    Two chained splitmix64 words, the first of them the row seed
+    derive_substream_seed(master_seed, index); mix64 is a bijection, so
+    distinct indices under one seed can never collide.
     """
-    w0 = mix64((master_seed & MASK64) ^ mix64(index & MASK64))
+    w0 = derive_substream_seed(master_seed, index)
     w1 = mix64(w0)
     return (w1 << 64) | w0
 

@@ -104,6 +104,19 @@ def exhaustive_min_ssq(occupancy, keep: int) -> int:
     return int(best)
 
 
+def allocation_min_ssq_law(l: int, k: int, keep: int) -> dict[int, float]:
+    """Exact law of exhaustive_min_ssq(occupancy, keep) when occupancy counts
+    l i.i.d. uniform draws over k bins: every occupancy (o_1, ..., o_k) with
+    sum l, weighted by its multinomial probability l! / prod(o_i!) / k^l."""
+    law: dict[int, float] = {}
+    for occ in itertools.product(range(l + 1), repeat=k):
+        if sum(occ) == l:
+            weight = math.factorial(l) / math.prod(math.factorial(o) for o in occ) / k**l
+            m = exhaustive_min_ssq(occ, keep)
+            law[m] = law.get(m, 0.0) + weight
+    return law
+
+
 def product_concentration(values, probs, x, v: float, t: float) -> float:
     """P(|sum_j beta_j x_j - v| < t) by full enumeration of support^m."""
     total = 0.0

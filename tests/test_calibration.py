@@ -182,8 +182,8 @@ def test_sample_regular_vector():
     assert cls.halasz_regime
     assert cls.min_ssq <= cls.threshold
     # threshold 1.5 * 4^2.5 * 0.016 = 0.768 < 2 at n=16, so no draw is regular
-    with pytest.raises(RegimeError, match="max_tries=3"):
-        sample_regular_vector(derive_stream(50, 0), 0.016, 1.5, n=16, max_tries=3)
+    with pytest.raises(RegimeError, match="max_tries=200"):
+        sample_regular_vector(derive_stream(50, 0), 0.016, 1.5, n=16)
 
 
 def test_sample_regular_vector_checks_the_halasz_regime_before_drawing():

@@ -142,6 +142,9 @@ VECTORS = {
         "small-ball --x ones3.txt --dist rademacher --t 0.1 --method halasz_integral --delta 0 --a 0.5",
         "profile --x long.txt --delta 0.004 --q 4.0 --r 0.9 --R 1.3",
         "nets --check volumetric --n 0",
+        "nets --check grid --n 0 --delta 0.1 --l 2 --r 0.5 --R 2",
+        "nets --check grid --n -4 --delta 0.1 --l 2 --r 0.5 --R 2",
+        "nets --check vp --n 0 --r 0.7 --R 40",
         "nets --check grid --n 25 --delta 0.05 --r 0.9 --R 1.3 --j 1,a",
     ],
 )

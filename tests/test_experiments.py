@@ -6,7 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
+from oracles import allocation_min_ssq_law
 from rmlab import constants, experiments, matrices
 from rmlab.distributions import GAUSSIAN, RADEMACHER, discrete, parse_dist_spec
 from rmlab.errors import ConfigError, RegimeError
@@ -157,7 +159,7 @@ WORKER_CFGS = (
     ),
     ExperimentConfig(experiment="E1_sigma_min_tail", dist=GAUSSIAN, n_list=(5, 40), trials=10, master_seed=32),
     ExperimentConfig(experiment="E2_op_norm", dist=GAUSSIAN, n_list=(40,), trials=20, master_seed=33),
-    # 20k sums of 64 signs: the Rademacher MC sum loop runs on the calling
+    # 200k sums of 64 signs: the Rademacher MC sum loop runs on the calling
     # thread, so its rows must not move with the usable cores either
     ExperimentConfig(
         experiment="E3_regular_smallball",
@@ -165,7 +167,7 @@ WORKER_CFGS = (
         n_list=(64,),
         trials=3,
         master_seed=34,
-        params={"delta": 0.004, "q": 4.0, "mc_samples": 20_000, "t_steps": 3},
+        params={"delta": 0.004, "q": 4.0},
     ),
 )
 
@@ -272,7 +274,7 @@ def test_e3_rows_and_summary():
         n_list=(16,),
         trials=2,
         master_seed=106,
-        params={"delta": 0.016, "q": 4.0, "mc_samples": 20_000},
+        params={"delta": 0.016, "q": 4.0},
     )
     res = run(cfg)
     assert res.columns == (
@@ -319,25 +321,13 @@ def test_e5_requires_delta_and_q(params, key):
         run(cfg)
 
 
-@pytest.mark.parametrize("key", ["mc_samples", "t_steps", "max_tries"])
-def test_e3_rejects_counts_below_one(key):
-    cfg = ExperimentConfig(
-        experiment="E3_regular_smallball",
-        n_list=(16,),
-        trials=1,
-        params={"delta": 0.016, "q": 4.0, key: 0},
-    )
-    with pytest.raises(ConfigError, match=f"params.{key}"):
-        run(cfg)
-
-
 def test_e3_regime_error_carries_trial_index():
     cfg = ExperimentConfig(
         experiment="E3_regular_smallball",
         n_list=(16,),
         trials=1,
         master_seed=3,
-        params={"delta": 0.016, "q": 1.5, "max_tries": 1},
+        params={"delta": 0.016, "q": 1.5},
     )
     # threshold 1.5 * 4^2.5 * 0.016 = 0.768 < 2, so nothing classifies regular
     with pytest.raises(RegimeError, match="trial 0"):
@@ -359,6 +349,31 @@ def test_e4_rows_single_bin():
         assert res.summary["stat"][key] == 0.25
     assert res.summary["reference_c_half"] == 65536.0
     assert res.summary["exceed_reference"]["count"] == 0
+
+
+@pytest.mark.parametrize("l, k", [(7, 5), (8, 3), (9, 4)])
+def test_e4_min_ssq_follows_its_exact_law(l, k):
+    """At small l the law of min_ssq over ceil(l/2) kept draws is exact (see
+    allocation_min_ssq_law). Pearson's chi-square over 4000 trials, with tail
+    atoms whose expected count is below 5 merged into the atom before them,
+    gives p >= 1e-3. Keeping floor(l/2) instead moves the support at (7, 5)
+    from {4, 6, 8, 10, 16} to {3, 5, 9}."""
+    trials = 4000
+    law = allocation_min_ssq_law(l, k, math.ceil(l / 2))
+    cfg = ExperimentConfig(
+        experiment="E4_allocation", n_list=(l,), trials=trials, master_seed=41, params={"l": l, "k": k}
+    )
+    seen = [r[4] for r in run(cfg).rows]
+    assert set(seen) <= set(law)
+    atoms = sorted(law)
+    expected = [trials * law[a] for a in atoms]
+    observed = [seen.count(a) for a in atoms]
+    while expected[-1] < 5.0:
+        tail_expected, tail_observed = expected.pop(), observed.pop()
+        expected[-1] += tail_expected
+        observed[-1] += tail_observed
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    assert chdtrc(len(expected) - 1, chi2) >= 1e-3, (observed, expected)
 
 
 @pytest.mark.parametrize("l, k, key", [(5, 10, "k"), (0, 1, "l"), (10, 0, "k")])
@@ -492,7 +507,7 @@ SMALL_CFGS = (
     ExperimentConfig(experiment="E2b_peaked", dist=_SPREAD_LAW, n_list=(8,), trials=2, master_seed=1),
     ExperimentConfig(
         experiment="E3_regular_smallball", dist=_SPREAD_LAW, n_list=(16,), trials=1, master_seed=106,
-        params={"delta": 0.016, "q": 4.0, "mc_samples": 2_000, "t_steps": 2},
+        params={"delta": 0.016, "q": 4.0},
     ),
     ExperimentConfig(experiment="E4_allocation", n_list=(10,), trials=2, master_seed=8),
     ExperimentConfig(
@@ -559,8 +574,6 @@ def test_run_rejects_params_the_experiment_does_not_read():
     "experiment, key, value",
     [
         ("E2b_peaked", "spikes", 2.7),
-        ("E3_regular_smallball", "t_steps", 2.5),
-        ("E3_regular_smallball", "mc_samples", 100.9),
         ("E2b_peaked", "spikes", True),
         ("E2b_peaked", "coeff", "abc"),
         ("E2b_peaked", "coeff", float("nan")),
@@ -609,7 +622,6 @@ _PROFILE_PARAM_CASES = [
     (9, "E5_profile_census", {"q": 1.0}, "q"),
     (10, "E3_regular_smallball", {"delta": 0.0}, "delta"),
     (11, "E5_profile_census", {"delta": -0.004}, "delta"),
-    (12, "E3_regular_smallball", {"t_steps": 1}, "t_steps"),
 ]
 
 
@@ -621,9 +633,8 @@ _PROFILE_PARAM_CASES = [
     ],
 )
 def test_partition_params_are_checked_before_any_trial(experiment, bad, key, monkeypatch):
-    """delta > 0, q > 1, E3's t_steps >= 2 (a line fit needs two windows)
-    and E5's 0 < r < 1 < R fail naming the key before any trial draws a
-    vector."""
+    """delta > 0, q > 1 and E5's 0 < r < 1 < R fail naming the key before
+    any trial draws a vector."""
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
@@ -643,12 +654,16 @@ def test_partition_params_are_checked_before_any_trial(experiment, bad, key, mon
         ("E3_regular_smallball", "R"),
         ("E3_regular_smallball", "band_lo"),
         ("E3_regular_smallball", "band_hi"),
+        ("E3_regular_smallball", "t_steps"),
+        ("E3_regular_smallball", "mc_samples"),
+        ("E3_regular_smallball", "max_tries"),
     ],
 )
 def test_fixed_values_are_not_params(experiment, key):
-    """E1's threshold is eps * n^(-3/2) and E3 draws in calibration's regime,
-    so E1's coeff and E3's partition and band are unknown keys, and the error
-    lists the keys the experiment reads."""
+    """E1's threshold is eps * n^(-3/2) and E3 draws and sums in
+    calibration's regime, so E1's coeff and E3's partition, band, windows,
+    sample size and draw limit are unknown keys, and the error lists the keys
+    the experiment reads."""
     params = {"delta": 0.004, "q": 4.0} if experiment == "E3_regular_smallball" else {}
     reads = ", ".join(experiments.PARAMS[experiment])
     cfg = ExperimentConfig(experiment=experiment, n_list=(64,), params={**params, key: 1.0})
@@ -658,7 +673,7 @@ def test_fixed_values_are_not_params(experiment, key):
 
 def test_e3_checks_the_halasz_regime_before_any_trial(monkeypatch):
     """delta = 0.02 > r/(4 pi sqrt(n)) = 0.9/(4 pi 8) at n = 64 fails before
-    any trial draws a vector, not after max_tries rejected draws."""
+    any trial draws a vector, not after REG_MAX_TRIES rejected draws."""
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
