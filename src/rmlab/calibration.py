@@ -28,7 +28,7 @@ from .distributions import (
     sample,
 )
 from .errors import ConfigError, RegimeError
-from .rng import derive_stream, derive_substream_seed
+from .rng import derive_stream, derive_substream_seed, thread_map
 from .small_ball import (
     SmallBallQuery,
     berry_esseen_bound,
@@ -150,23 +150,38 @@ def evaluate_query(query: BoundQuery) -> QueryResult:
     return QueryResult(query=query, exact=exact_value(query), bound_value=b)
 
 
+def _evaluate_shared(queries: list[BoundQuery], exact: dict) -> tuple[QueryResult, ...]:
+    """evaluate_query over queries, in order, taking the exact value of an
+    (x, law, v, t) already in exact, the caller's table, from there."""
+    out = []
+    for q in queries:
+        key = (q.x.tobytes(), q.dist, np.array([q.v, q.t]).tobytes())
+        if key in exact:
+            out.append(QueryResult(q, exact[key], _checked_bound(q)))
+        else:
+            out.append(evaluate_query(q))
+            exact[key] = out[-1].exact
+    return tuple(out)
+
+
 def _evaluate_regular(queries: list[BoundQuery]) -> tuple[QueryResult, ...]:
     """evaluate_query over regular-vector queries, in order, drawing each
-    (x, law, mc_seed) sample once for all of its windows. Only one sample
-    (1.6 MB) is alive at a time, so peak memory does not grow with the
-    corpus."""
+    (x, law, mc_seed) sample once for all of its windows, on thread_map's
+    threads: one sample (1.6 MB) per thread is alive at a time."""
     bounds = [_checked_bound(q) for q in queries]
     groups: dict[tuple, list[int]] = {}
     for i, q in enumerate(queries):
         groups.setdefault((q.x.tobytes(), q.dist, q.mc_seed), []).append(i)
-    exact = [0.0] * len(queries)
-    for members in groups.values():
-        sums = _mc_sums(queries[members[0]])
+
+    def q_hats(members: list[int]) -> list[float]:
         windows = [queries[i].t for i in members]
-        for i, q_hat in zip(members, empirical_sup_concentration(sums, windows).tolist()):
-            exact[i] = q_hat
-        del sums
-    return tuple(QueryResult(q, e, b) for q, e, b in zip(queries, exact, bounds))
+        return empirical_sup_concentration(_mc_sums(queries[members[0]]), windows).tolist()
+
+    sets = list(groups.values())
+    exact = {}
+    for members, values in zip(sets, thread_map(q_hats, sets)):
+        exact.update(zip(members, values))
+    return tuple(QueryResult(q, exact[i], b) for i, (q, b) in enumerate(zip(queries, bounds)))
 
 
 # ------------------------------------------------------------------- corpora
@@ -379,33 +394,46 @@ def build_corpus(bound: str, seed: int, count: int) -> list[BoundQuery]:
     return structured + rand(rng, count - len(structured))
 
 
+def _fit(bounds, seed: int, count: int) -> dict[str, FitReport]:
+    """The FitReport of each bound, with a table of exact values for this call only."""
+    exact: dict = {}
+    reports = {}
+    for bound in bounds:
+        corpus = build_corpus(bound, seed, count)
+        if bound == "regular_smallball":
+            results = _evaluate_regular(corpus)
+        else:
+            results = _evaluate_shared(corpus, exact)
+        raw = max(res.ratio for res in results)
+        reports[bound] = FitReport(bound=bound, seed=seed, raw=raw, results=results)
+    return reports
+
+
 def fit_bound(bound: str, seed: int, count: int) -> FitReport:
     """Fit one bound's raw constant: the largest exact/bound ratio over its
     corpus. Each (x, mc_seed) Monte Carlo sample of the regular_smallball
-    corpus is drawn once and serves all of its windows t = delta .. 8 delta."""
-    corpus = build_corpus(bound, seed, count)
-    if bound == "regular_smallball":
-        results = _evaluate_regular(corpus)
-    else:
-        results = tuple(evaluate_query(q) for q in corpus)
-    raw = max(res.ratio for res in results)
-    return FitReport(bound=bound, seed=seed, raw=raw, results=results)
+    corpus is drawn once and serves all of its windows t = delta .. 8 delta;
+    each distinct (x, law, v, t) of the other corpora is evaluated once."""
+    return _fit((bound,), seed, count)[bound]
 
 
 def fit_all(
     seed: int = constants.CALIBRATION_SEED, per_bound: int = 60
 ) -> dict[str, FitReport]:
-    return {bound: fit_bound(bound, seed, per_bound) for bound in BOUNDS}
+    """fit_bound for every bound, computing an exact value that corpora share
+    (the two Halasz corpora share their structured queries) once."""
+    return _fit(BOUNDS, seed, per_bound)
 
 
 def stability_report() -> dict[str, dict]:
     """Refit each bound at per_bound=60 under the corpus seeds
     CALIBRATION_SEED + 1 and + 2; a bound is stable when both raw fits stay
     within 20% of its frozen raw value."""
+    fits = [fit_all(constants.CALIBRATION_SEED + off, 60) for off in (1, 2)]
     out = {}
     for bound in BOUNDS:
         frozen = constants.FITTED_RAW[bound]
-        refits = [fit_bound(bound, constants.CALIBRATION_SEED + off, 60).raw for off in (1, 2)]
+        refits = [fit[bound].raw for fit in fits]
         rel = [abs(v - frozen) / frozen for v in refits]
         out[bound] = {
             "frozen_raw": frozen,

@@ -232,25 +232,29 @@ def char_fn(dist: EntryDistribution, t):
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
         raise ConfigError("char_fn requires finite t")
-    if dist.kind == "rademacher":
-        out = np.cos(t_arr)
-    elif dist.kind == "gaussian":
-        out = np.exp(-0.5 * t_arr**2)
-    elif dist.kind == "uniform_sym":
-        # sin(sqrt(3) t) / (sqrt(3) t), continuous at 0
-        out = np.sinc(SQRT3 * t_arr / np.pi)
-    else:
-        vals = dist.support()
-        probs = dist.support_probs()
-        re = np.cos(np.multiply.outer(t_arr, vals)) @ probs
-        if dist.is_symmetric:
-            out = re
-        else:
-            im = np.sin(np.multiply.outer(t_arr, vals)) @ probs
-            out = np.hypot(re, im)
+    out = _char_fn_of(dist)(t_arr)
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(out)
     return out
+
+
+def _char_fn_of(dist: EntryDistribution):
+    """char_fn(dist, .) on finite float arrays, with the law resolved once:
+    no input check, and a discrete law's atoms read here, not per call."""
+    if dist.kind == "rademacher":
+        return np.cos
+    if dist.kind == "gaussian":
+        return lambda t: np.exp(-0.5 * t**2)
+    if dist.kind == "uniform_sym":
+        # sin(sqrt(3) t) / (sqrt(3) t), continuous at 0
+        return lambda t: np.sinc(SQRT3 * t / np.pi)
+    vals = dist.support()
+    probs = dist.support_probs()
+    if dist.is_symmetric:
+        return lambda t: np.cos(np.multiply.outer(t, vals)) @ probs
+    return lambda t: np.hypot(
+        np.cos(np.multiply.outer(t, vals)) @ probs, np.sin(np.multiply.outer(t, vals)) @ probs
+    )
 
 
 def cdf(dist: EntryDistribution, x):

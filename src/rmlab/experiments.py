@@ -16,9 +16,11 @@ alone. These three get the config with its params complete and typed.
 Determinism contract: rows must be a pure function of (config, trial index).
 Trial i draws from an RNG stream derived from (master_seed, i) by a fixed
 64-bit mix. run() keeps rows in task order: E1's and E2's trials, which
-spend their time in the GIL-free LAPACK call of rmlab.matrices, run on one
-thread per usable core, started largest matrix first; every other family,
-and E1/E2 where that call is not available, runs its trials serially.
+spend their time in the GIL-free LAPACK call of rmlab.matrices, and E3's,
+which spend theirs in numpy's GIL-free Monte Carlo draw, sort and window
+scan, run on one thread per usable core (rmlab.rng.thread_map), started
+largest matrix first; every other family, and E1/E2/E3 where that LAPACK
+call is not available, runs its trials serially.
 Re-emitting a result yields byte-identical CSV. Wall-clock runtime lives
 only in the JSON summary and is excluded from that contract.
 """
@@ -30,7 +32,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -41,15 +42,16 @@ from .distributions import EntryDistribution, RADEMACHER, parse_dist_spec
 from .distributions import sample  # unused here; benchmarks/workloads.py wraps this name
 from .errors import ConfigError, RegimeError
 from .matrices import operator_norm, sample_matrix, spectral_summary
-from .rng import derive_stream, derive_substream_seed, usable_cores
+from .rng import derive_stream, derive_substream_seed, thread_map
 from .small_ball import clopper_pearson, empirical_sup_concentration, sample_sums
 from .sphere_profile import (
     PartitionParams,
-    classify_profile,
+    _classify_spread,
     classify_sphere,
     min_half_subset_ssq,
     sample_allocation,
 )
+from .sphere_profile import classify_profile  # unused here; benchmarks/workloads.py wraps this name
 
 __all__ = [
     "EXPERIMENTS",
@@ -294,12 +296,11 @@ def _tasks_e3(config):
         raise ConfigError("E3 uses a single dimension in n_list")
     _check_profile(config)
     calibration.check_halasz_regime(config.n_list[0], config.params["delta"], "params.delta")
-    return _tasks_trials(config)
+    return _tasks_matrix(config)
 
 
 def _run_e3(config, payload):
-    idx = payload[0]
-    n = config.n_list[0]
+    idx, n = payload
     p = config.params
     rng = derive_stream(config.master_seed, idx)
     x, cls = calibration.sample_regular_vector(rng, p["delta"], p["q"], n=n)
@@ -399,11 +400,11 @@ def _run_e5(config, payload):
         if norm > 0:
             break
     x = g / norm
-    sphere_class, _ = classify_sphere(x, params)
+    sphere_class, sigma = classify_sphere(x, params)
     if sphere_class == "V_P":
         verdict, min_ssq = "peaked", float("nan")
     else:
-        cls = classify_profile(x, params, p["delta"], p["q"])
+        cls = _classify_spread(x, sigma, params, p["delta"], p["q"])
         verdict, min_ssq = cls.verdict, cls.min_ssq
     return [(idx, n, config.dist.spec_string(), seed, sphere_class, verdict, min_ssq)]
 
@@ -470,8 +471,9 @@ class _Experiment:
     tasks: Callable[[ExperimentConfig], list]
     run: Callable[[ExperimentConfig, tuple], list]
     summarize: Callable[[ExperimentConfig, tuple], dict]
-    # the tasks, payloads (trial, n), spend their time in
-    # matrices.spectral_summary, outside the GIL
+    # the tasks, payloads (trial, n), spend their time outside the GIL: in
+    # matrices.spectral_summary (E1/E2) or in the Monte Carlo draw, sort and
+    # window scan (E3)
     gil_free: bool = False
 
 
@@ -494,7 +496,7 @@ _RUNNERS = {
     "E3_regular_smallball": _Experiment(
         columns=("trial", "n", "dist", "seed", "t", "q_hat", "min_ssq", "threshold"),
         params={"delta": (float, None), "q": (float, None)},
-        tasks=_tasks_e3, run=_run_e3, summarize=_summary_e3,
+        tasks=_tasks_e3, run=_run_e3, summarize=_summary_e3, gil_free=True,
     ),
     "E4_allocation": _Experiment(
         columns=("trial", "l", "k", "seed", "min_ssq", "stat"),
@@ -562,18 +564,14 @@ def _trial(spec: _Experiment, config: ExperimentConfig, payload: tuple) -> list:
 def _map_trials(spec: _Experiment, config: ExperimentConfig, tasks: list):
     """Each task's rows, in task order."""
     one = functools.partial(_trial, spec, config)
-    threads = min(usable_cores(), len(tasks)) if spec.gil_free else 1
-    if threads < 2 or not matrices.svd_releases_gil():
+    if not spec.gil_free or not matrices.svd_releases_gil():
         return map(one, tasks)
     # the largest matrices first, so that the threads finish together on the
     # smallest ones instead of one thread idling through the last large one
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
     # one BLAS thread per pool thread (rmlab.matrices gives the timings); a
     # task holds its one matrix only while it runs, a thread one copy buffer
-    with matrices.one_blas_thread() as init, ThreadPoolExecutor(threads, initializer=init) as pool:
-        futures = {i: pool.submit(one, tasks[i]) for i in order}
-        # collected in task order, so an error names the first failing trial
-        return [futures[i].result() for i in range(len(tasks))]
+    return thread_map(one, tasks, order, matrices.one_blas_thread)
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -583,8 +581,8 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     missing required one, or a value that is not of its type (an int param
     is a positive integer, a float param finite).
 
-    Rows are concatenated in the order tasks(config) lists the trials. E1's
-    and E2's trials run on one thread per usable core, largest matrices
+    Rows are concatenated in the order tasks(config) lists the trials. E1's,
+    E2's and E3's trials run on one thread per usable core, largest matrices
     first, when rmlab.matrices has its GIL-free LAPACK call, other trials
     serially on the calling thread. A trial error names the first failing
     trial in task order. workers must be a positive integer; it is accepted

@@ -17,8 +17,8 @@ directly through ctypes, which releases the GIL, in the ILP64 OpenBLAS that
 numpy's wheels bundle. It gets the column-major copy and the optimal
 workspace that numpy.linalg.svd(..., compute_uv=False) passes to the same
 routine, and returns the same values bit for bit. experiments.run() maps
-E1's and E2's trials over one thread per usable core, each running BLAS on
-one thread: on the same 2 vCPUs, 16 400 x 400 matrices took 0.31 s on one
+E1's and E2's trials over rmlab.rng.thread_map's threads, one per usable
+core, each running BLAS on one thread: on the same 2 vCPUs, 16 400 x 400 matrices took 0.31 s on one
 thread, 0.36 s on two threads with OpenBLAS's own threads, and 0.16 s on
 two threads with one BLAS thread each. A pool thread copies every matrix
 into one buffer that it keeps until it ends, not into a fresh array: on

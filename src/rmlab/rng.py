@@ -9,6 +9,8 @@ within this package for a fixed numpy version.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -56,8 +58,21 @@ def derive_substream_seed(master_seed: int, index: int) -> int:
 
 def usable_cores() -> int:
     """CPU cores this process may run on: its affinity mask where the OS has
-    one, else os.cpu_count(). The one threaded part of the package, E1/E2's
-    matrices, splits its work by it."""
+    one, else os.cpu_count(). thread_map, the one thread pool (E1/E2/E3's
+    trials, the calibration's Monte Carlo sets), starts at most this many."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def thread_map(fn, items: list, order=None, pool_setup=nullcontext) -> list:
+    """[fn(item) for item in items] on min(usable_cores(), len(items)) threads,
+    submitted in the given order; results and the first item's error come
+    back in item order. pool_setup() is entered around a pool (not for one
+    thread) and yields its threads' initializer or None."""
+    threads = min(usable_cores(), len(items))
+    if threads < 2:
+        return [fn(item) for item in items]
+    with pool_setup() as init, ThreadPoolExecutor(threads, initializer=init) as pool:
+        futures = {i: pool.submit(fn, items[i]) for i in order or range(len(items))}
+        return [futures[i].result() for i in range(len(items))]

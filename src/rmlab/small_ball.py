@@ -26,8 +26,8 @@ from scipy.special import betaincinv, ndtr
 from . import constants
 from .distributions import (
     EntryDistribution,
+    _char_fn_of,
     abs_third_moment,
-    char_fn,
     sample,
 )
 from .errors import ConfigError, RegimeError
@@ -413,9 +413,13 @@ def esseen_bound(q: SmallBallQuery) -> ConcentrationEstimate:
     from scipy.integrate import quad
 
     weights = q.x[q.x != 0.0]
+    # |s| <= pi/2, so every point's arguments are finite when the ends' are
+    if not np.all(np.isfinite(weights * (math.pi / 2.0 / q.t))):
+        raise ConfigError("char_fn requires finite t")
+    phi = _char_fn_of(q.dist)
 
     def integrand(s: float) -> float:
-        return float(np.prod(np.abs(char_fn(q.dist, weights * (s / q.t)))))
+        return float(np.prod(np.abs(phi(weights * (s / q.t)))))
 
     out = quad(
         integrand, -math.pi / 2.0, math.pi / 2.0, epsabs=1e-8, limit=400, full_output=1

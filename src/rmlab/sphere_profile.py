@@ -265,7 +265,12 @@ def classify_profile(
     sphere_class, sigma = classify_sphere(x, params)  # checks that x is a unit vector
     if sphere_class == "V_P":
         raise RegimeError("x is in V_P; profile classification applies to V_S only")
-    x = np.asarray(x, dtype=float)
+    return _classify_spread(np.asarray(x, dtype=float), sigma, params, delta, Q)
+
+
+def _classify_spread(x: np.ndarray, sigma: np.ndarray, params, delta: float, Q: float) -> ProfileClassification:
+    """classify_profile of a unit float vector x that classify_sphere has
+    already put in V_S with the set sigma; Q is > 1 and finite."""
     n = x.size
     ctx = ProfileContext.from_params(n, delta, params)
     ax = np.abs(x)
@@ -288,7 +293,7 @@ def classify_profile(
     min_ssq, kept = min_half_subset_ssq(occupancy, keep)
     threshold = Q * ctx.m**2.5 * delta
     return ProfileClassification(
-        sphere_class=sphere_class,
+        sphere_class="V_S",
         sigma_set=tuple(int(i) for i in sigma),
         j_set=tuple(int(i) for i in J),
         min_ssq=int(min_ssq),

@@ -350,7 +350,7 @@ def test_criterion_9_determinism(capsys, results, monkeypatch):
         base = emit(results[name] if name in results else run(cfg), format="csv")
         rerun = emit(run(cfg), format="csv")
         with monkeypatch.context() as patch:
-            patch.setattr(experiments, "usable_cores", lambda: 1)
+            patch.setattr("rmlab.rng.usable_cores", lambda: 1)
             one_core = emit(run(cfg), format="csv")
         if not (base == rerun == one_core):
             mismatched.append(name)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -18,13 +19,14 @@ from rmlab.calibration import (
     build_corpus,
     evaluate_query,
     exact_value,
+    fit_all,
     fit_bound,
     sample_regular_vector,
 )
 from rmlab.distributions import GAUSSIAN, RADEMACHER, UNIFORM_SYM
 from rmlab.errors import ConfigError, RegimeError
 from rmlab.experiments import ExperimentConfig, run
-from rmlab.rng import derive_stream
+from rmlab.rng import derive_stream, usable_cores
 from rmlab.small_ball import esseen_bound, SmallBallQuery
 
 STRUCTURED_SIZES = {
@@ -235,3 +237,54 @@ def test_fit_bound_draws_each_regular_sample_once(count, monkeypatch):
         assert res.query.t == q.t and np.array_equal(res.query.x, q.x)
         assert res.exact == single.exact and res.bound_value == single.bound_value
     assert rep.raw == max(res.ratio for res in rep.results)
+
+
+def test_fit_bound_regular_is_the_same_on_one_core_and_on_the_pool(monkeypatch):
+    cores = usable_cores()
+    threads = []
+    real = calibration._mc_sums
+
+    def recording(query):
+        threads.append(threading.get_ident())
+        return real(query)
+
+    monkeypatch.setattr(calibration, "_mc_sums", recording)
+    pooled = fit_bound("regular_smallball", constants.CALIBRATION_SEED, 60)
+    pooled_threads, threads[:] = set(threads), []
+    monkeypatch.setattr("rmlab.rng.usable_cores", lambda: 1)
+    serial = fit_bound("regular_smallball", constants.CALIBRATION_SEED, 60)
+    assert set(threads) == {threading.get_ident()}  # one core: the calling thread
+    assert [(r.exact, r.bound_value) for r in pooled.results] == [
+        (r.exact, r.bound_value) for r in serial.results
+    ]
+    assert pooled.raw == serial.raw
+    if cores > 1:
+        assert len(pooled_threads) > 1  # the sample sets were drawn on the pool
+
+
+def test_fit_all_evaluates_each_distinct_exact_value_once(monkeypatch):
+    seed = constants.CALIBRATION_SEED
+    calls = []
+    real = calibration.exact_concentration
+
+    def counting(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(calibration, "exact_concentration", counting)
+    fits = fit_all(seed, 20)
+    # 75 finite-law queries; the two Halasz corpora share their 20 structured
+    # ones, and the esseen and berry_esseen corpora repeat 5 of their own
+    corpora = {b: build_corpus(b, seed, 20) for b in DOMINATION_BOUNDS}
+    assert sum(q.dist.finite_support for c in corpora.values() for q in c) == 75
+    assert len(calls) == 50
+    fit_all(seed, 20)
+    assert len(calls) == 100  # no exact value outlives the call that made it
+    monkeypatch.undo()
+    for bound in BOUNDS:
+        single = fit_bound(bound, seed, 20)
+        pairs = [(r.exact, r.bound_value) for r in fits[bound].results]
+        assert pairs == [(r.exact, r.bound_value) for r in single.results]
+        assert fits[bound].raw == single.raw
+        if bound in corpora:
+            assert pairs == [(r.exact, r.bound_value) for r in map(evaluate_query, corpora[bound])]

@@ -3,13 +3,14 @@ import json
 import math
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import chdtrc
 
 from oracles import allocation_min_ssq_law
-from rmlab import constants, experiments, matrices
+from rmlab import calibration, constants, experiments, matrices, sphere_profile
 from rmlab.distributions import GAUSSIAN, RADEMACHER, discrete, parse_dist_spec
 from rmlab.errors import ConfigError, RegimeError
 from rmlab.experiments import (
@@ -159,8 +160,8 @@ WORKER_CFGS = (
     ),
     ExperimentConfig(experiment="E1_sigma_min_tail", dist=GAUSSIAN, n_list=(5, 40), trials=10, master_seed=32),
     ExperimentConfig(experiment="E2_op_norm", dist=GAUSSIAN, n_list=(40,), trials=20, master_seed=33),
-    # 200k sums of 64 signs: the Rademacher MC sum loop runs on the calling
-    # thread, so its rows must not move with the usable cores either
+    # 200k sums of 64 signs: E3's trials run on the pool too, so its rows
+    # must not move with the usable cores either
     ExperimentConfig(
         experiment="E3_regular_smallball",
         dist=RADEMACHER,
@@ -173,23 +174,30 @@ WORKER_CFGS = (
 
 
 def _one_core(monkeypatch) -> None:
-    """Make the one threaded part of the package, E1/E2's trials, see one
-    usable core, so it runs serially."""
-    monkeypatch.setattr(experiments, "usable_cores", lambda: 1)
+    """Make the package's one thread pool, rmlab.rng.thread_map, see one
+    usable core, so every pooled path (E1/E2's and E3's trials, the
+    calibration's sample sets) runs serially."""
+    monkeypatch.setattr("rmlab.rng.usable_cores", lambda: 1)
 
 
 def test_serial_parallel_identical_rows(monkeypatch):
-    callers = set()
-
-    def traced_summary(A, inner=experiments.spectral_summary):
-        callers.add(threading.get_ident())
-        return inner(A)
-
+    pooled = usable_cores() > 1 and matrices.svd_releases_gil()
     for cfg in WORKER_CFGS:
+        callers = set()
+
+        def traced(fn):
+            def inner(*args, **kwargs):
+                callers.add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return inner
+
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with monkeypatch.context() as patch:
-                patch.setattr(experiments, "spectral_summary", traced_summary)
+                patch.setattr(experiments, "spectral_summary", traced(experiments.spectral_summary))
+                patch.setattr(experiments, "operator_norm", traced(experiments.operator_norm))
+                patch.setattr(calibration, "sample_regular_vector", traced(calibration.sample_regular_vector))
                 threaded = run(cfg)
             with monkeypatch.context() as patch:
                 _one_core(patch)
@@ -200,8 +208,8 @@ def test_serial_parallel_identical_rows(monkeypatch):
         assert [str(w.message) for w in caught] == []
         assert serial.rows == threaded.rows == fallback.rows
         assert emit(serial) == emit(threaded) == emit(fallback)
-    if usable_cores() > 1 and matrices.svd_releases_gil():
-        assert len(callers) > 1  # the threaded runs did use the pool
+        if pooled:
+            assert len(callers) > 1, cfg.experiment  # the threaded run did use the pool
     singular = [r[6] for r in run(WORKER_CFGS[1]).rows]
     assert 0 < sum(singular) < len(singular)
 
@@ -210,15 +218,15 @@ def test_serial_parallel_identical_rows(monkeypatch):
 def test_threaded_trials_start_largest_matrix_first(monkeypatch):
     submitted = []
 
-    class Recording(experiments.ThreadPoolExecutor):
+    class Recording(ThreadPoolExecutor):
         def submit(self, fn, payload):
             submitted.append(payload)
             return super().submit(fn, payload)
 
     cfg = ExperimentConfig(experiment="E1_sigma_min_tail", dist=GAUSSIAN, n_list=(5, 40, 20), trials=3, master_seed=35)
     want = run(cfg)
-    monkeypatch.setattr(experiments, "usable_cores", lambda: 2)
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr("rmlab.rng.usable_cores", lambda: 2)
+    monkeypatch.setattr("rmlab.rng.ThreadPoolExecutor", Recording)
     got = run(cfg)
     assert [n for _, n in submitted] == [40] * 3 + [20] * 3 + [5] * 3
     # ties keep task order, and the rows come back in task order
@@ -414,12 +422,29 @@ def test_e5_census_peaked_regime():
     assert res.summary["per_n"]["64"]["peaked"]["freq"] == 1.0
 
 
-def test_e5_census_spread_regime():
+def test_e5_census_spread_regime(monkeypatch):
     cfg = ExperimentConfig(
         experiment="E5_profile_census", n_list=(32,), trials=4, master_seed=9,
         params={"delta": 0.003, "q": 2.0},  # default wide partition (0.25, 40)
     )
+    classified = []
+
+    def counting(x, params, inner=sphere_profile.classify_sphere):
+        classified.append(1)
+        return inner(x, params)
+
+    monkeypatch.setattr(experiments, "classify_sphere", counting)
+    monkeypatch.setattr(sphere_profile, "classify_sphere", counting)
     res = run(cfg)
+    # each direction's sphere class is computed once, then its profile
+    assert len(classified) == cfg.trials
+    monkeypatch.undo()
+    for r in res.rows:
+        idx = r[0]
+        g = experiments.derive_stream(cfg.master_seed, idx).standard_normal(32)
+        params = sphere_profile.PartitionParams(r=constants.DEFAULT_R_LOWER, R=constants.DEFAULT_R_UPPER)
+        cls = sphere_profile.classify_profile(g / np.linalg.norm(g), params, 0.003, 2.0)
+        assert (r[5], r[6]) == (cls.verdict, cls.min_ssq)
     for r in res.rows:
         assert r[4] == "V_S"
         assert r[5] in ("regular", "singular")

@@ -1,6 +1,8 @@
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
 from rmlab.rng import (
     MASK64,
@@ -11,6 +13,7 @@ from rmlab.rng import (
     derive_stream,
     derive_substream_seed,
     mix64,
+    thread_map,
     usable_cores,
 )
 
@@ -82,3 +85,30 @@ def test_usable_cores_counts_the_affinity_mask_else_all_cores(monkeypatch):
     assert usable_cores() == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert usable_cores() == 1
+
+
+def test_thread_map_keeps_item_order_and_starts_at_most_usable_cores(monkeypatch):
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, threads, initializer=None):
+            pools.append(threads)
+            super().__init__(threads, initializer=initializer)
+
+    monkeypatch.setattr("rmlab.rng.ThreadPoolExecutor", Recording)
+    monkeypatch.setattr("rmlab.rng.usable_cores", lambda: 3)
+    assert thread_map(lambda v: v * v, [1, 2, 3, 4], order=[3, 1, 0, 2]) == [1, 4, 9, 16]
+    assert thread_map(lambda v: -v, [5, 6]) == [-5, -6]
+    assert pools == [3, 2]
+
+    def fail(v):
+        if v in (2, 3):
+            raise ValueError(v)
+        return v
+
+    # the error of the first failing item in item order, whatever ran first
+    with pytest.raises(ValueError, match="^2$"):
+        thread_map(fail, [1, 2, 3], order=[2, 1, 0])
+    monkeypatch.setattr("rmlab.rng.usable_cores", lambda: 1)
+    assert thread_map(lambda v: v + 1, [1, 2, 3]) == [2, 3, 4]
+    assert pools == [3, 2, 3]  # one core: no pool

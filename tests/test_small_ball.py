@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import product_concentration, window_sup_probability
 from test_distributions import _philox_state
 from rmlab import calibration, constants, small_ball
-from rmlab.distributions import GAUSSIAN, RADEMACHER, discrete
+from rmlab.distributions import GAUSSIAN, RADEMACHER, char_fn, discrete
 from rmlab.errors import ConfigError, RegimeError
 from rmlab.rng import derive_stream
 from rmlab.small_ball import (
@@ -508,6 +508,40 @@ def test_esseen_bound_gaussian_closed_form():
     sigma = 1.0 / t
     expected = math.sqrt(2.0 * math.pi) / sigma * erf(math.pi * sigma / (2.0 * SQRT2))
     assert out.value == pytest.approx(float(expected), abs=1e-7)
+
+
+def _reference_esseen(q: SmallBallQuery) -> tuple[float, float]:
+    """(integral, quad error) of esseen_bound's quadrature with an integrand
+    that calls the public, checked char_fn at every point."""
+    from scipy.integrate import quad
+
+    weights = q.x[q.x != 0.0]
+
+    def integrand(s: float) -> float:
+        return float(np.prod(np.abs(char_fn(q.dist, weights * (s / q.t)))))
+
+    out = quad(integrand, -math.pi / 2.0, math.pi / 2.0, epsabs=1e-8, limit=400, full_output=1)
+    return out[0], out[1]
+
+
+@pytest.mark.parametrize(
+    "seed,per_bound", [(constants.CALIBRATION_SEED, 60), (constants.VALIDATION_SEED, 50)]
+)
+def test_esseen_bound_matches_the_char_fn_integrand_bit_for_bit(seed, per_bound):
+    # the integrand resolves the law once per query, not once per point
+    corpus = calibration.build_corpus("esseen", seed, per_bound)
+    assert {q.dist.kind for q in corpus} == {"rademacher", "discrete", "gaussian"}
+    for bq in corpus:
+        q = SmallBallQuery(x=bq.x, dist=bq.dist, v=bq.v, t=bq.t)
+        out = esseen_bound(q)
+        assert (out.value, out.metadata["quad_abs_error"]) == _reference_esseen(q)
+
+
+@pytest.mark.parametrize("dist", [RADEMACHER, GAUSSIAN, SKEW], ids=["rademacher", "gaussian", "skew"])
+def test_esseen_bound_rejects_overflowing_arguments(dist):
+    # weights * s / t overflows to inf away from s = 0
+    with pytest.raises(ConfigError, match="finite t"):
+        esseen_bound(SmallBallQuery(x=np.ones(3), dist=dist, v=0.0, t=5e-324))
 
 
 def test_esseen_bound_dominates_exact_with_fitted_constant():
