@@ -99,10 +99,10 @@ class FitReport:
 
 
 def _mc_sums(query: BoundQuery) -> np.ndarray:
-    """The Monte Carlo sums of a regular-vector query. They depend on
-    (x, law, mc_seed) only, not on the window t."""
+    """The Monte Carlo sums of a regular-vector query, a fresh array the
+    caller owns. They depend on (x, law, mc_seed) only, not on the window t."""
     rng = derive_stream(query.mc_seed, 0)
-    return np.concatenate(list(sample_sums(query.dist, query.x, REG_MC_SAMPLES, rng)))
+    return sample_sums(query.dist, query.x, REG_MC_SAMPLES, rng)
 
 
 def exact_value(query: BoundQuery) -> float:
@@ -111,7 +111,7 @@ def exact_value(query: BoundQuery) -> float:
     RegimeError for a law with neither finite support nor a closed form
     (only the Gaussian window mass is closed form here)."""
     if query.bound == "regular_smallball":
-        return empirical_sup_concentration(_mc_sums(query), query.t)
+        return empirical_sup_concentration(_mc_sums(query), query.t, sort_in_place=True)
     if not query.dist.finite_support:
         if query.dist.kind != "gaussian":
             raise RegimeError(f"no exact window mass for the {query.dist.spec_string()} law")
@@ -167,7 +167,8 @@ def _evaluate_shared(queries: list[BoundQuery], exact: dict) -> tuple[QueryResul
 def _evaluate_regular(queries: list[BoundQuery]) -> tuple[QueryResult, ...]:
     """evaluate_query over regular-vector queries, in order, drawing each
     (x, law, mc_seed) sample once for all of its windows, on thread_map's
-    threads: one sample (1.6 MB) per thread is alive at a time."""
+    threads. A set is one array of sums (1.6 MB), sorted in place for its
+    windows' scan, so one such array per thread is alive at a time."""
     bounds = [_checked_bound(q) for q in queries]
     groups: dict[tuple, list[int]] = {}
     for i, q in enumerate(queries):
@@ -175,7 +176,8 @@ def _evaluate_regular(queries: list[BoundQuery]) -> tuple[QueryResult, ...]:
 
     def q_hats(members: list[int]) -> list[float]:
         windows = [queries[i].t for i in members]
-        return empirical_sup_concentration(_mc_sums(queries[members[0]]), windows).tolist()
+        sums = _mc_sums(queries[members[0]])
+        return empirical_sup_concentration(sums, windows, sort_in_place=True).tolist()
 
     sets = list(groups.values())
     exact = {}

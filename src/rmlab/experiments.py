@@ -304,11 +304,11 @@ def _run_e3(config, payload):
     p = config.params
     rng = derive_stream(config.master_seed, idx)
     x, cls = calibration.sample_regular_vector(rng, p["delta"], p["q"], n=n)
-    sums = np.concatenate(list(sample_sums(config.dist, x, calibration.REG_MC_SAMPLES, rng)))
+    sums = sample_sums(config.dist, x, calibration.REG_MC_SAMPLES, rng)
     seed = derive_substream_seed(config.master_seed, idx)
     # the windows delta .. 8 delta that FITTED["regular_smallball"] was fitted on
     ts = [mult * p["delta"] for mult in range(1, 9)]
-    q_hats = empirical_sup_concentration(sums, ts).tolist()
+    q_hats = empirical_sup_concentration(sums, ts, sort_in_place=True).tolist()
     return [
         (idx, n, config.dist.spec_string(), seed, t, q_hat, cls.min_ssq, cls.threshold)
         for t, q_hat in zip(ts, q_hats)
@@ -420,18 +420,22 @@ def _summary_e5(config, rows):
 
 def _tasks_e6(config):
     """One task per validation query. The corpora fix their own sizes and
-    laws, so n_list and dist are not read, and each query runs once."""
+    laws, so n_list and dist are not read, and each query runs once. The
+    tasks share one table of exact values, made anew for each run, so an
+    (x, law, v, t) that the corpora repeat is computed once per run (E6's
+    tasks run serially, in order)."""
     if config.trials != 1:
         raise ConfigError(f"trials={config.trials!r} must be 1: E6 runs each corpus query once")
     queries = []
     for bound in calibration.DOMINATION_BOUNDS:
         queries.extend(calibration.build_corpus(bound, config.master_seed, config.params["per_bound"]))
-    return list(enumerate(queries))
+    exact: dict = {}
+    return [(idx, query, exact) for idx, query in enumerate(queries)]
 
 
 def _run_e6(config, payload):
-    idx, query = payload
-    res = calibration.evaluate_query(query)
+    idx, query, exact = payload
+    (res,) = calibration._evaluate_shared([query], exact)
     c = constants.FITTED[query.bound]
     dominated = int(res.exact <= c * res.bound_value * (1.0 + 1e-12))
     return [

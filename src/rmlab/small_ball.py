@@ -38,9 +38,14 @@ _ENUM_LIMIT = 2**24
 _ENUM_TRIAL_LIMIT = 2**20
 _CONV_CELL_LIMIT = 2**26
 _SCAN_BLOCK = 64
-# Table lookups per chunk of Monte Carlo rows: 512 KiB of indices and as
-# much of terms, so a chunk stays in cache between its passes.
-_CHUNK_TERMS = 1 << 16
+# Pattern sums per slice of the enumeration's window scan and tie check
+_SCAN_CHUNK = 1 << 14
+# Rademacher Monte Carlo rows per chunk, and raw words per chunk at most.
+# Per row a chunk holds its Philox words, one term and the table index that
+# np.take casts a group's sign bytes to (336 KiB at n <= 64): fewer, larger
+# chunks would hand the GIL between pool threads less often but hold more.
+_CHUNK_ROWS = 14 << 10
+_CHUNK_WORDS = 1 << 17
 
 PROBABILITY_METHODS = frozenset({"exact", "convolution", "monte_carlo"})
 BOUND_METHODS = frozenset(
@@ -111,7 +116,9 @@ def _atom_law_of_sum(weights: np.ndarray, dist: EntryDistribution, budget: int):
 
     The running atom count is capped by budget: lattice-like weight vectors
     stay small after merging even when support^m is astronomical, so the cap
-    is checked against actual growth rather than the worst case.
+    is checked against actual growth rather than the worst case. Equal sums
+    (-0.0 against 0.0 counts as equal) merge into the first of them in
+    pattern order, and their probabilities are added from 0.0 in that order.
     """
     sup = dist.support()
     sup_probs = dist.support_probs()
@@ -122,45 +129,89 @@ def _atom_law_of_sum(weights: np.ndarray, dist: EntryDistribution, budget: int):
             raise RegimeError("enumeration would exceed the atom budget")
         new_vals = (vals[:, None] + w * sup[None, :]).ravel()
         new_probs = (probs[:, None] * sup_probs[None, :]).ravel()
-        vals, inverse = np.unique(new_vals, return_inverse=True)
-        probs = np.zeros_like(vals)
-        np.add.at(probs, inverse, new_probs)
+        # stable, so each atom's patterns stay in pattern order
+        order = np.argsort(new_vals, kind="stable")
+        new_vals = new_vals[order]
+        first = np.empty(new_vals.size, dtype=bool)
+        first[0] = True
+        np.not_equal(new_vals[1:], new_vals[:-1], out=first[1:])
+        vals = new_vals[first]
+        probs = np.bincount(np.cumsum(first) - 1, weights=new_probs[order])
     return vals, probs
 
 
 def _distinct_sums(weights: np.ndarray, dist: EntryDistribution):
-    """All support^m pattern sums and their probabilities, unmerged, or None.
+    """All support^m pattern sums, unmerged, or None.
 
-    Pattern (s_1, ..., s_m) gets the sum ((0 + w_1 s_1) + w_2 s_2) + ... and
-    the probability ((1 p_1) p_2) ..., the float operations of
-    _atom_law_of_sum, built by in-place doubling. If no two sums are equal
-    (-0.0 against 0.0 counts as equal), no step of _atom_law_of_sum merged
-    anything, so its vals and probs are these sums sorted and their
-    probabilities in that order. None when support^m exceeds
-    _ENUM_TRIAL_LIMIT, when every weight is an integer multiple of the
-    smallest |w| (a lattice vector, whose sums merge at once), or on a tie.
+    Digit j of pattern p in base |support| is the atom s_j of weight w_j
+    (j = 0 .. m-1), and the pattern's sum is ((0 + w_0 s_0) + w_1 s_1) + ...,
+    the float operations of _atom_law_of_sum, built by in-place doubling.
+    None when support^m exceeds _ENUM_TRIAL_LIMIT, or when every weight is
+    an integer multiple of the smallest |w| (a lattice vector, whose sums
+    merge at once).
     """
     sup = dist.support()
-    sup_probs = dist.support_probs()
     size = sup.size ** weights.size
     ratios = weights / np.min(np.abs(weights))
     if size > _ENUM_TRIAL_LIMIT or np.all(ratios == np.rint(ratios)):
         return None
     sums = np.empty(size)
-    probs = np.empty(size)
-    sums[0], probs[0] = 0.0, 1.0
+    sums[0] = 0.0
     done = 1
     for w in weights:
         # atom k's patterns go to block k; block 0 overwrites the prefix it reads, so it is last
         for k in range(sup.size - 1, -1, -1):
-            block = slice(k * done, (k + 1) * done)
-            np.add(sums[:done], w * sup[k], out=sums[block])
-            np.multiply(probs[:done], sup_probs[k], out=probs[block])
+            np.add(sums[:done], w * sup[k], out=sums[k * done : (k + 1) * done])
         done *= sup.size
-    ordered = np.sort(sums)
-    if np.any(ordered[1:] == ordered[:-1]):
+    return sums
+
+
+def _pattern_probs(index: np.ndarray, sup_probs: np.ndarray, m: int) -> np.ndarray:
+    """The probabilities ((1 p(s_0)) p(s_1)) ... p(s_{m-1}) of the patterns
+    at index (digits as in _distinct_sums), multiplied left to right, the
+    float operations of _atom_law_of_sum."""
+    probs = np.ones(index.size)
+    # in slices, so that the digit temporaries stay small
+    for start in range(0, index.size, _SCAN_CHUNK):
+        part = probs[start : start + _SCAN_CHUNK]
+        rest = index[start : start + _SCAN_CHUNK].copy()
+        for _ in range(m):
+            part *= sup_probs[rest % sup_probs.size]
+            rest //= sup_probs.size
+    return probs
+
+
+def _distinct_window_mass(weights: np.ndarray, dist: EntryDistribution, v: float, t: float):
+    """(P(|S - v| < t), atom count) from the unmerged pattern sums, or None.
+
+    If no two pattern sums are equal (-0.0 against 0.0 counts as equal), no
+    step of _atom_law_of_sum merged anything, so its atoms are the sorted
+    sums with their pattern probabilities, and adding the in-window
+    probabilities in the order of their sums gives its value bit for bit.
+    The in-window patterns are found in slices of _SCAN_CHUNK sums, the sums
+    are then sorted in place for the tie check, and each in-window
+    probability is rebuilt from its pattern index. None where _distinct_sums
+    is None, and on a tie.
+    """
+    sums = _distinct_sums(weights, dist)
+    if sums is None:
         return None
-    return sums, probs
+    inside = np.concatenate(
+        [
+            start + np.flatnonzero(np.abs(sums[start : start + _SCAN_CHUNK] - v) < t)
+            for start in range(0, sums.size, _SCAN_CHUNK)
+        ]
+    )
+    inside_sums = sums[inside]
+    sums.sort()
+    for start in range(0, sums.size - 1, _SCAN_CHUNK):
+        chunk = sums[start : start + _SCAN_CHUNK + 1]
+        if np.any(chunk[1:] == chunk[:-1]):
+            return None
+    order = np.argsort(inside_sums)
+    del inside_sums
+    inside = inside[order]
+    return _pattern_probs(inside, dist.support_probs(), weights.size).sum(), sums.size
 
 
 def _convolve_on_grid(weights: np.ndarray, dist: EntryDistribution, h: float):
@@ -195,11 +246,14 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     path='enumerate' builds the exact atom law in one of two ways. When
     support^m <= 2^20 and the weights are not all integer multiples of the
     smallest |w|, _distinct_sums computes every pattern's sum once and sorts
-    the sums once; if no two tie, that is the atom law. Otherwise (a lattice
-    vector, a tie, or more patterns) _atom_law_of_sum convolves term by term
-    and merges equal sums after each term, and the merged atom count must
-    stay within 2^24 as terms accumulate. Both give the same value bit for
-    bit, and metadata["atoms"] is the atom count of the law.
+    the sums once; if no two tie, that is the atom law. This path holds one
+    float per pattern (8 B, 8 MiB at 2^20 patterns), about 24 B per pattern
+    inside the window and fixed-size scan slices; it stores no per-pattern
+    probability, but rebuilds each in-window one from its pattern. Otherwise
+    (a lattice vector, a tie, or more patterns) _atom_law_of_sum convolves
+    term by term and merges equal sums after each term, and the merged atom
+    count must stay within 2^24 as terms accumulate. Both give the same
+    value bit for bit, and metadata["atoms"] is the atom count of the law.
 
     path='convolve' uses a grid at resolution h = t / (100 m), which keeps
     the accumulated placement drift m*h/2 well under the window scale; the
@@ -218,12 +272,9 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     m = weights.size
     if path != "convolve":
         atoms = None
-        distinct = _distinct_sums(weights, q.dist)
+        distinct = _distinct_window_mass(weights, q.dist, q.v, q.t)
         if distinct is not None:
-            sums, probs = distinct
-            inside = np.abs(sums - q.v) < q.t
-            # the merged law's in-window probabilities, in the order of their sums
-            value, atoms = probs[inside][np.argsort(sums[inside])].sum(), sums.size
+            value, atoms = distinct
         else:
             # lattice-like weights merge to few atoms, so attempt enumeration
             # with a reduced budget before falling back to the grid
@@ -281,59 +332,55 @@ def _rademacher_sums(rng: RngStream, tables: np.ndarray, n: int, rows: int) -> n
     ceil(n/64) Philox words (see sample_sums)."""
     words = -(-n // 64)
     groups = tables.shape[0]
-    rows_per = min(rows, max(1, _CHUNK_TERMS // groups))
-    # reused across chunks; row g of group_terms holds T[g, b_g] of every
-    # row of the chunk, so each add is contiguous
-    index = np.empty(groups * rows_per, dtype=np.intp)
-    terms = np.empty(groups * rows_per)
-    offsets = 256 * np.arange(groups)[:, None]
+    rows_per = max(1, min(rows, _CHUNK_ROWS, _CHUNK_WORDS // words))
+    # reused across chunks: one group's terms for every row of the chunk
+    term = np.empty(rows_per)
     sums = np.empty(rows)
     for start in range(0, rows, rows_per):
         chunk = min(rows_per, rows - start)
         raw = rng.bit_generator.random_raw(chunk * words)
         sign_bytes = raw.astype("<u8", copy=False).view(np.uint8).reshape(chunk, 8 * words)
-        group_index = index[: groups * chunk].reshape(groups, chunk)
-        np.add(sign_bytes[:, :groups].T, offsets, out=group_index)
-        group_terms = terms[: groups * chunk].reshape(groups, chunk)
-        np.take(tables, group_index, out=group_terms, mode="clip")
         acc = sums[start : start + chunk]
-        acc[:] = group_terms[0]
-        for term in group_terms[1:]:
-            acc += term
+        # group 0's terms start the sums; each later group's are added
+        np.take(tables[0], sign_bytes[:, 0], out=acc, mode="clip")
+        for g in range(1, groups):
+            np.take(tables[g], sign_bytes[:, g], out=term[:chunk], mode="clip")
+            acc += term[:chunk]
+        # the next chunk's words are drawn while these would still be held
+        del raw, sign_bytes
     return sums
 
 
-def sample_sums(dist: EntryDistribution, x, count: int, rng: RngStream):
-    """Yield the sums draws @ x of count i.i.d. entry vectors, one block at a time.
+def sample_sums(dist: EntryDistribution, x, count: int, rng: RngStream) -> np.ndarray:
+    """The sums draws @ x of count i.i.d. entry vectors, as one fresh array.
 
-    A block holds at most 5e6 entries, and each yielded array of sums is
-    fresh. Other laws draw the block with sample() and reduce each row
-    against x with np.einsum, whose loop is numpy's own, not BLAS; a row's
-    sum depends on the row and x alone, not on the block's row count or the
-    BLAS thread count.
+    The sums array is the only count-sized allocation. Other laws draw
+    blocks of at most 5e6 entries with sample() and reduce each block's rows
+    against x with np.einsum into their slice of it; einsum's loop is
+    numpy's own, not BLAS, so a row's sum depends on the row and x alone,
+    not on the block's row count or the BLAS thread count.
 
-    Rademacher blocks hold no float signs. Each row reads its own ceil(n/64)
-    words with rng.bit_generator.random_raw, so a block of rows leaves rng
-    rows * ceil(n/64) words on, with a pending 32-bit half-word kept for the
-    next integers() call. Byte g of a row's words, viewed little-endian, is
-    its sign byte b_g: bit k set means +x[8g+k], else -x[8g+k]. A bit past
-    coordinate n - 1 adds a signed zero, and the bytes after b_{ceil(n/8)-1}
-    are not read. The row's sum is
+    Rademacher rows hold no float signs. Each row reads its own ceil(n/64)
+    words with rng.bit_generator.random_raw, so the call leaves rng
+    count * ceil(n/64) words on, with a pending 32-bit half-word kept for
+    the next integers() call. Byte g of a row's words, viewed little-endian,
+    is its sign byte b_g: bit k set means +x[8g+k], else -x[8g+k]. A bit
+    past coordinate n - 1 adds a signed zero, and the bytes after
+    b_{ceil(n/8)-1} are not read. The row's sum is
     ((T[0, b_0] + T[1, b_1]) + T[2, b_2]) + ..., added left to right, with
     the tables T of _sign_tables built once per call. So the sums depend on
-    the stream and x alone, not on the block or chunk size or the BLAS
-    library. They are not the sums of sample() rows, which read one
-    half-word per sign.
+    the stream and x alone, not on the chunk size or the BLAS library. They
+    are not the sums of sample() rows, which read one half-word per sign.
     """
     n = x.size
+    if dist.kind == "rademacher":
+        return _rademacher_sums(rng, _sign_tables(x), n, count)
     block = max(1, 5_000_000 // n)
-    tables = _sign_tables(x) if dist.kind == "rademacher" else None
+    sums = np.empty(count)
     for done in range(0, count, block):
         b = min(block, count - done)
-        if tables is None:
-            yield np.einsum("ij,j->i", sample(dist, rng, size=(b, n)), x)
-        else:
-            yield _rademacher_sums(rng, tables, n, b)
+        np.einsum("ij,j->i", sample(dist, rng, size=(b, n)), x, out=sums[done : done + b])
+    return sums
 
 
 def monte_carlo_concentration(
@@ -342,10 +389,8 @@ def monte_carlo_concentration(
     """Monte Carlo estimate with an exact-coverage 95 percent binomial ci."""
     if trials < 100:
         raise ConfigError(f"trials={trials} < 100")
-    count = sum(
-        int(np.count_nonzero(np.abs(sums - q.v) < q.t))
-        for sums in sample_sums(q.dist, q.x, trials, rng)
-    )
+    sums = sample_sums(q.dist, q.x, trials, rng)
+    count = int(np.count_nonzero(np.abs(sums - q.v) < q.t))
     value = count / trials
     return ConcentrationEstimate(
         value=value,
@@ -355,7 +400,7 @@ def monte_carlo_concentration(
     )
 
 
-def empirical_sup_concentration(samples, t):
+def empirical_sup_concentration(samples, t, sort_in_place: bool = False):
     """Empirical sup over v of P(|S - v| < t) from a sample of S.
 
     Every open window of width 2t over the sample coincides with some
@@ -365,7 +410,11 @@ def empirical_sup_concentration(samples, t):
 
     t is one window (a float is returned) or a 1-d array of windows (an
     array of one value per window is returned, each equal to the scalar
-    call's). The sample is sorted once for all of them.
+    call's). The sample is sorted once for all of them: into a copy, or,
+    with sort_in_place and a float64 samples array, in place, which leaves
+    the caller's array sorted and allocates nothing of the sample's size.
+    Either way the sample must be finite and nonempty and every window
+    positive (ConfigError).
 
     With s sorted, anchor i counts hi(i) - i samples, hi(i) =
     searchsorted(s, s[i] + 2t). hi never decreases, so every anchor of a
@@ -382,7 +431,10 @@ def empirical_sup_concentration(samples, t):
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ConfigError("samples must be a nonempty 1-d array")
-    s = np.sort(s)
+    if sort_in_place:
+        s.sort()
+    else:
+        s = np.sort(s)
     # sorting puts -inf first and +inf and nan last
     if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
         raise ConfigError("samples must be finite")

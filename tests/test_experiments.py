@@ -494,6 +494,37 @@ def test_e6_rows_and_summary():
         assert info["max_ratio"] <= constants.FITTED[bound]
 
 
+def test_e6_computes_each_distinct_exact_value_once_per_run(monkeypatch):
+    """The validation corpora repeat some (x, law, v, t) (the two Halasz
+    corpora share their structured queries): E6 computes each distinct exact
+    value once per run, a second run computes them again, and every row
+    holds the query's own evaluate_query values."""
+    seed, per_bound = constants.VALIDATION_SEED, 30
+    cfg = ExperimentConfig(
+        experiment="E6_bound_calibration", master_seed=seed, params={"per_bound": per_bound}
+    )
+    queries = [
+        q for b in calibration.DOMINATION_BOUNDS for q in calibration.build_corpus(b, seed, per_bound)
+    ]
+    keys = {(q.x.tobytes(), q.dist, np.array([q.v, q.t]).tobytes()) for q in queries}
+    calls = []
+    real = calibration.exact_value
+
+    def counting(query):
+        calls.append(query)
+        return real(query)
+
+    monkeypatch.setattr(calibration, "exact_value", counting)
+    res = run(cfg)
+    assert len(calls) == len(keys) < len(queries) == len(res.rows)
+    assert emit(run(cfg)) == emit(res)
+    assert len(calls) == 2 * len(keys)
+    monkeypatch.undo()
+    for row, q in zip(res.rows, queries):
+        single = calibration.evaluate_query(q)
+        assert (row[1], row[4], row[5]) == (q.bound, single.exact, single.bound_value)
+
+
 # ------------------------------------------------------------ emit and summary
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import product_concentration, window_sup_probability
 from test_distributions import _philox_state
 from rmlab import calibration, constants, small_ball
-from rmlab.distributions import GAUSSIAN, RADEMACHER, char_fn, discrete
+from rmlab.distributions import GAUSSIAN, RADEMACHER, char_fn, discrete, sample
 from rmlab.errors import ConfigError, RegimeError
 from rmlab.rng import derive_stream
 from rmlab.small_ball import (
@@ -202,18 +203,58 @@ def test_exact_enumeration_adds_skew_window_mass_in_sum_order(m, t):
 def test_distinct_sums_path_runs_on_generic_weights_only():
     generic = np.log([2.0, 3.0, 5.0, 7.0]) * [1.0, -1.0, 1.0, 1.0]
     for dist in FINITE_LAWS:
-        sums, probs = small_ball._distinct_sums(generic, dist)
+        sums = small_ball._distinct_sums(generic, dist)
+        probs = small_ball._pattern_probs(np.arange(sums.size), dist.support_probs(), generic.size)
         vals, merged = small_ball._atom_law_of_sum(generic, dist, small_ball._ENUM_LIMIT)
         order = np.argsort(sums)
         assert sums[order].tobytes() == vals.tobytes()
         assert probs[order].tobytes() == merged.tobytes()
     # two equal leading weights tie (0 + w s) + w s' with (0 + w s') + w s;
     # lattice vectors are not tried
-    assert small_ball._distinct_sums(np.array([0.3, 0.3, 1.7]), SKEW) is None
+    assert small_ball._distinct_sums(np.array([0.3, 0.3, 1.7]), SKEW) is not None
+    assert small_ball._distinct_window_mass(np.array([0.3, 0.3, 1.7]), SKEW, 0.0, 1.0) is None
     assert small_ball._distinct_sums(np.ones(5), SKEW) is None
     assert small_ball._distinct_sums(np.array([0.5, -1.5, 1.0]), SKEW) is None
     # more patterns than the trial limit
     assert small_ball._distinct_sums(derive_stream(36, 0).uniform(0.5, 2.0, 21), RADEMACHER) is None
+
+
+@pytest.mark.parametrize("dist", [SKEW, calibration.D3], ids=["2 atoms", "3 atoms"])
+def test_pattern_probabilities_rebuilt_from_the_index_equal_the_merging_law(dist):
+    """Digit j of a pattern's index, in base |support|, is weight j's atom,
+    and its probability multiplies the atoms' left to right: on generic
+    weights, where nothing merges, these are _atom_law_of_sum's
+    probabilities in the order of the pattern sums, bit for bit."""
+    x = derive_stream(38, dist.support().size).uniform(0.5, 2.0, 9)
+    sums = small_ball._distinct_sums(x, dist)
+    index = np.argsort(sums)
+    probs = small_ball._pattern_probs(index, dist.support_probs(), x.size)
+    vals, merged = small_ball._atom_law_of_sum(x, dist, small_ball._ENUM_LIMIT)
+    assert vals.size == sums.size == dist.support().size ** x.size
+    assert sums[index].tobytes() == vals.tobytes()
+    assert probs.tobytes() == merged.tobytes()
+    # and for a slice of the index in any order, not only all of it
+    some = index[::7][::-1]
+    assert small_ball._pattern_probs(some, dist.support_probs(), x.size).tobytes() == (
+        probs[::7][::-1].tobytes()
+    )
+
+
+def test_enumeration_holds_one_float_per_pattern():
+    """A generic m = 18 query enumerates 2^18 pattern sums and stores no
+    per-pattern probability: its traced peak stays within 12 B per pattern."""
+    x = derive_stream(39, 0).uniform(0.5, 2.0, 18)
+    q = SmallBallQuery(x=x, dist=RADEMACHER, v=0.0, t=0.5)
+    first = exact_concentration(q)
+    assert first.metadata == {"path": "enumeration", "atoms": 2**18}
+    tracemalloc.start()
+    try:
+        again = exact_concentration(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.value == first.value
+    assert peak <= 12 * 2**18, peak / 2**18
 
 
 @pytest.mark.parametrize(
@@ -265,12 +306,13 @@ def _table_order_sums(signs, x):
 
 @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 4999])
 def test_sample_sums_match_table_order_for_any_chunk_count(n, monkeypatch):
-    """Rademacher sums, block by block, equal in the documented table order,
-    bit for bit, the sums of signs read from raw Philox words: row r takes the
-    next ceil(n/64) words, and bit k of their little-endian byte g is the sign
-    of coordinate 8g+k. That holds for two chunk sizes, with a half-word
-    pending or not, and the stream ends exactly rows * ceil(n/64) words on with
-    the pending half-word kept. A wrong or shifted sign moves a sum by 2|x_j|."""
+    """Rademacher sums equal in the documented table order, bit for bit, the
+    sums of signs read from raw Philox words: row r takes the next ceil(n/64)
+    words, and bit k of their little-endian byte g is the sign of coordinate
+    8g+k. That holds for two chunk row counts (n = 4999 also meets the cap on
+    raw words per chunk), with a half-word pending or not, and the stream
+    ends exactly rows * ceil(n/64) words on with the pending half-word kept.
+    A wrong or shifted sign moves a sum by 2|x_j|."""
     x = derive_stream(34, n).uniform(-1.0, 1.0, size=n)
     words, groups = -(-n // 64), -(-n // 8)
     block = 5_000_000 // n
@@ -296,17 +338,62 @@ def test_sample_sums_match_table_order_for_any_chunk_count(n, monkeypatch):
         assert checked > 0
         want = np.concatenate(want)
         assert ref.state["has_uint32"] == prefix % 2
-        for chunk_terms in (small_ball._CHUNK_TERMS, 40_000):
-            monkeypatch.setattr(small_ball, "_CHUNK_TERMS", chunk_terms)
+        for chunk_rows in (small_ball._CHUNK_ROWS, 1000):
+            monkeypatch.setattr(small_ball, "_CHUNK_ROWS", chunk_rows)
             got_rng = derive_stream(35, count)
             got_rng.integers(0, 2, size=prefix)
-            got = list(sample_sums(RADEMACHER, x, count, got_rng))
-            assert [s.size for s in got] == [min(block, count - i) for i in range(0, count, block)]
-            assert np.concatenate(got).tobytes() == want.tobytes()
+            got = sample_sums(RADEMACHER, x, count, got_rng)
+            assert got.tobytes() == want.tobytes()
             probe = np.random.Generator(np.random.Philox(0))
             probe.bit_generator.state = ref.state
             assert _philox_state(got_rng) == _philox_state(probe)
             assert got_rng.integers(0, 2, size=3).tolist() == probe.integers(0, 2, size=3).tolist()
+
+
+def _sums_block_by_block(dist, x, count, rng):
+    """sample_sums as a list of blocks of at most 5e6 entries, concatenated:
+    Rademacher blocks through _rademacher_sums, other laws through sample()
+    and a fresh np.einsum result per block."""
+    n = x.size
+    block = max(1, 5_000_000 // n)
+    out = []
+    for done in range(0, count, block):
+        b = min(block, count - done)
+        if dist.kind == "rademacher":
+            out.append(small_ball._rademacher_sums(rng, small_ball._sign_tables(x), n, b))
+        else:
+            out.append(np.einsum("ij,j->i", sample(dist, rng, size=(b, n)), x))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("dist", [RADEMACHER, GAUSSIAN, calibration.D3], ids=lambda d: d.kind)
+def test_sample_sums_is_one_array_equal_to_the_blocks(dist):
+    """One array, bit for bit the concatenated blocks, for a count that is
+    no multiple of the 5000-row block at n = 1000; the stream ends at the
+    same state."""
+    x = derive_stream(40, 0).uniform(-1.0, 1.0, 1000)
+    got_rng, want_rng = derive_stream(41, 0), derive_stream(41, 0)
+    got = sample_sums(dist, x, 12_345, got_rng)
+    want = _sums_block_by_block(dist, x, 12_345, want_rng)
+    assert isinstance(got, np.ndarray) and got.shape == (12_345,)
+    assert got.tobytes() == want.tobytes()
+    assert _philox_state(got_rng) == _philox_state(want_rng)
+
+
+def test_one_regular_mc_set_holds_one_float_per_sample():
+    """Drawing a regular-vector query's REG_MC_SAMPLES sums and scanning its
+    four windows allocates the sums once and sorts them in place: the traced
+    peak stays within 1.25 floats per sample."""
+    corpus = calibration.build_corpus("regular_smallball", constants.CALIBRATION_SEED, 4)
+    first = calibration._evaluate_regular(corpus)
+    tracemalloc.start()
+    try:
+        again = calibration._evaluate_regular(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.exact for r in again] == [r.exact for r in first]
+    assert peak <= 1.25 * 8 * calibration.REG_MC_SAMPLES, peak / (8 * calibration.REG_MC_SAMPLES)
 
 
 def test_monte_carlo_sums_of_regular_vectors_meet_the_grid_oracle():
@@ -331,7 +418,7 @@ from rmlab.distributions import GAUSSIAN
 from rmlab.rng import derive_stream
 from rmlab.small_ball import sample_sums
 x = derive_stream(4, 1).uniform(-1.0, 1.0, 64)
-sums = np.concatenate(list(sample_sums(GAUSSIAN, x, 200_000, derive_stream(4, 0))))
+sums = sample_sums(GAUSSIAN, x, 200_000, derive_stream(4, 0))
 print(hashlib.sha256(sums.tobytes()).hexdigest())
 """
 
