@@ -2,9 +2,10 @@
 
 Each bound mechanism is constant-free; this module pairs it with an exact
 (or deterministically estimated) concentration value over a seeded corpus,
-fits the constant as the maximal ratio exact/bound, and checks that the
-frozen constants (raw fit times a safety margin, recorded in
-`rmlab.constants`) dominate a disjoint validation corpus.
+fits the constant as the maximal ratio exact/bound (fit_bounds), and checks
+that the frozen constants (raw fit times a safety margin, recorded in
+`rmlab.constants`) dominate a disjoint validation corpus: E6 is one
+fit_bounds call over the validation corpora of DOMINATION_BOUNDS.
 
 Corpora mix deterministic near-envelope structures (all-equal weights,
 arithmetic progressions, two-scale vectors - the shapes that maximize the
@@ -98,11 +99,14 @@ class FitReport:
     results: tuple[QueryResult, ...]
 
 
-def _mc_sums(query: BoundQuery) -> np.ndarray:
-    """The Monte Carlo sums of a regular-vector query, a fresh array the
-    caller owns. They depend on (x, law, mc_seed) only, not on the window t."""
-    rng = derive_stream(query.mc_seed, 0)
-    return sample_sums(query.dist, query.x, REG_MC_SAMPLES, rng)
+def _mc_values(group: list[BoundQuery]) -> list[float]:
+    """The Monte Carlo values of regular-vector queries that share (x, law,
+    mc_seed), one per window t: the REG_MC_SAMPLES sums drawn from
+    derive_stream(mc_seed, 0), one fresh array (1.6 MB), sorted in place and
+    scanned at every window of the group."""
+    first = group[0]
+    sums = sample_sums(first.dist, first.x, REG_MC_SAMPLES, derive_stream(first.mc_seed, 0))
+    return empirical_sup_concentration(sums, [q.t for q in group], sort_in_place=True).tolist()
 
 
 def exact_value(query: BoundQuery) -> float:
@@ -111,7 +115,7 @@ def exact_value(query: BoundQuery) -> float:
     RegimeError for a law with neither finite support nor a closed form
     (only the Gaussian window mass is closed form here)."""
     if query.bound == "regular_smallball":
-        return empirical_sup_concentration(_mc_sums(query), query.t, sort_in_place=True)
+        return _mc_values([query])[0]
     if not query.dist.finite_support:
         if query.dist.kind != "gaussian":
             raise RegimeError(f"no exact window mass for the {query.dist.spec_string()} law")
@@ -150,40 +154,33 @@ def evaluate_query(query: BoundQuery) -> QueryResult:
     return QueryResult(query=query, exact=exact_value(query), bound_value=b)
 
 
-def _evaluate_shared(queries: list[BoundQuery], exact: dict) -> tuple[QueryResult, ...]:
-    """evaluate_query over queries, in order, taking the exact value of an
-    (x, law, v, t) already in exact, the caller's table, from there."""
-    out = []
-    for q in queries:
+def _evaluate(queries: list[BoundQuery], exact: dict) -> tuple[QueryResult, ...]:
+    """The QueryResult of each query, in order. A finite-law or Gaussian
+    (x, law, v, t) already in exact, the caller's table, takes its exact
+    value from there; a first-seen one goes through evaluate_query and into
+    the table. A regular-vector query's bound is checked first; then each
+    (x, law, mc_seed) group's sample is drawn once for all of its windows, on
+    thread_map's threads, so one array of sums per thread is alive at a time."""
+    # a QueryResult, or a regular-vector query's bound until its group is drawn
+    out: list = []
+    groups: dict[tuple, list[int]] = {}
+    for i, q in enumerate(queries):
+        if q.bound == "regular_smallball":
+            out.append(_checked_bound(q))
+            groups.setdefault((q.x.tobytes(), q.dist, q.mc_seed), []).append(i)
+            continue
         key = (q.x.tobytes(), q.dist, np.array([q.v, q.t]).tobytes())
         if key in exact:
             out.append(QueryResult(q, exact[key], _checked_bound(q)))
         else:
             out.append(evaluate_query(q))
             exact[key] = out[-1].exact
-    return tuple(out)
-
-
-def _evaluate_regular(queries: list[BoundQuery]) -> tuple[QueryResult, ...]:
-    """evaluate_query over regular-vector queries, in order, drawing each
-    (x, law, mc_seed) sample once for all of its windows, on thread_map's
-    threads. A set is one array of sums (1.6 MB), sorted in place for its
-    windows' scan, so one such array per thread is alive at a time."""
-    bounds = [_checked_bound(q) for q in queries]
-    groups: dict[tuple, list[int]] = {}
-    for i, q in enumerate(queries):
-        groups.setdefault((q.x.tobytes(), q.dist, q.mc_seed), []).append(i)
-
-    def q_hats(members: list[int]) -> list[float]:
-        windows = [queries[i].t for i in members]
-        sums = _mc_sums(queries[members[0]])
-        return empirical_sup_concentration(sums, windows, sort_in_place=True).tolist()
-
     sets = list(groups.values())
-    exact = {}
-    for members, values in zip(sets, thread_map(q_hats, sets)):
-        exact.update(zip(members, values))
-    return tuple(QueryResult(q, exact[i], b) for i, (q, b) in enumerate(zip(queries, bounds)))
+    drawn = thread_map(_mc_values, [[queries[i] for i in members] for members in sets])
+    for members, values in zip(sets, drawn):
+        for i, value in zip(members, values):
+            out[i] = QueryResult(queries[i], value, out[i])
+    return tuple(out)
 
 
 # ------------------------------------------------------------------- corpora
@@ -396,35 +393,25 @@ def build_corpus(bound: str, seed: int, count: int) -> list[BoundQuery]:
     return structured + rand(rng, count - len(structured))
 
 
-def _fit(bounds, seed: int, count: int) -> dict[str, FitReport]:
-    """The FitReport of each bound, with a table of exact values for this call only."""
+def fit_bounds(bounds, seed: int, count: int) -> dict[str, FitReport]:
+    """The FitReport of each bound, in order: its raw constant is the largest
+    exact/bound ratio over build_corpus(bound, seed, count). One table of
+    exact values serves the call, so an (x, law, v, t) that corpora share
+    (the two Halasz corpora share their structured queries) is evaluated once."""
     exact: dict = {}
     reports = {}
     for bound in bounds:
-        corpus = build_corpus(bound, seed, count)
-        if bound == "regular_smallball":
-            results = _evaluate_regular(corpus)
-        else:
-            results = _evaluate_shared(corpus, exact)
+        results = _evaluate(build_corpus(bound, seed, count), exact)
         raw = max(res.ratio for res in results)
         reports[bound] = FitReport(bound=bound, seed=seed, raw=raw, results=results)
     return reports
 
 
-def fit_bound(bound: str, seed: int, count: int) -> FitReport:
-    """Fit one bound's raw constant: the largest exact/bound ratio over its
-    corpus. Each (x, mc_seed) Monte Carlo sample of the regular_smallball
-    corpus is drawn once and serves all of its windows t = delta .. 8 delta;
-    each distinct (x, law, v, t) of the other corpora is evaluated once."""
-    return _fit((bound,), seed, count)[bound]
-
-
 def fit_all(
     seed: int = constants.CALIBRATION_SEED, per_bound: int = 60
 ) -> dict[str, FitReport]:
-    """fit_bound for every bound, computing an exact value that corpora share
-    (the two Halasz corpora share their structured queries) once."""
-    return _fit(BOUNDS, seed, per_bound)
+    """fit_bounds over every bound."""
+    return fit_bounds(BOUNDS, seed, per_bound)
 
 
 def stability_report() -> dict[str, dict]:

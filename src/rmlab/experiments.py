@@ -11,7 +11,9 @@ its CSV columns; its params, each key with its type and default, the only
 keys run() accepts; tasks(config), the list of task payloads in trial-index
 order, each led by its trial index; run(config, payload), the rows of one
 task; and summarize(config, rows), the JSON summary built from the rows
-alone. These three get the config with its params complete and typed.
+alone. These three get the config with its params complete and typed. E6
+is one task, a calibration.fit_bounds call over its validation corpora,
+with one row per corpus query.
 
 Determinism contract: rows must be a pure function of (config, trial index).
 Trial i draws from an RNG stream derived from (master_seed, i) by a fixed
@@ -354,8 +356,8 @@ def _run_e4(config, payload):
     idx = payload[0]
     l, k = config.params["l"], config.params["k"]
     seed = derive_substream_seed(config.master_seed, idx)
-    instance = sample_allocation(l, k, derive_stream(config.master_seed, idx))
-    min_ssq, _ = min_half_subset_ssq(instance.occupancy, math.ceil(l / 2))
+    occupancy = sample_allocation(l, k, derive_stream(config.master_seed, idx))
+    min_ssq, _ = min_half_subset_ssq(occupancy, math.ceil(l / 2))
     stat = min_ssq * k / l**2
     return [(idx, l, k, seed, min_ssq, stat)]
 
@@ -419,29 +421,26 @@ def _summary_e5(config, rows):
 
 
 def _tasks_e6(config):
-    """One task per validation query. The corpora fix their own sizes and
-    laws, so n_list and dist are not read, and each query runs once. The
-    tasks share one table of exact values, made anew for each run, so an
-    (x, law, v, t) that the corpora repeat is computed once per run (E6's
-    tasks run serially, in order)."""
+    """One task: the fit over the validation corpora. The corpora fix their
+    own sizes and laws, so n_list and dist are not read."""
     if config.trials != 1:
         raise ConfigError(f"trials={config.trials!r} must be 1: E6 runs each corpus query once")
-    queries = []
-    for bound in calibration.DOMINATION_BOUNDS:
-        queries.extend(calibration.build_corpus(bound, config.master_seed, config.params["per_bound"]))
-    exact: dict = {}
-    return [(idx, query, exact) for idx, query in enumerate(queries)]
+    return [(0,)]
 
 
 def _run_e6(config, payload):
-    idx, query, exact = payload
-    (res,) = calibration._evaluate_shared([query], exact)
-    c = constants.FITTED[query.bound]
-    dominated = int(res.exact <= c * res.bound_value * (1.0 + 1e-12))
-    return [
-        (idx, query.bound, query.dist.spec_string(), query.x.size,
-         res.exact, res.bound_value, res.ratio, dominated)
-    ]
+    """One row per validation query, in corpus order, from one fit_bounds
+    call, whose table of exact values computes an (x, law, v, t) that the
+    corpora repeat once; trial is the query's running index."""
+    fits = calibration.fit_bounds(calibration.DOMINATION_BOUNDS, config.master_seed, config.params["per_bound"])
+    results = (res for report in fits.values() for res in report.results)
+    rows = []
+    for idx, res in enumerate(results):
+        query = res.query
+        dominated = int(res.exact <= constants.FITTED[query.bound] * res.bound_value * (1.0 + 1e-12))
+        rows.append((idx, query.bound, query.dist.spec_string(), query.x.size,
+                     res.exact, res.bound_value, res.ratio, dominated))
+    return rows
 
 
 def _summary_e6(config, rows):

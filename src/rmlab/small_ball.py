@@ -99,12 +99,12 @@ class ConcentrationEstimate:
                 raise ConfigError(f"ci {self.ci!r} does not bracket value {self.value!r}")
 
 
-def clopper_pearson(count: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
-    """Exact binomial confidence interval for count successes in trials."""
+def clopper_pearson(count: int, trials: int) -> tuple[float, float]:
+    """Exact 95% binomial confidence interval for count successes in trials."""
     if not 0 <= count <= trials or trials < 1:
         raise ConfigError("need 0 <= count <= trials, trials >= 1")
-    lo = 0.0 if count == 0 else float(betaincinv(count, trials - count + 1, alpha / 2))
-    hi = 1.0 if count == trials else float(betaincinv(count + 1, trials - count, 1 - alpha / 2))
+    lo = 0.0 if count == 0 else float(betaincinv(count, trials - count + 1, 0.025))
+    hi = 1.0 if count == trials else float(betaincinv(count + 1, trials - count, 0.975))
     return lo, hi
 
 

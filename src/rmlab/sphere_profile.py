@@ -146,19 +146,6 @@ class ProfileClassification:
         }
 
 
-@dataclass(frozen=True)
-class AllocationInstance:
-    l: int
-    k: int
-    occupancy: np.ndarray
-
-    def __post_init__(self):
-        if int(np.sum(self.occupancy)) != self.l:
-            raise ConfigError(f"occupancy sums to {int(np.sum(self.occupancy))}, not l={self.l}")
-        if np.any(self.occupancy < 0):
-            raise ConfigError("occupancy counts must be nonnegative")
-
-
 def _check_unit(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not abs(np.linalg.norm(x) - 1.0) <= _UNIT_NORM_TOL:  # a nan fails too
@@ -309,13 +296,12 @@ def _classify_spread(x: np.ndarray, sigma: np.ndarray, params, delta: float, Q: 
 # ---- allocation experiment (balls in urns) ----------------------------------
 
 
-def sample_allocation(l: int, k: int, rng: RngStream) -> AllocationInstance:
-    """Occupancy of l i.i.d. uniform draws over k bins."""
+def sample_allocation(l: int, k: int, rng: RngStream) -> np.ndarray:
+    """Occupancy of l i.i.d. uniform draws over k bins: k nonnegative counts
+    summing to l."""
     if not (1 <= k <= l):
         raise ConfigError(f"need 1 <= k <= l, got k={k}, l={l}")
-    draws = rng.integers(0, k, size=l)
-    occupancy = np.bincount(draws, minlength=k)
-    return AllocationInstance(l=l, k=k, occupancy=occupancy)
+    return np.bincount(rng.integers(0, k, size=l), minlength=k)
 
 
 # ---- direction samplers ------------------------------------------------------

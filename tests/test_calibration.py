@@ -20,7 +20,7 @@ from rmlab.calibration import (
     evaluate_query,
     exact_value,
     fit_all,
-    fit_bound,
+    fit_bounds,
     sample_regular_vector,
 )
 from rmlab.distributions import GAUSSIAN, RADEMACHER, UNIFORM_SYM
@@ -149,7 +149,7 @@ def test_frozen_raw_fits_reproduced_by_structured_corpus():
     # the attaining query of each non-MC bound is structured, so refitting
     # on the structured slice alone reproduces the frozen raw constant
     for bound, size in STRUCTURED_SIZES.items():
-        rep = fit_bound(bound, seed=12345, count=size)
+        rep = fit_bounds((bound,), seed=12345, count=size)[bound]
         assert rep.raw == pytest.approx(constants.FITTED_RAW[bound], abs=1e-8), bound
         assert len(rep.results) == size
         assert rep.bound == bound
@@ -228,7 +228,7 @@ def test_fit_bound_draws_each_regular_sample_once(count, monkeypatch):
         return real(dist, x, n, rng)
 
     monkeypatch.setattr(calibration, "sample_sums", counting)
-    rep = fit_bound("regular_smallball", seed=3, count=count)
+    rep = fit_bounds(("regular_smallball",), seed=3, count=count)["regular_smallball"]
     assert len(drawn) == len(keys) and set(drawn) == {k[0] for k in keys}
     monkeypatch.undo()
     assert len(rep.results) == count
@@ -242,17 +242,17 @@ def test_fit_bound_draws_each_regular_sample_once(count, monkeypatch):
 def test_fit_bound_regular_is_the_same_on_one_core_and_on_the_pool(monkeypatch):
     cores = usable_cores()
     threads = []
-    real = calibration._mc_sums
+    real = calibration.sample_sums
 
-    def recording(query):
+    def recording(dist, x, count, rng):
         threads.append(threading.get_ident())
-        return real(query)
+        return real(dist, x, count, rng)
 
-    monkeypatch.setattr(calibration, "_mc_sums", recording)
-    pooled = fit_bound("regular_smallball", constants.CALIBRATION_SEED, 60)
+    monkeypatch.setattr(calibration, "sample_sums", recording)
+    pooled = fit_bounds(("regular_smallball",), constants.CALIBRATION_SEED, 60)["regular_smallball"]
     pooled_threads, threads[:] = set(threads), []
     monkeypatch.setattr("rmlab.rng.usable_cores", lambda: 1)
-    serial = fit_bound("regular_smallball", constants.CALIBRATION_SEED, 60)
+    serial = fit_bounds(("regular_smallball",), constants.CALIBRATION_SEED, 60)["regular_smallball"]
     assert set(threads) == {threading.get_ident()}  # one core: the calling thread
     assert [(r.exact, r.bound_value) for r in pooled.results] == [
         (r.exact, r.bound_value) for r in serial.results
@@ -282,7 +282,7 @@ def test_fit_all_evaluates_each_distinct_exact_value_once(monkeypatch):
     assert len(calls) == 100  # no exact value outlives the call that made it
     monkeypatch.undo()
     for bound in BOUNDS:
-        single = fit_bound(bound, seed, 20)
+        single = fit_bounds((bound,), seed, 20)[bound]
         pairs = [(r.exact, r.bound_value) for r in fits[bound].results]
         assert pairs == [(r.exact, r.bound_value) for r in single.results]
         assert fits[bound].raw == single.raw

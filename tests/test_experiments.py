@@ -525,6 +525,43 @@ def test_e6_computes_each_distinct_exact_value_once_per_run(monkeypatch):
         assert (row[1], row[4], row[5]) == (q.bound, single.exact, single.bound_value)
 
 
+def test_e6_rows_are_the_fit_over_the_validation_corpora():
+    """E6 is one trial: its rows are fit_bounds(DOMINATION_BOUNDS, seed,
+    per_bound)'s results in corpus order, trial the running query index."""
+    seed, per_bound = constants.VALIDATION_SEED, 8
+    cfg = ExperimentConfig(
+        experiment="E6_bound_calibration", master_seed=seed, params={"per_bound": per_bound}
+    )
+    res = run(cfg)
+    fits = calibration.fit_bounds(calibration.DOMINATION_BOUNDS, seed, per_bound)
+    assert list(fits) == list(calibration.DOMINATION_BOUNDS)
+    results = [r for report in fits.values() for r in report.results]
+    assert [row[0] for row in res.rows] == list(range(len(results))) == list(range(4 * per_bound))
+    for row, r in zip(res.rows, results):
+        q = r.query
+        dominated = int(r.exact <= constants.FITTED[q.bound] * r.bound_value * (1.0 + 1e-12))
+        assert row[1:] == (q.bound, q.dist.spec_string(), q.x.size, r.exact, r.bound_value, r.ratio, dominated)
+
+
+def test_e6_regime_error_names_its_one_trial(monkeypatch):
+    """A RegimeError at any corpus query of E6 reads as one from trial 0."""
+    calls = []
+    real = calibration.exact_value
+
+    def failing_fifth(query):
+        calls.append(query)
+        if len(calls) == 5:
+            raise RegimeError("no exact value")
+        return real(query)
+
+    monkeypatch.setattr(calibration, "exact_value", failing_fifth)
+    cfg = ExperimentConfig(
+        experiment="E6_bound_calibration", master_seed=constants.VALIDATION_SEED, params={"per_bound": 4}
+    )
+    with pytest.raises(RegimeError, match=r"^trial 0: no exact value$"):
+        run(cfg)
+
+
 # ------------------------------------------------------------ emit and summary
 
 

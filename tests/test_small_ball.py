@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -385,14 +386,15 @@ def test_one_regular_mc_set_holds_one_float_per_sample():
     four windows allocates the sums once and sorts them in place: the traced
     peak stays within 1.25 floats per sample."""
     corpus = calibration.build_corpus("regular_smallball", constants.CALIBRATION_SEED, 4)
-    first = calibration._evaluate_regular(corpus)
+    assert len({(q.x.tobytes(), q.mc_seed) for q in corpus}) == 1
+    first = calibration._mc_values(corpus)
     tracemalloc.start()
     try:
-        again = calibration._evaluate_regular(corpus)
+        again = calibration._mc_values(corpus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [r.exact for r in again] == [r.exact for r in first]
+    assert again == first
     assert peak <= 1.25 * 8 * calibration.REG_MC_SAMPLES, peak / (8 * calibration.REG_MC_SAMPLES)
 
 
@@ -555,12 +557,14 @@ def _full_window_scan(s, t):
 
 
 def test_empirical_sup_matches_full_scan_on_mc_sums():
+    """The Monte Carlo values of one regular-vector sample at the windows
+    delta .. 8 delta are the full scans of its sums, drawn from
+    derive_stream(mc_seed, 0)."""
     query = calibration.build_corpus("regular_smallball", constants.CALIBRATION_SEED, 1)[0]
-    sums = calibration._mc_sums(query)
+    group = [replace(query, t=mult * query.delta) for mult in range(1, 9)]
+    sums = sample_sums(query.dist, query.x, calibration.REG_MC_SAMPLES, derive_stream(query.mc_seed, 0))
     assert sums.size == 200_000
-    for mult in range(1, 9):
-        t = mult * query.delta
-        assert empirical_sup_concentration(sums, t) == _full_window_scan(sums, t)
+    assert calibration._mc_values(group) == [_full_window_scan(sums, q.t) for q in group]
 
 
 @pytest.mark.parametrize("kind", ["uniform", "grid"])
