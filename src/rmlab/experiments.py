@@ -476,7 +476,9 @@ class _Experiment:
     summarize: Callable[[ExperimentConfig, tuple], dict]
     # the tasks, payloads (trial, n), spend their time outside the GIL: in
     # matrices.spectral_summary (E1/E2) or in the Monte Carlo draw, sort and
-    # window scan (E3)
+    # window scan (E3). E2b stays serial: its trials are short and Python
+    # heavy, and on thread_map 400 of them took 83 ms against 48 ms serially
+    # (2 vCPUs), the threads handing the GIL back and forth
     gil_free: bool = False
 
 

@@ -4,6 +4,13 @@ Three closed-form bounds (volumetric, spread-vector entropy, signed grid for
 singular-profile coordinates) plus a farthest-point greedy constructor that
 builds actual covers, so every formula can be cross-checked against a
 concrete net.
+
+The greedy constructor holds the points transposed, one C-contiguous row
+per coordinate, and makes one pass of whole-row numpy calls over them per
+new center into buffers allocated once; it never forms an N x N distance
+array. Its l2 distance adds squared coordinate differences in coordinate
+order, which for n >= 8 can differ in the last bits from numpy's pairwise
+row sum (see `greedy_net`).
 """
 from __future__ import annotations
 
@@ -138,18 +145,20 @@ def singular_grid_net(n: int, delta: float, r: float, R: float, j_set) -> GridNe
     )
 
 
-def _pairwise_dist(points: np.ndarray, center: np.ndarray, metric: str) -> np.ndarray:
-    diff = points - center
-    if metric == "l2":
-        return np.sqrt(np.sum(diff * diff, axis=1))
-    return np.max(np.abs(diff), axis=1)
-
-
 def greedy_net(points, metric: str = "l2", eps: float = 1.0) -> np.ndarray:
     """Farthest-point greedy cover of the input points at radius eps.
 
     Deterministic: starts from the first point, repeatedly adds the point
-    farthest from the chosen centers until everything is within eps.
+    farthest from the chosen centers (the first index of the maximum) until
+    everything is within eps, and returns the chosen rows of points.
+
+    The points are held once transposed, as a C-contiguous (n, N) array, so
+    each new center costs one pass of whole-row numpy calls over n rows of
+    length N into buffers allocated once: no N x N array is formed. The l2
+    distance adds the squared coordinate differences in coordinate order.
+    For n < 8 that is bit for bit numpy's row sum; for n >= 8 the row sum is
+    pairwise and its last bits can differ, which changes a pick only at an
+    exact tie or where a distance rounds across eps. linf is exact.
     """
     if metric not in ("l2", "linf"):
         raise ConfigError(f"unknown metric {metric!r}")
@@ -158,20 +167,33 @@ def greedy_net(points, metric: str = "l2", eps: float = 1.0) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
+    if points.ndim != 2:
+        raise ConfigError(f"points must be a 1-D or 2-D array, got shape {points.shape}")
     if points.size == 0:
         raise ConfigError("points must be nonempty")
     if not np.all(np.isfinite(points)):
         # a NaN distance never drops to eps, so the loop below would not end
         raise ConfigError("points must be finite")
-    chosen = [0]
-    dists = _pairwise_dist(points, points[0], metric)
+    cols = np.ascontiguousarray(points.T)
+    diff = np.empty_like(cols)
+    row = np.empty(cols.shape[1])
+    dists = np.full(cols.shape[1], np.inf)
+    chosen = []
+    far = 0
     while True:
-        far = int(np.argmax(dists))
-        if dists[far] <= eps:
-            break
         chosen.append(far)
-        dists = np.minimum(dists, _pairwise_dist(points, points[far], metric))
-    return points[chosen]
+        np.subtract(cols, cols[:, far : far + 1], out=diff)
+        if metric == "l2":
+            np.multiply(diff, diff, out=diff)
+            np.add.reduce(diff, axis=0, out=row)
+            np.sqrt(row, out=row)
+        else:
+            np.abs(diff, out=diff)
+            np.maximum.reduce(diff, axis=0, out=row)
+        np.minimum(dists, row, out=dists)
+        far = int(dists.argmax())
+        if dists[far] <= eps:
+            return points[chosen]
 
 
 def greedy_estimate(points, metric: str = "l2", eps: float = 1.0) -> CoveringEstimate:

@@ -12,7 +12,10 @@
   - `fit_all.txt`: the `repr` of every raw constant and every
     (exact, bound) pair of `calibration.fit_all(CALIBRATION_SEED, 60)`;
   - `stability.txt`: the `repr` of every refit of
-    `calibration.stability_report()`.
+    `calibration.stability_report()`;
+  - `nets.txt`: for each of criterion 8's 50 point sets (`net_checks` in
+    `test_acceptance.py`), one line with its label, eps, the number of
+    centers of `nets.greedy_net` and the SHA-256 of the net's bytes.
 
 `check` recomputes the same files, names each one that differs from the
 copy in DIR (or is missing there) with its first differing line (the line
@@ -23,6 +26,7 @@ takes about 40 s on two cores.
 """
 from __future__ import annotations
 
+import hashlib
 import sys
 from dataclasses import replace
 from itertools import zip_longest
@@ -30,7 +34,8 @@ from pathlib import Path
 
 from rmlab import calibration, constants
 from rmlab.experiments import emit, run
-from test_acceptance import ACCEPTANCE_CONFIGS, E5_DETERMINISM_CONFIG
+from rmlab.nets import greedy_net
+from test_acceptance import ACCEPTANCE_CONFIGS, E5_DETERMINISM_CONFIG, net_checks
 
 
 def _fit_all_text() -> str:
@@ -44,6 +49,15 @@ def _fit_all_text() -> str:
 def _stability_text() -> str:
     report = calibration.stability_report()
     return "".join(f"{bound} refits={v['refits']!r}\n" for bound, v in report.items())
+
+
+def _nets_text() -> str:
+    lines = []
+    for label, pts, eps, _ in net_checks():
+        net = greedy_net(pts, metric="l2", eps=eps)
+        digest = hashlib.sha256(net.tobytes()).hexdigest()
+        lines.append(f"{label} eps={eps!r} centers={net.shape[0]} sha256={digest}")
+    return "\n".join(lines) + "\n"
 
 
 def _first_difference(saved: str, new: str) -> str:
@@ -65,6 +79,7 @@ def outputs():
         yield f"{name}.json", emit(replace(result, summary=summary), format="json")
     yield "fit_all.txt", _fit_all_text()
     yield "stability.txt", _stability_text()
+    yield "nets.txt", _nets_text()
 
 
 def main(argv: list[str]) -> int:

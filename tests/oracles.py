@@ -161,3 +161,31 @@ def dkw_bound(count: int, alpha: float = 0.05) -> float:
     """Dvoretzky-Kiefer-Wolfowitz radius: the KS distance of count i.i.d. draws
     from their own law exceeds it with probability at most alpha."""
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * count))
+
+
+def greedy_net_reference(points, metric: str, eps: float) -> list[int]:
+    """Row indices of the farthest-point greedy cover at radius eps.
+
+    One full distance row per new center: starts from row 0, then adds the
+    first row farthest from the chosen centers until every row is within
+    eps. The l2 distance sums squared differences along each row with
+    numpy's row sum.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+
+    def dist(c: int) -> np.ndarray:
+        diff = pts - pts[c]
+        if metric == "l2":
+            return np.sqrt(np.sum(diff * diff, axis=1))
+        return np.max(np.abs(diff), axis=1)
+
+    chosen = [0]
+    dists = dist(0)
+    while True:
+        far = int(np.argmax(dists))
+        if dists[far] <= eps:
+            return chosen
+        chosen.append(far)
+        dists = np.minimum(dists, dist(far))

@@ -310,27 +310,36 @@ def _ball_points(n: int, count: int, rng) -> np.ndarray:
     return g * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / n)
 
 
-def test_criterion_8_greedy_vs_formula_bounds(capsys):
-    start = time.perf_counter()
-    checked = bad = 0
+def net_checks() -> list[tuple[str, np.ndarray, float, float]]:
+    """Criterion 8's 50 point sets as (label, points, eps, formula bound).
 
+    The greedy net of each set at radius eps must have a log-count at most
+    the formula's log-covering bound.
+    """
+    out = []
     # unit-ball covers at radius t vs the volumetric formula
     for n in range(2, 9):
         for t in (0.4, 0.5, 0.6, 0.8, 1.0):
             pts = _ball_points(n, 400, derive_stream(5150 + n, int(t * 10)))
-            est = greedy_estimate(pts, metric="l2", eps=t)
-            bad += 0 if est.log_count <= volumetric_bound(n, "euclidean_ball", "euclidean_ball", t) else 1
-            checked += 1
-
+            bound = volumetric_bound(n, "euclidean_ball", "euclidean_ball", t)
+            out.append((f"ball n={n} t={t}", pts, t, bound))
     # peaked-direction covers at radius 2r vs the entropy formula
     for n in (4, 5, 6, 7, 8):
         for r, R in ((0.3, 1.15), (0.4, 1.3), (0.45, 1.5)):
             rng = derive_stream(6160 + n, int(100 * r))
             params = PartitionParams(r=r, R=R)
             pts = np.array([sample_peaked_direction(n, params, rng) for _ in range(200)])
-            est = greedy_estimate(pts, metric="l2", eps=2.0 * r)
-            bad += 0 if est.log_count <= vp_entropy_bound(n, r, R) else 1
-            checked += 1
+            out.append((f"peaked n={n} r={r}", pts, 2.0 * r, vp_entropy_bound(n, r, R)))
+    return out
+
+
+def test_criterion_8_greedy_vs_formula_bounds(capsys):
+    start = time.perf_counter()
+    checked = bad = 0
+    for _, pts, eps, bound in net_checks():
+        est = greedy_estimate(pts, metric="l2", eps=eps)
+        bad += 0 if est.log_count <= bound else 1
+        checked += 1
 
     elapsed = time.perf_counter() - start
     ok = checked == 50 and bad == 0 and elapsed <= 120.0

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import greedy_net_reference
 from rmlab.cli import main
 from rmlab.errors import ConfigError, RegimeError
 from rmlab.nets import (
@@ -245,6 +247,46 @@ def test_greedy_net_validation():
         greedy_net(np.empty((0, 2)))
     with pytest.raises(ConfigError, match="eps"):  # no distance is <= nan: a hang
         greedy_net(np.ones((2, 2)), eps=math.nan)
+    # was an IndexError from inside the center loop
+    with pytest.raises(ConfigError, match="1-D or 2-D"):
+        greedy_net(np.arange(12.0).reshape(3, 2, 2))
+
+
+def _reference_point_sets():
+    """(label, points) over n in {1, 2, 7, 8, 9, 16, 20} and N in {1, 2, 50,
+    400}: Gaussian, half-integer lattice (exact distance ties), duplicated
+    rows, plus 1-D input."""
+    for n in (1, 2, 7, 8, 9, 16, 20):
+        for count in (1, 2, 50, 400):
+            rng = derive_stream(4242 + n, count)
+            yield f"gauss n={n} N={count}", rng.standard_normal((count, n))
+            yield f"lattice n={n} N={count}", rng.integers(-3, 4, size=(count, n)) / 2.0
+            half = rng.standard_normal(((count + 1) // 2, n))
+            yield f"dup n={n} N={count}", np.repeat(half, 2, axis=0)[:count]
+    yield "1-D", derive_stream(4242, 0).standard_normal(300)
+
+
+@pytest.mark.parametrize("metric", ["l2", "linf"])
+def test_greedy_net_matches_reference_loop(metric):
+    for label, pts in _reference_point_sets():
+        as_rows = pts[:, None] if pts.ndim == 1 else pts
+        for eps in (0.3, 1.0, 2.5):
+            want = as_rows[greedy_net_reference(pts, metric, eps)]
+            got = greedy_net(pts, metric=metric, eps=eps)
+            assert got.shape == want.shape and np.array_equal(got, want), (label, eps)
+
+
+def test_greedy_net_allocates_no_pairwise_matrix():
+    # buffers are O(N n); an N x N float distance matrix would be 32 MB
+    count, n = 2000, 8
+    pts = derive_stream(42, 3).standard_normal((count, n))
+    tracemalloc.start()
+    try:
+        greedy_net(pts, eps=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * count * n * 8 + 64 * 1024, peak
 
 
 def test_greedy_linf_within_cube_volumetric():
