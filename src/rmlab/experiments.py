@@ -574,8 +574,9 @@ def _map_trials(spec: _Experiment, config: ExperimentConfig, tasks: list):
     # the largest matrices first, so that the threads finish together on the
     # smallest ones instead of one thread idling through the last large one
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
-    # one BLAS thread per pool thread (rmlab.matrices gives the timings); a
-    # task holds its one matrix only while it runs, a thread one copy buffer
+    # one BLAS thread while the pool runs (rmlab.matrices gives the timings);
+    # OpenBLAS's count is process-wide, so the pool threads need no setup,
+    # and a task holds its one matrix only while it runs
     return thread_map(one, tasks, order, matrices.one_blas_thread)
 
 

@@ -111,10 +111,24 @@ def singular_grid_net(n: int, delta: float, r: float, R: float, j_set) -> GridNe
     """Grid net for vectors whose j_set magnitudes lie in [r/(2 sqrt n), R/sqrt n].
 
     Valid for (2R^3/r^2) n^{-3/2} <= delta <= n^{-1/2}; requires
-    |j_set| >= m with m from the partition context.
+    |j_set| >= m with m from the partition context. j_set is checked first:
+    ConfigError for a non-integer (2.0 is one, 2.7 is not), repeated or
+    out-of-range index.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
+    try:
+        given = list(j_set)
+        ints = [int(j) for j in given]
+    except (TypeError, ValueError, OverflowError):  # not a sequence, nan, inf, not a number
+        ints = None
+    if ints is None or ints != given:
+        raise ConfigError(f"j_set={j_set!r} must be a sequence of integer indices")
+    j_set = tuple(ints)
+    if len(set(j_set)) != len(j_set):
+        raise ConfigError("j_set has repeated indices")
+    if any(j < 0 or j >= n for j in j_set):
+        raise ConfigError("j_set indices out of range")
     params = PartitionParams(r=r, R=R)
     if not 0.0 < delta < math.inf:
         raise ConfigError(f"delta={delta} must be positive and finite")
@@ -125,11 +139,6 @@ def singular_grid_net(n: int, delta: float, r: float, R: float, j_set) -> GridNe
             f"delta = {delta} outside [(2R^3/r^2) n^(-3/2), n^(-1/2)] = [{lo}, {hi}]"
         )
     ctx = ProfileContext.from_params(n, delta, params)
-    j_set = tuple(int(j) for j in j_set)
-    if len(set(j_set)) != len(j_set):
-        raise ConfigError("j_set has repeated indices")
-    if any(j < 0 or j >= n for j in j_set):
-        raise ConfigError("j_set indices out of range")
     if len(j_set) < ctx.m:
         raise RegimeError(f"|j_set| = {len(j_set)} < m = {ctx.m}")
     idx = np.arange(ctx.k0, ctx.k0 + ctx.k + 1)

@@ -68,11 +68,11 @@ def usable_cores() -> int:
 def thread_map(fn, items: list, order=None, pool_setup=nullcontext) -> list:
     """[fn(item) for item in items] on min(usable_cores(), len(items)) threads,
     submitted in the given order; results and the first item's error come
-    back in item order. pool_setup() is entered around a pool (not for one
-    thread) and yields its threads' initializer or None."""
+    back in item order. pool_setup() is a context entered around a pool (not
+    for one thread); the pool's threads get no setup of their own."""
     threads = min(usable_cores(), len(items))
     if threads < 2:
         return [fn(item) for item in items]
-    with pool_setup() as init, ThreadPoolExecutor(threads, initializer=init) as pool:
+    with pool_setup(), ThreadPoolExecutor(threads) as pool:
         futures = {i: pool.submit(fn, items[i]) for i in order or range(len(items))}
         return [futures[i].result() for i in range(len(items))]

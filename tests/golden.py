@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/golden.py save DIR
     PYTHONPATH=src python tests/golden.py check DIR
+    PYTHONPATH=src python tests/golden.py check --against REV
 
 `save` writes into DIR:
 
@@ -20,14 +21,25 @@
 `check` recomputes the same files, names each one that differs from the
 copy in DIR (or is missing there) with its first differing line (the line
 number, the saved text and the new text), and exits 1 if any does. Save a
-copy before a change that should not alter results, and check after it. The
-script is not a test module, so pytest does not collect it; a full pass
-takes about 40 s on two cores.
+copy before a change that should not alter results, and check after it.
+
+`check --against REV` makes that copy itself: it extracts the `src` of git
+revision REV of this repository into a temporary directory (`git archive REV
+src | tar -x`, no network), runs this script's `save` there in a subprocess
+with `PYTHONPATH=<tmpdir>/src` (so REV's package, but this tree's `tests/`
+for the configs), and then checks the working tree against that copy. An
+unknown REV exits 2, like a malformed command line.
+
+The script is not a test module, so pytest does not collect it; a full pass
+takes about 40 s on two cores, and `check --against` makes two.
 """
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
@@ -82,11 +94,8 @@ def outputs():
     yield "nets.txt", _nets_text()
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2 or argv[0] not in ("save", "check"):
-        print(__doc__, file=sys.stderr)
-        return 2
-    mode, root = argv[0], Path(argv[1])
+def _compare(mode: str, root: Path) -> int:
+    """Save every output into root, or check each against its copy there."""
     if mode == "save":
         root.mkdir(parents=True, exist_ok=True)
     differ = []
@@ -104,6 +113,35 @@ def main(argv: list[str]) -> int:
     if mode == "check":
         print(f"{len(differ)} of the golden files differ" if differ else "all golden files identical")
     return 1 if differ else 0
+
+
+def _save_at(rev: str, tmp: Path) -> Path | None:
+    """Save the golden copy of revision rev's package under tmp and return
+    its directory, or None when git cannot archive rev."""
+    archive = subprocess.run(
+        ["git", "-C", str(Path(__file__).resolve().parents[1]), "archive", rev, "src"], capture_output=True
+    )
+    if archive.returncode:
+        print(archive.stderr.decode(), end="", file=sys.stderr)
+        return None
+    subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive.stdout, check=True)
+    path = os.pathsep.join(filter(None, [str(tmp / "src"), os.environ.get("PYTHONPATH")]))
+    golden = tmp / "golden"
+    subprocess.run(
+        [sys.executable, __file__, "save", str(golden)], env={**os.environ, "PYTHONPATH": path}, check=True
+    )
+    return golden
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[:2] == ["check", "--against"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            golden = _save_at(argv[2], Path(tmp))
+            return 2 if golden is None else _compare("check", golden)
+    if len(argv) != 2 or argv[0] not in ("save", "check"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    return _compare(argv[0], Path(argv[1]))
 
 
 if __name__ == "__main__":

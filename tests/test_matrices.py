@@ -1,6 +1,8 @@
+import ctypes
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from rmlab.matrices import (
     spectral_summary,
     svd_releases_gil,
 )
+from rmlab.rng import thread_map
 
 EPS = float(np.finfo(float).eps)
 # LAPACK's error is about c * n * eps * sigma_max; n * eps * sigma_max is
@@ -241,7 +244,12 @@ def test_binding_layouts_and_dtypes_give_the_same_values():
 
 @needs_binding
 def test_binding_from_four_threads_at_once():
+    """Four threads at once, each through several sizes, shrinking and
+    growing, under one BLAS thread: the values are bit-identical to
+    np.linalg.svd on one thread, and the inputs are left untouched."""
     mats = [sample_matrix(GAUSSIAN, 120, seed=s).entries for s in range(8)]
+    mats += [sample_matrix(GAUSSIAN, n, seed=n).entries for n in (60, 7, 1, 60, 90, 30)]
+    kept = [m.copy() for m in mats]
     want = [np.linalg.svd(m, compute_uv=False).tobytes() for m in mats]
     barrier = threading.Barrier(4, timeout=60)
     got = [None] * 4
@@ -263,30 +271,40 @@ def test_binding_from_four_threads_at_once():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[want] * 3] * 4
+    assert all(np.array_equal(m, k) for m, k in zip(mats, kept))
+
+
+def _blas_thread_count():
+    """OpenBLAS's own reading of its thread count, or None when the bundled
+    library has no such symbol."""
+    path = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*"))[0]
+    getter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+    if getter is not None:
+        getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
 
 
 @needs_binding
-def test_pool_thread_copy_buffer_gives_the_same_values():
-    """A pool thread reuses one copy buffer across sizes, shrinking and
-    growing; the values stay bit-identical and the inputs untouched."""
-    mats = [sample_matrix(GAUSSIAN, n, seed=n).entries for n in (60, 7, 1, 60, 90, 30)]
-    kept = [m.copy() for m in mats]
-    want = [np.linalg.svd(m, compute_uv=False).tobytes() for m in mats]
-    got = []
-
-    def worker(init):
-        init()
-        got.extend(_binding_values(m).tobytes() for m in mats)
-        got.append(matrices._POOL_THREAD.copy.size)
-
-    with matrices.one_blas_thread() as init:
-        t = threading.Thread(target=worker, args=(init,))
-        t.start()
-        t.join(timeout=60)
-    assert got == want + [90 * 90]
-    assert all(np.array_equal(m, k) for m, k in zip(mats, kept))
-    # the buffer belongs to the pool thread, not to the caller
-    assert not hasattr(matrices._POOL_THREAD, "copy")
+def test_pool_threads_run_one_blas_thread_without_setup(monkeypatch):
+    """The pool threads get no setup of their own: OpenBLAS's count is
+    process-wide, so the one_blas_thread around the pool is enough."""
+    get_threads = _blas_thread_count()
+    if get_threads is None:
+        pytest.skip("the bundled OpenBLAS cannot report its thread count")
+    set_threads = matrices._openblas().set_threads
+    monkeypatch.setattr("rmlab.rng.usable_cores", lambda: 2)
+    caller = threading.get_ident()
+    before = set_threads(2)
+    try:
+        counts = thread_map(
+            lambda _: (threading.get_ident() != caller, get_threads()),
+            list(range(4)),
+            pool_setup=matrices.one_blas_thread,
+        )
+        assert counts == [(True, 1)] * 4
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
 
 
 @needs_binding
@@ -294,10 +312,8 @@ def test_one_blas_thread_restores_the_thread_count():
     set_threads = matrices._openblas().set_threads
     before = set_threads(2)
     try:
-        with matrices.one_blas_thread() as init:
-            pool_thread = threading.Thread(target=init)
-            pool_thread.start()
-            pool_thread.join(timeout=60)
+        with matrices.one_blas_thread():
+            assert set_threads(1) == 1
         assert set_threads(2) == 2
     finally:
         set_threads(before)

@@ -150,6 +150,21 @@ def test_singular_grid_net_regime_gates():
     oob["j_set"] = (0, 1, 2, 3, 4, 25)
     with pytest.raises(ValueError):
         singular_grid_net(**oob)
+    # j_set is checked before the delta hypothesis, and a fractional index
+    # is rejected, not truncated
+    with pytest.raises(ConfigError, match="repeated"):
+        singular_grid_net(25, 0.1, 0.5, 2.0, (1, 1))
+    with pytest.raises(ConfigError, match="out of range"):
+        singular_grid_net(25, 0.1, 0.5, 2.0, (25,))
+    for frac in ((0, 1, 2, 3, 4, 5.7), (0, 1, 2, 3, 4, float("nan")), np.array([0.0, 1.5])):
+        with pytest.raises(ConfigError, match="integer"):
+            singular_grid_net(**{**GRID_ARGS, "j_set": frac})
+    with pytest.raises(ConfigError, match="integer"):
+        singular_grid_net(**{**GRID_ARGS, "j_set": 6})
+    # integral floats are indices; |j_set| < m stays a regime violation
+    assert singular_grid_net(**{**GRID_ARGS, "j_set": (0.0, 1, 2, 3, 4, 5)}).j_set == tuple(range(6))
+    with pytest.raises(RegimeError):
+        singular_grid_net(**{**GRID_ARGS, "j_set": (0, 1, 2, 3, 4.0)})
 
 
 def test_grid_snap_and_cells():

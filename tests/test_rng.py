@@ -91,9 +91,9 @@ def test_thread_map_keeps_item_order_and_starts_at_most_usable_cores(monkeypatch
     pools = []
 
     class Recording(ThreadPoolExecutor):
-        def __init__(self, threads, initializer=None):
+        def __init__(self, threads):
             pools.append(threads)
-            super().__init__(threads, initializer=initializer)
+            super().__init__(threads)
 
     monkeypatch.setattr("rmlab.rng.ThreadPoolExecutor", Recording)
     monkeypatch.setattr("rmlab.rng.usable_cores", lambda: 3)
