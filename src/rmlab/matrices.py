@@ -80,6 +80,7 @@ class SpectralSummary:
 class _OpenBLAS(NamedTuple):
     gesdd: Callable
     set_threads: Callable[[int], int]
+    config: str  # the build and the kernel in use, e.g. "... DYNAMIC_ARCH NO_AFFINITY SkylakeX ..."
 
 
 _INT = ctypes.POINTER(ctypes.c_int64)
@@ -93,8 +94,9 @@ _GESDD_ARGS = [
 
 @functools.cache
 def _openblas() -> _OpenBLAS | None:
-    """dgesdd and the thread-count setter of numpy's bundled ILP64 OpenBLAS,
-    or None when the library, a symbol or USE64BITINT is missing."""
+    """dgesdd, the thread-count setter and the config string of numpy's
+    bundled ILP64 OpenBLAS, or None when the library, a symbol or USE64BITINT
+    is missing."""
     found = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*"))
     try:
         lib = ctypes.CDLL(str(found[0]))  # the copy numpy already loaded
@@ -107,7 +109,7 @@ def _openblas() -> _OpenBLAS | None:
         return None
     gesdd.argtypes, gesdd.restype = _GESDD_ARGS, None
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
-    return _OpenBLAS(gesdd, set_threads)
+    return _OpenBLAS(gesdd, set_threads, config().decode().strip())
 
 
 def svd_releases_gil() -> bool:

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is deliberately naive: cyclic Jacobi for eigenvalues,
-Gauss-Jordan for the inverse, exhaustive search for the subset minimizer,
+Gauss-Jordan for the inverse, Bareiss elimination in Python ints for an
+exact integer determinant, exhaustive search for the subset minimizer,
 full product enumeration for concentration probabilities. None of it shares
 code with the package under test.
 """
@@ -59,6 +60,24 @@ def gauss_jordan_inverse(M: np.ndarray) -> np.ndarray:
             if row != col:
                 aug[row] -= aug[row, col] * aug[col]
     return aug[:, n:]
+
+
+def bareiss_determinant(M) -> int:
+    """Exact determinant of an integer matrix by fraction-free (Bareiss)
+    elimination in Python ints: every division is exact, so no rounding."""
+    a = [[int(v) for v in row] for row in M]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def dense_operator_norm(M: np.ndarray, iters: int = 4000) -> float:

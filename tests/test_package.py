@@ -48,14 +48,29 @@ def test_benchmark_wrap_targets_resolve():
     assert not missing, f"WRAPS targets missing: {missing}"
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    """Only esseen_bound integrates, so it imports quad itself; importing the
-    package must not pay for scipy.integrate."""
+_HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+_ESSEEN_AND_E6 = """
+import numpy as np
+from rmlab import constants
+from rmlab.distributions import RADEMACHER
+from rmlab.experiments import ExperimentConfig, run
+from rmlab.small_ball import SmallBallQuery, esseen_bound
+esseen_bound(SmallBallQuery(x=np.ones(3), dist=RADEMACHER, v=0.0, t=0.5))
+run(ExperimentConfig(experiment="E6_bound_calibration", trials=1,
+                     master_seed=constants.VALIDATION_SEED, params={"per_bound": 2}))
+"""
+
+
+@pytest.mark.parametrize("work", ["import rmlab", _ESSEEN_AND_E6], ids=["import", "esseen_and_e6"])
+def test_import_leaves_scipy_integrate_unloaded(work):
+    """Importing the package, and integrating: esseen_bound calls QUADPACK's
+    compiled qagse by path, so neither loads scipy.integrate, nor the
+    optimize and sparse packages that its __init__ imports."""
     src = str(Path(rmlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, rmlab; print('scipy.integrate' in sys.modules)"
+    code = f"{work}\nimport sys\nprint([m for m in {_HEAVY_SCIPY!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_src_raises_no_bare_value_error_and_asserts_nothing():

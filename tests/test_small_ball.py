@@ -628,6 +628,27 @@ def test_esseen_bound_matches_the_char_fn_integrand_bit_for_bit(seed, per_bound)
         assert (out.value, out.metadata["quad_abs_error"]) == _reference_esseen(q)
 
 
+def test_esseen_bound_falls_back_to_public_quad(monkeypatch, tmp_path):
+    # where scipy's compiled QUADPACK module cannot be loaded, the same
+    # arguments go through scipy.integrate.quad and give the same numbers
+    from scipy.integrate import quad
+
+    def pairs():
+        corpus = calibration.build_corpus("esseen", constants.VALIDATION_SEED, 50)
+        out = [esseen_bound(SmallBallQuery(x=q.x, dist=q.dist, v=q.v, t=q.t)) for q in corpus]
+        return [(e.value, e.metadata["quad_abs_error"]) for e in out]
+
+    assert small_ball._qagse() is not quad
+    direct = pairs()
+    monkeypatch.setattr(small_ball, "_QUADPACK_DIR", tmp_path)  # holds no module
+    small_ball._qagse.cache_clear()
+    try:
+        assert small_ball._qagse() is quad
+        assert pairs() == direct
+    finally:
+        small_ball._qagse.cache_clear()  # the next call loads the module again
+
+
 @pytest.mark.parametrize("dist", [RADEMACHER, GAUSSIAN, SKEW], ids=["rademacher", "gaussian", "skew"])
 def test_esseen_bound_rejects_overflowing_arguments(dist):
     # weights * s / t overflows to inf away from s = 0
@@ -744,3 +765,31 @@ def test_berry_esseen_dominates_exact_with_fitted_constant():
             q = SmallBallQuery(x=x, dist=RADEMACHER, v=0.0, t=t / math.sqrt(m))
             exact = exact_concentration(q).value
             assert exact <= c * berry_esseen_bound(q).value + 1e-12
+
+
+@given(
+    dist=st.sampled_from(FINITE_LAWS),
+    weights=st.lists(
+        st.floats(min_value=0.1, max_value=2.0) | st.floats(min_value=-2.0, max_value=-0.1),
+        min_size=1,
+        max_size=12,
+    ),
+    equal=st.booleans(),
+    v=st.floats(min_value=0.0, max_value=1.5),
+    t_sqrt_m=st.floats(min_value=0.5, max_value=5.0),
+)
+@settings(max_examples=300, deadline=None)
+# the largest ratio seen, 0.643: window edges just past the lattice's atoms
+@example(dist=RADEMACHER, weights=[1.0] * 12, equal=True, v=0.0, t_sqrt_m=4.0000001)
+def test_berry_esseen_bound_holds_with_the_proven_constant(dist, weights, equal, v, t_sqrt_m):
+    """For independent mean-0, variance-1 summands, Shevtsova (2010, Doklady
+    Math. 82) proves sup_z |P(S <= z) - Phi(z/|x|)| <= 0.56 L with
+    L = sum |x_j|^3 E|beta|^3 / |x|^3. At both window ends that gives
+    P(|S - v| < t) <= Gaussian window mass + 1.12 L, under the bound's
+    mass + 2 L: its constant 1 is proven, so no query of the bound's regime
+    may exceed it, whatever the fitted constant. The four laws have mean 0
+    and variance 1, and m <= 12 keeps the exact value enumerated."""
+    x = np.ones(len(weights)) if equal else np.array(weights)
+    x = x / np.linalg.norm(x)
+    q = SmallBallQuery(x=x, dist=dist, v=v, t=t_sqrt_m / math.sqrt(x.size))
+    assert exact_concentration(q).value <= berry_esseen_bound(q).value + 1e-12
