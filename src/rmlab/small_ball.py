@@ -470,7 +470,11 @@ def _qagse() -> Callable:
     and fft with it: about 250 modules and 18 MB. Where the module cannot be
     loaded or lacks _qagse, this is the public quad, whose positional
     arguments are the same: (func, a, b, args, full_output, epsabs, epsrel,
-    limit)."""
+    limit). _qagse is private to scipy, so a later release may change its
+    arguments or its return tuple without the load failing; the guard is
+    test_esseen_bound_matches_the_char_fn_integrand_bit_for_bit in
+    tests/test_small_ball.py, which holds this route to the public quad bit
+    for bit."""
     name = "scipy.integrate._quadpack"
     for suffix in EXTENSION_SUFFIXES:
         loader = ExtensionFileLoader(name, str(_QUADPACK_DIR / f"_quadpack{suffix}"))

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/golden.py save DIR
     PYTHONPATH=src python tests/golden.py check DIR
-    PYTHONPATH=src python tests/golden.py check --against REV [--allow-if-version-changed]
+    PYTHONPATH=src python tests/golden.py check --against REV
 
 `save` writes into DIR:
 
@@ -36,11 +36,10 @@ revision REV of this repository into a temporary directory (`git archive REV
 src | tar -x`, no network), runs this script's `save` there in a subprocess
 with `PYTHONPATH=<tmpdir>/src` (so REV's package, but this tree's `tests/`
 for the configs), and then checks the working tree against that copy. An
-unknown REV exits 2, like a malformed command line. With
-`--allow-if-version-changed`, a change that declares itself passes: when
-REV's `ARTIFACT_VERSION` differs from this tree's, the differing files are
-listed and the command exits 0; with the same version any difference still
-exits 1.
+unknown REV exits 2, like a malformed command line. A change that declares
+itself passes: when files differ and REV's `ARTIFACT_VERSION` differs from
+this tree's, the differing files are listed and the command exits 0; with
+the same version any difference still exits 1.
 
 The script is not a test module, so pytest does not collect it; a full pass
 takes about 40 s on two cores, and `check --against` makes two.
@@ -193,15 +192,14 @@ def _version_in(src: Path) -> str:
 
 
 def main(argv: list[str]) -> int:
-    allow = argv[3:] == ["--allow-if-version-changed"]
-    if argv[:2] == ["check", "--against"] and (len(argv) == 3 or allow):
+    if argv[:2] == ["check", "--against"] and len(argv) == 3:
         with tempfile.TemporaryDirectory() as tmp:
             golden = _save_at(argv[2], Path(tmp))
             if golden is None:
                 return 2
             status = _compare("check", golden)
-            version = _version_in(Path(tmp) / "src")
-            if status and allow and version != constants.ARTIFACT_VERSION:
+            # ARTIFACT_VERSION is in every CSV header and JSON summary, so a bump always differs
+            if status and (version := _version_in(Path(tmp) / "src")) != constants.ARTIFACT_VERSION:
                 print(f"ARTIFACT_VERSION {version} -> {constants.ARTIFACT_VERSION}: these differences are declared")
                 return 0
             return status
@@ -209,7 +207,6 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     return _compare(argv[0], Path(argv[1]))
-
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))
