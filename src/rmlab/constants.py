@@ -9,7 +9,7 @@ cannot breach domination by sampling noise alone.
 from __future__ import annotations
 
 ARTIFACT_NAME = "rmlab"
-ARTIFACT_VERSION = "0.2.1"
+ARTIFACT_VERSION = "0.2.2"
 
 # ---------------------------------------------------------------- structural
 # Sphere partition defaults (recorded config values; see PartitionParams).

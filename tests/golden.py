@@ -25,11 +25,14 @@
 
 `check` recomputes the same files, names each one that differs from the
 copy in DIR (or is missing there) with its first differing line (the line
-number, the saved text and the new text), and exits 1 if any does. Before
-the first file it prints "environment differs" and the differing manifest
-lines when the manifest does not match this process's; that alone does not
-fail the check, but it says why the bytes may differ. Save a copy before a
-change that should not alter results, and check after it.
+number, the saved text and the new text), and exits 1 if any does. It then
+lists the differing files in two groups: those that differ only in the
+artifact stamp (the `# artifact=rmlab/X` line of a CSV, `"version": "X"` in
+a JSON summary) and those that differ in content. Before the first file it
+prints "environment differs" and the differing manifest lines when the
+manifest does not match this process's; that alone does not fail the check,
+but it says why the bytes may differ. Save a copy before a change that
+should not alter results, and check after it.
 
 `check --against REV` makes that copy itself: it extracts the `src` of git
 revision REV of this repository into a temporary directory (`git archive REV
@@ -38,8 +41,9 @@ with `PYTHONPATH=<tmpdir>/src` (so REV's package, but this tree's `tests/`
 for the configs), and then checks the working tree against that copy. An
 unknown REV exits 2, like a malformed command line. A change that declares
 itself passes: when files differ and REV's `ARTIFACT_VERSION` differs from
-this tree's, the differing files are listed and the command exits 0; with
-the same version any difference still exits 1.
+this tree's, the two groups are listed and the command exits 0, so the
+content group names what the change of results touched; with the same
+version any difference still exits 1.
 
 The script is not a test module, so pytest does not collect it; a full pass
 takes about 40 s on two cores, and `check --against` makes two.
@@ -50,6 +54,7 @@ import ast
 import hashlib
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -140,28 +145,49 @@ def outputs():
     yield "nets.txt", _nets_text()
 
 
-def _compare(mode: str, root: Path) -> int:
-    """Save every output into root, or check each against its copy there."""
-    if mode == "save":
-        root.mkdir(parents=True, exist_ok=True)
-        (root / "manifest.txt").write_text(_manifest_text(), encoding="utf-8")
-    else:
-        _report_environment(root)
-    differ = []
+_STAMP = re.compile(r'^(# artifact=|\s*"version": )\S*$', re.MULTILINE)
+
+
+def _unstamped(text: str) -> str:
+    """text with the value of its artifact stamp blanked: a CSV's
+    `# artifact=rmlab/X` line and a JSON summary's `"version": "X"`."""
+    return _STAMP.sub(r"\1", text)
+
+
+def _save(root: Path) -> None:
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "manifest.txt").write_text(_manifest_text(), encoding="utf-8")
     for name, text in outputs():
         path = root / name
-        if mode == "save":
-            path.write_bytes(text.encode())
-            print(f"saved {path}")
-        elif not path.is_file() or path.read_bytes() != text.encode():
-            differ.append(name)
-            print(f"DIFFERS {name}")
-            print(_first_difference(path.read_bytes().decode() if path.is_file() else "", text))
-        else:
+        path.write_bytes(text.encode())
+        print(f"saved {path}")
+
+
+def _check(root: Path, texts) -> tuple[list[str], list[str]]:
+    """Check each (file name, text) of texts against its copy in root and
+    return the names that differ in two lists: those that differ only in
+    the artifact stamp, and those that differ in content (or are missing)."""
+    _report_environment(root)
+    stamp_only, content = [], []
+    for name, text in texts:
+        path = root / name
+        saved = path.read_bytes().decode() if path.is_file() else None
+        if saved == text:
             print(f"identical {name}")
-    if mode == "check":
-        print(f"{len(differ)} of the golden files differ" if differ else "all golden files identical")
-    return 1 if differ else 0
+            continue
+        stamped = saved is not None and _unstamped(saved) == _unstamped(text)
+        (stamp_only if stamped else content).append(name)
+        print(f"DIFFERS {name}")
+        # a content difference is shown at its first line past the stamp's
+        shown = (saved, text) if stamped else (_unstamped(saved or ""), _unstamped(text))
+        print(_first_difference(*shown))
+    if stamp_only or content:
+        print(f"{len(stamp_only) + len(content)} of the golden files differ")
+        print(f"  in the artifact stamp only: {', '.join(stamp_only) or 'none'}")
+        print(f"  in content: {', '.join(content) or 'none'}")
+    else:
+        print("all golden files identical")
+    return stamp_only, content
 
 
 def _save_at(rev: str, tmp: Path) -> Path | None:
@@ -197,7 +223,7 @@ def main(argv: list[str]) -> int:
             golden = _save_at(argv[2], Path(tmp))
             if golden is None:
                 return 2
-            status = _compare("check", golden)
+            status = int(any(_check(golden, outputs())))
             # ARTIFACT_VERSION is in every CSV header and JSON summary, so a bump always differs
             if status and (version := _version_in(Path(tmp) / "src")) != constants.ARTIFACT_VERSION:
                 print(f"ARTIFACT_VERSION {version} -> {constants.ARTIFACT_VERSION}: these differences are declared")
@@ -206,7 +232,10 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2 or argv[0] not in ("save", "check"):
         print(__doc__, file=sys.stderr)
         return 2
-    return _compare(argv[0], Path(argv[1]))
+    if argv[0] == "save":
+        _save(Path(argv[1]))
+        return 0
+    return int(any(_check(Path(argv[1]), outputs())))
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))

@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from scipy.special import chdtrc
 
 from oracles import allocation_min_ssq_law
 from rmlab import calibration, constants, experiments, matrices, sphere_profile
-from rmlab.distributions import GAUSSIAN, RADEMACHER, discrete, parse_dist_spec
+from rmlab.distributions import GAUSSIAN, RADEMACHER, discrete, parse_dist_spec, sample
 from rmlab.errors import ConfigError, RegimeError
 from rmlab.experiments import (
     EXPERIMENTS,
@@ -22,7 +26,7 @@ from rmlab.experiments import (
     run,
 )
 from rmlab.matrices import sample_matrix, spectral_summary
-from rmlab.rng import derive_substream_seed, usable_cores
+from rmlab.rng import STREAM_ENTRIES, derive_stream, derive_substream_seed, usable_cores
 
 
 # -------------------------------------------------------------------- config
@@ -264,16 +268,87 @@ def test_e2_rows():
 
 
 def test_e2b_rows_match_direct_computation():
-    cfg = ExperimentConfig(experiment="E2b_peaked", dist=RADEMACHER, n_list=(16,), trials=3, master_seed=7)
-    res = run(cfg)
-    assert res.columns == ("trial", "n", "dist", "seed", "ax_norm", "small_flag")
-    spike = np.zeros(16)
-    spike[:2] = 1.0 / math.sqrt(2.0)
-    for idx, r in enumerate(res.rows):
-        A = sample_matrix(RADEMACHER, 16, derive_substream_seed(7, idx))
-        assert r[4] == pytest.approx(float(np.linalg.norm(A.entries @ spike)), rel=1e-15)
-        assert r[5] == int(r[4] <= 0.3 * 4.0)
-    assert res.summary["spikes"] == 2
+    """Each row's |Ax| is, bit for bit, the fixed-order formula on its own
+    trial's n x 2 block: the first two columns of A, drawn from the trial's
+    entry stream; and it is the Euclidean norm of A x to rounding."""
+    for dist in (RADEMACHER, GAUSSIAN):
+        cfg = ExperimentConfig(experiment="E2b_peaked", dist=dist, n_list=(16,), trials=3, master_seed=7)
+        res = run(cfg)
+        assert res.columns == ("trial", "n", "dist", "seed", "ax_norm", "small_flag")
+        for idx, r in enumerate(res.rows):
+            assert r[3] == derive_substream_seed(7, idx)
+            block = sample(dist, derive_stream(r[3], STREAM_ENTRIES), size=(16, 2))
+            v = block[:, 0] * (1.0 / math.sqrt(2.0)) + block[:, 1] * (1.0 / math.sqrt(2.0))
+            assert r[4] == math.sqrt(np.add.reduce(v * v))
+            assert r[4] == pytest.approx(float(np.linalg.norm(block.sum(axis=1))) / math.sqrt(2.0), rel=1e-14)
+            assert r[5] == int(r[4] <= 0.3 * 4.0)
+        assert res.summary["spikes"] == 2
+
+
+@pytest.mark.parametrize("dist", [RADEMACHER, GAUSSIAN], ids=["rademacher", "gaussian"])
+def test_e2b_norm_has_the_two_spike_law(dist):
+    """With x = (e_1 + e_2)/sqrt(2), |Ax|^2 is exactly chi-square with n
+    degrees of freedom for Gaussian entries, and |Ax|^2 / 2 counts the rows
+    whose two signs agree, Binomial(n, 1/2), for Rademacher ones. Over 2000
+    trials at n = 200 the mean must lie within 4 standard errors of n
+    (Gaussian) or n/2 (Rademacher), a bound fixed before the run. A column
+    drawn twice doubles the Gaussian mean and takes every Rademacher count to
+    n; a sampler with P(+1) = 0.55 makes signs agree with probability 0.505,
+    z about 6."""
+    n, trials = 200, 2000
+    cfg = ExperimentConfig(experiment="E2b_peaked", dist=dist, n_list=(n,), trials=trials, master_seed=2027)
+    sq = np.array([r[4] for r in run(cfg).rows]) ** 2
+    if dist is RADEMACHER:
+        stat, mean, var = sq / 2.0, n / 2.0, n / 4.0
+        assert np.abs(stat - np.round(stat)).max() < 1e-9
+    else:
+        stat, mean, var = sq, float(n), 2.0 * n
+    z = (stat.mean() - mean) / math.sqrt(var / trials)
+    assert abs(z) <= 4.0, z
+
+
+_E2B_PORTABLE_CONFIGS = [
+    f"experiment=E2b_peaked\ndist={dist}\nn_list={n_list}\ntrials={trials}\nmaster_seed=31"
+    for dist in ("rademacher", "gaussian")
+    for n_list, trials in (("16", 50), ("100,200", 20))
+]
+
+
+def _blas_kernel_is_switchable() -> bool:
+    """numpy's bundled OpenBLAS is bound, built with DYNAMIC_ARCH (so
+    OPENBLAS_CORETYPE picks its kernel at load) and the CPU runs AVX2, which
+    the Haswell kernel needs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    blas = matrices._openblas()
+    return blas is not None and "DYNAMIC_ARCH" in blas.config.split() and bool(umath.__cpu_features__.get("AVX2"))
+
+
+@pytest.mark.skipif(not _blas_kernel_is_switchable(), reason="no DYNAMIC_ARCH OpenBLAS or no AVX2")
+def test_e2b_rows_do_not_depend_on_the_blas_kernel():
+    """E2b computes |Ax| with elementwise numpy operations in a fixed order,
+    not BLAS, so a process on OpenBLAS's Haswell kernel writes the same CSV
+    bytes as this one: Rademacher and Gaussian, at n = 16 and n = 100, 200.
+    A gemv or a BLAS norm on this path differs in the last digits."""
+    expected = [emit(run(parse_config(text)), format="csv") for text in _E2B_PORTABLE_CONFIGS]
+    code = (
+        "import sys\n"
+        "from rmlab.experiments import emit, parse_config, run\n"
+        "for text in sys.argv[1:]:\n"
+        "    sys.stdout.write(emit(run(parse_config(text)), format='csv') + '\\0')\n"
+    )
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Haswell",
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", code, *_E2B_PORTABLE_CONFIGS], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split("\0")[:-1] == expected
 
 
 def test_e3_rows_and_summary():
@@ -695,11 +770,11 @@ def test_params_are_resolved_to_their_types():
 
 
 def test_config_error_for_bad_spike_count(monkeypatch):
-    """spikes above the smallest n fails before any trial draws a matrix."""
-    def no_matrix(*args):
+    """spikes above the smallest n fails before any trial draws its block."""
+    def no_block(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(experiments, "sample_matrix", no_matrix)
+    monkeypatch.setattr(experiments, "sample", no_block)
     cfg = ExperimentConfig(
         experiment="E2b_peaked", n_list=(300, 4), trials=50, params={"spikes": 9}
     )

@@ -793,3 +793,35 @@ def test_berry_esseen_bound_holds_with_the_proven_constant(dist, weights, equal,
     x = x / np.linalg.norm(x)
     q = SmallBallQuery(x=x, dist=dist, v=v, t=t_sqrt_m / math.sqrt(x.size))
     assert exact_concentration(q).value <= berry_esseen_bound(q).value + 1e-12
+
+
+@given(
+    dist=st.sampled_from(FINITE_LAWS),
+    weights=st.lists(
+        st.floats(min_value=0.5, max_value=2.0) | st.floats(min_value=-2.0, max_value=-0.5),
+        min_size=1,
+        max_size=12,
+    ),
+    equal=st.booleans(),
+    v_over_norm=st.just(0.0) | st.floats(min_value=-1.0, max_value=1.0),
+    t_over_norm=st.floats(min_value=0.2, max_value=2.0),
+)
+@settings(max_examples=300, deadline=None)
+# the largest ratio seen, 0.611: a window just past the atoms +-1 of an odd sum
+@example(dist=RADEMACHER, weights=[1.0] * 11, equal=True, v_over_norm=0.0, t_over_norm=1.0000001 / math.sqrt(11))
+def test_esseen_bound_holds_with_the_proven_constant(dist, weights, equal, v_over_norm, t_over_norm):
+    """Esseen's inequality (Esseen 1966; Petrov, Limit Theorems of
+    Probability Theory, 1995, ch. 1) bounds the concentration function
+    Q(S; lam) = sup_z P(z <= S <= z + lam) by
+    (96/95)^2 max(lam, 1/a) * integral_{|u| <= a} |phi_S(u)| du for any
+    lam, a > 0. The bound's value is integral_{|s| <= pi/2} |phi_S(s/t)| ds
+    = t * integral_{|u| <= pi/(2t)} |phi_S(u)| du. Take lam = 2t and
+    a = pi/(2t): then 1/a = 2t/pi < lam, and the window |S - v| < t lies in
+    [v - t, v + t], so P(|S - v| < t) <= Q(S; 2t) <= 2 (96/95)^2 * value.
+    That constant, about 2.043, is proven: no query may exceed it. v and t
+    are drawn as in calibration._random_esseen, as fractions of |x|, over
+    the four finite laws, and m <= 12 keeps the exact value enumerated."""
+    x = np.ones(len(weights)) if equal else np.array(weights)
+    norm = float(np.linalg.norm(x))
+    q = SmallBallQuery(x=x, dist=dist, v=v_over_norm * norm, t=t_over_norm * norm)
+    assert exact_concentration(q).value <= 2.0 * (96.0 / 95.0) ** 2 * esseen_bound(q).value + 1e-12
