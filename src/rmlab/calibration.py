@@ -38,6 +38,7 @@ from .small_ball import (
     exact_concentration,
     halasz_integral_bound,
     halasz_profile_bound,
+    law_table,
     sample_sums,
 )
 from .sphere_profile import PartitionParams, classify_profile, sample_spread_direction
@@ -397,13 +398,16 @@ def fit_bounds(bounds, seed: int, count: int) -> dict[str, FitReport]:
     """The FitReport of each bound, in order: its raw constant is the largest
     exact/bound ratio over build_corpus(bound, seed, count). One table of
     exact values serves the call, so an (x, law, v, t) that corpora share
-    (the two Halasz corpora share their structured queries) is evaluated once."""
+    (the two Halasz corpora share their structured queries) is evaluated once,
+    and one law_table() block, so a merged atom law that several windows or
+    Halasz integral queries ask for is built once. Neither outlives the call."""
     exact: dict = {}
     reports = {}
-    for bound in bounds:
-        results = _evaluate(build_corpus(bound, seed, count), exact)
-        raw = max(res.ratio for res in results)
-        reports[bound] = FitReport(bound=bound, seed=seed, raw=raw, results=results)
+    with law_table():
+        for bound in bounds:
+            results = _evaluate(build_corpus(bound, seed, count), exact)
+            raw = max(res.ratio for res in results)
+            reports[bound] = FitReport(bound=bound, seed=seed, raw=raw, results=results)
     return reports
 
 

@@ -9,7 +9,7 @@ cannot breach domination by sampling noise alone.
 from __future__ import annotations
 
 ARTIFACT_NAME = "rmlab"
-ARTIFACT_VERSION = "0.2.2"
+ARTIFACT_VERSION = "0.2.3"
 
 # ---------------------------------------------------------------- structural
 # Sphere partition defaults (recorded config values; see PartitionParams).
@@ -62,3 +62,13 @@ FITTED_RAW = {
 }
 
 FITTED = {name: CALIBRATION_MARGIN * raw for name, raw in FITTED_RAW.items()}
+
+# Constants that a theorem proves for two of the bounds, so that no query of
+# the bound's regime may exceed PROVEN * bound (E6 reports FITTED / PROVEN):
+#   berry_esseen  Shevtsova (2010, Doklady Math. 82): sup_z |P(S <= z) -
+#                 Phi(z/|x|)| <= 0.56 L, so the window mass is at most the
+#                 Gaussian mass + 1.12 L, under the bound's mass + 2 L
+#   esseen        Esseen's inequality (Esseen 1966; Petrov, Limit Theorems
+#                 of Probability Theory, 1995, ch. 1) at lambda = 2t and
+#                 a = pi/(2t): P(|S - v| < t) <= 2 (96/95)^2 * bound
+PROVEN = {"berry_esseen": 1.0, "esseen": 2 * (96 / 95) ** 2}

@@ -457,6 +457,9 @@ def _summary_e6(config, rows):
             "dominated": _freq(int(sum(r[7] for r in sub)), len(sub)),
             "max_ratio": max(r[6] for r in sub),
         }
+        if bound in constants.PROVEN:
+            # how much tighter the fitted constant is than the proven one
+            per_bound[bound]["fitted_over_proven"] = constants.FITTED[bound] / constants.PROVEN[bound]
     return {
         "margin": constants.CALIBRATION_MARGIN,
         "per_bound": per_bound,

@@ -3,8 +3,9 @@
 The central quantity is P(|sum_j beta_j x_j - v| < t) for i.i.d. entries
 beta_j, a weight vector x, center v, and half-width t. This module provides
 
-  - exact oracles for finite-support laws (enumeration and grid convolution
-    with a rigorous error radius),
+  - exact oracles for finite-support laws (split enumeration and grid
+    convolution, each with a rigorous error radius, and the merged atom law
+    of lattice vectors),
   - one Monte Carlo sum loop (`sample_sums`) and an estimator on it with
     exact binomial confidence intervals,
   - four upper-bound mechanisms: the characteristic-function integral bound,
@@ -17,8 +18,10 @@ front of them are fitted once by `rmlab.calibration` and frozen in
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
@@ -44,14 +47,15 @@ _ENUM_LIMIT = 2**24
 _ENUM_TRIAL_LIMIT = 2**20
 _CONV_CELL_LIMIT = 2**26
 _SCAN_BLOCK = 64
-# Pattern sums per slice of the enumeration's window scan and tie check
-_SCAN_CHUNK = 1 << 14
+_UNIT = 2.0**-53
 # Rademacher Monte Carlo rows per chunk, and raw words per chunk at most.
 # Per row a chunk holds its Philox words, one term and the table index that
 # np.take casts a group's sign bytes to (336 KiB at n <= 64): fewer, larger
 # chunks would hand the GIL between pool threads less often but hold more.
 _CHUNK_ROWS = 14 << 10
 _CHUNK_WORDS = 1 << 17
+# the merged atom laws of the innermost law_table() block, per thread
+_LAWS: ContextVar[dict | None] = ContextVar("rmlab_small_ball_laws", default=None)
 # where scipy keeps its compiled QUADPACK module, scipy.integrate._quadpack
 _QUADPACK_DIR = Path(scipy.__file__).parent / "integrate"
 
@@ -148,78 +152,99 @@ def _atom_law_of_sum(weights: np.ndarray, dist: EntryDistribution, budget: int):
     return vals, probs
 
 
-def _distinct_sums(weights: np.ndarray, dist: EntryDistribution):
-    """All support^m pattern sums, unmerged, or None.
+def _merged_law(weights: np.ndarray, dist: EntryDistribution, budget: int):
+    """_atom_law_of_sum(weights, dist, budget), built once per key inside a
+    law_table() block on this thread and taken from the block's table
+    after that; outside any block, built at every call."""
+    table = _LAWS.get()
+    if table is None:
+        return _atom_law_of_sum(weights, dist, budget)
+    key = (weights.tobytes(), dist, budget)
+    if key not in table:
+        table[key] = _atom_law_of_sum(weights, dist, budget)
+    return table[key]
 
-    Digit j of pattern p in base |support| is the atom s_j of weight w_j
-    (j = 0 .. m-1), and the pattern's sum is ((0 + w_0 s_0) + w_1 s_1) + ...,
-    the float operations of _atom_law_of_sum, built by in-place doubling.
-    None when support^m exceeds _ENUM_TRIAL_LIMIT, or when every weight is
-    an integer multiple of the smallest |w| (a lattice vector, whose sums
-    merge at once).
+
+@contextlib.contextmanager
+def law_table():
+    """A block in which each merged atom law (weights, law, budget) that
+    exact_concentration or halasz_integral_bound asks for is built once, on
+    this thread, and dropped at the block's end: no law outlives it."""
+    token = _LAWS.set({})
+    try:
+        yield
+    finally:
+        _LAWS.reset(token)
+
+
+def _half_patterns(weights: np.ndarray, sup: np.ndarray, sup_probs: np.ndarray):
+    """The sums and probabilities of every pattern of atoms on weights.
+
+    Digit j of pattern p in base |support| is the atom s_j of weight w_j, its
+    sum is ((0 + w_0 s_0) + w_1 s_1) + ..., added left to right, and its
+    probability ((1 p(s_0)) p(s_1)) ..., multiplied left to right; both are
+    built by in-place doubling.
     """
-    sup = dist.support()
     size = sup.size ** weights.size
-    ratios = weights / np.min(np.abs(weights))
-    if size > _ENUM_TRIAL_LIMIT or np.all(ratios == np.rint(ratios)):
-        return None
     sums = np.empty(size)
-    sums[0] = 0.0
+    probs = np.empty(size)
+    sums[0], probs[0] = 0.0, 1.0
     done = 1
     for w in weights:
         # atom k's patterns go to block k; block 0 overwrites the prefix it reads, so it is last
         for k in range(sup.size - 1, -1, -1):
             np.add(sums[:done], w * sup[k], out=sums[k * done : (k + 1) * done])
+            np.multiply(probs[:done], sup_probs[k], out=probs[k * done : (k + 1) * done])
         done *= sup.size
-    return sums
+    return sums, probs
 
 
-def _pattern_probs(index: np.ndarray, sup_probs: np.ndarray, m: int) -> np.ndarray:
-    """The probabilities ((1 p(s_0)) p(s_1)) ... p(s_{m-1}) of the patterns
-    at index (digits as in _distinct_sums), multiplied left to right, the
-    float operations of _atom_law_of_sum."""
-    probs = np.ones(index.size)
-    # in slices, so that the digit temporaries stay small
-    for start in range(0, index.size, _SCAN_CHUNK):
-        part = probs[start : start + _SCAN_CHUNK]
-        rest = index[start : start + _SCAN_CHUNK].copy()
-        for _ in range(m):
-            part *= sup_probs[rest % sup_probs.size]
-            rest //= sup_probs.size
-    return probs
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53."""
+    return k * _UNIT / (1.0 - k * _UNIT)
 
 
-def _distinct_window_mass(weights: np.ndarray, dist: EntryDistribution, v: float, t: float):
-    """(P(|S - v| < t), atom count) from the unmerged pattern sums, or None.
+def _split_window_mass(weights: np.ndarray, dist: EntryDistribution, v: float, t: float):
+    """(P(|S - v| < t), error radius, sum error e, mass error) from the
+    patterns of the two halves of the weights, or None when support^m
+    exceeds _ENUM_TRIAL_LIMIT or every weight is an integer multiple of the
+    smallest |w| (a lattice vector, whose sums merge at once).
 
-    If no two pattern sums are equal (-0.0 against 0.0 counts as equal), no
-    step of _atom_law_of_sum merged anything, so its atoms are the sorted
-    sums with their pattern probabilities, and adding the in-window
-    probabilities in the order of their sums gives its value bit for bit.
-    The in-window patterns are found in slices of _SCAN_CHUNK sums, the sums
-    are then sorted in place for the tie check, and each in-window
-    probability is rebuilt from its pattern index. None where _distinct_sums
-    is None, and on a tie.
+    The first floor(m/2) weights give the left sums a with probabilities p,
+    the last ceil(m/2) the right sums b, sorted, with the cumulative
+    probabilities C (C[0] = 0). Left pattern L counts the right patterns
+    with key_lo(L) < b < key_hi(L), keys fl(fl(v -+ t) - a_L), found by two
+    searchsorted calls, and the value is sum_L p_L (C[hi_L] - C[lo_L]). See
+    exact_concentration for e, the radius and the mass error.
     """
-    sums = _distinct_sums(weights, dist)
-    if sums is None:
+    sup = dist.support()
+    sup_probs = dist.support_probs()
+    m = weights.size
+    ratios = weights / np.min(np.abs(weights))
+    if sup.size**m > _ENUM_TRIAL_LIMIT or np.all(ratios == np.rint(ratios)):
         return None
-    inside = np.concatenate(
-        [
-            start + np.flatnonzero(np.abs(sums[start : start + _SCAN_CHUNK] - v) < t)
-            for start in range(0, sums.size, _SCAN_CHUNK)
-        ]
-    )
-    inside_sums = sums[inside]
-    sums.sort()
-    for start in range(0, sums.size - 1, _SCAN_CHUNK):
-        chunk = sums[start : start + _SCAN_CHUNK + 1]
-        if np.any(chunk[1:] == chunk[:-1]):
-            return None
-    order = np.argsort(inside_sums)
-    del inside_sums
-    inside = inside[order]
-    return _pattern_probs(inside, dist.support_probs(), weights.size).sum(), sums.size
+    left, left_probs = _half_patterns(weights[: m // 2], sup, sup_probs)
+    right, right_probs = _half_patterns(weights[m // 2 :], sup, sup_probs)
+    order = np.argsort(right, kind="stable")
+    right = right[order]
+    cum = np.zeros(right.size + 1)
+    np.cumsum(right_probs[order], out=cum[1:])
+    key_lo = (v - t) - left
+    key_hi = (v + t) - left
+    lo = np.searchsorted(right, key_lo, side="right")
+    # the keys coincide when t is below the float spacing near v - a_L: no pattern counts
+    hi = np.maximum(np.searchsorted(right, key_hi, side="left"), lo)
+    value = np.add.reduce(left_probs * (cum[hi] - cum[lo]))
+    rounding = _gamma(m + 2) * (math.fsum(np.abs(weights)) * float(np.max(np.abs(sup))) + abs(v) + t)
+    e = 3.0 * rounding
+    # the bands around the two edges, [lo_a, lo_b) and [hi_a, hi_b), overlap when t < e
+    lo_a = np.searchsorted(right, key_lo - e, side="left")
+    lo_b = np.searchsorted(right, key_lo + e, side="right")
+    hi_a = np.maximum(np.searchsorted(right, key_hi - e, side="left"), lo_b)
+    hi_b = np.maximum(np.searchsorted(right, key_hi + e, side="right"), hi_a)
+    radius = np.add.reduce(left_probs * ((cum[lo_b] - cum[lo_a]) + (cum[hi_b] - cum[hi_a])))
+    mass_error = 2.0 * _gamma(left.size + 2 * right.size + 3 * m + 4)
+    return float(value), float(radius), e, mass_error
 
 
 def _convolve_on_grid(weights: np.ndarray, dist: EntryDistribution, h: float):
@@ -251,17 +276,46 @@ def _convolve_on_grid(weights: np.ndarray, dist: EntryDistribution, h: float):
 def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationEstimate:
     """Exact P(|sum beta_j x_j - v| < t) for finite-support laws.
 
-    path='enumerate' builds the exact atom law in one of two ways. When
-    support^m <= 2^20 and the weights are not all integer multiples of the
-    smallest |w|, _distinct_sums computes every pattern's sum once and sorts
-    the sums once; if no two tie, that is the atom law. This path holds one
-    float per pattern (8 B, 8 MiB at 2^20 patterns), about 24 B per pattern
-    inside the window and fixed-size scan slices; it stores no per-pattern
-    probability, but rebuilds each in-window one from its pattern. Otherwise
-    (a lattice vector, a tie, or more patterns) _atom_law_of_sum convolves
-    term by term and merges equal sums after each term, and the merged atom
-    count must stay within 2^24 as terms accumulate. Both give the same
-    value bit for bit, and metadata["atoms"] is the atom count of the law.
+    path='enumerate' takes one of two routes. When support^m <= 2^20 and the
+    weights are not all integer multiples of the smallest |w|, the split
+    enumeration (Horowitz and Sahni, J. ACM 1974) sums and weighs every
+    pattern of the first floor(m/2) weights and, apart, of the last
+    ceil(m/2); it sorts the right sums b with their cumulative probabilities
+    C and adds sum_L p_L (C[hi_L] - C[lo_L]) over the left patterns, with
+    lo_L and hi_L from searchsorted on the keys fl(fl(v -+ t) - a_L). It
+    holds O(support^(m/2)) floats at any window width (about 150 KB at 2^20
+    patterns), and metadata["atoms"] is the pattern count support^m.
+    Otherwise (a lattice vector, or more patterns) _atom_law_of_sum
+    convolves term by term and merges equal sums after each term, the merged
+    atom count must stay within 2^24 as terms accumulate, and
+    metadata["atoms"] is the merged atom count.
+
+    The split route returns an interval. With u = 2^-53 and
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 3.1 and 4.2), let W = sum_j |w_j| max|s| and
+    B = |v| + t. A half's sum of k products is off its exact value by at
+    most gamma_k times its W, and fl(fl(v - t) - a_L) is off v - t - a_L by
+    at most gamma_2 (B + W). So b_R - key_L = (S - edge) + D with
+    |D| <= gamma_ceil(m/2) W + gamma_2 (B + W) <= rho = gamma_(m+2) (W + B):
+    a pattern counted by this route on the wrong side of an edge has its
+    exact sum S within rho of that edge. rho also bounds a left-to-right
+    evaluation of the whole sum compared as |fl(S - v)| < t, the merging
+    law's, so a pattern that it and this route decide differently lies
+    within rho of an edge too, and its split position b_R - key_L within
+    2 rho. metadata["sum_error"] is e = 3 rho, which leaves rho for the
+    rounding of the band keys key_L -+ e and of rho itself, and
+    metadata["error_radius"] is the mass of the patterns whose split
+    position lies within e of either edge's key. The masses, with n_L and
+    n_R patterns per half: a pattern probability is within gamma_ceil(m/2)
+    of its exact product, each cumulative sum C[k] within gamma_(n_R + m)
+    of the right mass before k, and after the difference, the product with
+    p_L and the sum over the left patterns (any order: gamma_(n_L)), value
+    and radius are each within mass_error = 2 gamma_(n_L + 2 n_R + 3m + 4)
+    of their exact masses; the factor 2 bounds the total pattern mass, as a
+    law's probabilities sum to 1 within 1e-12. So the exact value lies in
+    the ci, value -+ (radius + 2 mass_error), cut at 0 below; above it is
+    not cut at 1, since a law's float probabilities may sum to a little
+    more than 1.
 
     path='convolve' uses a grid at resolution h = t / (100 m), which keeps
     the accumulated placement drift m*h/2 well under the window scale; the
@@ -270,7 +324,8 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     by that radius.
 
     path='auto' tries enumeration first, with the merged atom budget cut to
-    2^20, and falls back to the grid.
+    2^20, and falls back to the grid. Inside a law_table() block a merged
+    atom law is built once for all of the block's windows.
     """
     if not q.dist.finite_support:
         raise RegimeError("continuous dist rejected; use monte_carlo_concentration")
@@ -279,26 +334,35 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     weights = q.x[q.x != 0.0]
     m = weights.size
     if path != "convolve":
-        atoms = None
-        distinct = _distinct_window_mass(weights, q.dist, q.v, q.t)
-        if distinct is not None:
-            value, atoms = distinct
-        else:
-            # lattice-like weights merge to few atoms, so attempt enumeration
-            # with a reduced budget before falling back to the grid
-            budget = _ENUM_LIMIT if path == "enumerate" else _ENUM_TRIAL_LIMIT
-            try:
-                vals, probs = _atom_law_of_sum(weights, q.dist, budget)
-            except RegimeError:
-                if path == "enumerate":
-                    raise
-            else:
-                value, atoms = probs[np.abs(vals - q.v) < q.t].sum(), vals.size
-        if atoms is not None:
+        split = _split_window_mass(weights, q.dist, q.v, q.t)
+        if split is not None:
+            value, radius, e, mass_error = split
+            width = radius + 2.0 * mass_error
             return ConcentrationEstimate(
-                value=float(value),
+                value=value,
                 method="exact",
-                metadata={"path": "enumeration", "atoms": int(atoms)},
+                ci=(max(0.0, value - width), value + width),
+                metadata={
+                    "path": "enumeration",
+                    "atoms": q.dist.support().size ** m,
+                    "sum_error": e,
+                    "error_radius": radius,
+                    "mass_error": mass_error,
+                },
+            )
+        # lattice-like weights merge to few atoms, so attempt enumeration
+        # with a reduced budget before falling back to the grid
+        budget = _ENUM_LIMIT if path == "enumerate" else _ENUM_TRIAL_LIMIT
+        try:
+            vals, probs = _merged_law(weights, q.dist, budget)
+        except RegimeError:
+            if path == "enumerate":
+                raise
+        else:
+            return ConcentrationEstimate(
+                value=float(probs[np.abs(vals - q.v) < q.t].sum()),
+                method="exact",
+                metadata={"path": "enumeration", "atoms": vals.size},
             )
     h = q.t / (100.0 * m)
     origin, pmf = _convolve_on_grid(weights, q.dist, h)
@@ -560,7 +624,7 @@ def halasz_integral_bound(
             raise RegimeError(f"P(x_j beta > a) or P(x_j beta < -a) vanishes at x_j={w}")
 
     # the law of beta - beta'
-    dvals, dprobs = _atom_law_of_sum(np.array([1.0, -1.0]), dist, sup.size**2)
+    dvals, dprobs = _merged_law(np.array([1.0, -1.0]), dist, sup.size**2)
     centers = np.multiply.outer(x, dvals).ravel()
     weights_ = np.broadcast_to(dprobs, (m, dvals.size)).ravel()
     half = math.pi * delta

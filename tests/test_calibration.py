@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtr
 
 from test_distributions import _philox_state
-from rmlab import calibration, constants
+from rmlab import calibration, constants, small_ball
 from rmlab.calibration import (
     BOUNDS,
     D3,
@@ -288,3 +288,26 @@ def test_fit_all_evaluates_each_distinct_exact_value_once(monkeypatch):
         assert fits[bound].raw == single.raw
         if bound in corpora:
             assert pairs == [(r.exact, r.bound_value) for r in map(evaluate_query, corpora[bound])]
+
+
+def test_fit_bounds_builds_each_merged_atom_law_once(monkeypatch):
+    """Within one fit_bounds call each merged atom law (weights, law, budget)
+    is built once: E6's berry_esseen grid asks for one lattice law at up to
+    8 windows, and every halasz_integral query for its law's difference law
+    (91 builds of 39 laws without the table). A second call builds them all
+    again. That every value equals its query's evaluated alone, outside any
+    table, is test_e6_computes_each_distinct_exact_value_once_per_run's check
+    of the same fit."""
+    seed, count = constants.VALIDATION_SEED, 30
+    built = []
+    real = small_ball._atom_law_of_sum
+
+    def counting(weights, dist, budget):
+        built.append((weights.tobytes(), dist, budget))
+        return real(weights, dist, budget)
+
+    monkeypatch.setattr(small_ball, "_atom_law_of_sum", counting)
+    fit_bounds(DOMINATION_BOUNDS, seed, count)
+    assert len(built) == len(set(built)) == 39
+    fit_bounds(DOMINATION_BOUNDS, seed, count)
+    assert len(built) == 78  # no law outlives the call that built it

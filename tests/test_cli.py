@@ -363,10 +363,15 @@ def test_small_ball_exact_on_a_generic_vector(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "exact"
-    assert payload["metadata"] == {"path": "enumeration", "atoms": 2**12}
+    meta = payload["metadata"]
+    assert (meta["path"], meta["atoms"]) == ("enumeration", 2**12)
     expected = product_concentration([-1.0, 1.0], [0.5, 0.5], np.array(x), 0.2, 0.5)
     assert payload["value"] > 0.0
     assert payload["value"] == pytest.approx(expected, abs=1e-12)
+    # the split enumeration's interval: no sum lies near an edge here
+    lo, hi = payload["ci"]
+    assert meta["error_radius"] == 0.0
+    assert lo <= expected <= hi and hi - lo <= 4.0 * meta["mass_error"] + 1e-15
 
 
 def test_small_ball_monte_carlo(tmp_path, capsys):

@@ -459,6 +459,24 @@ def test_e4_min_ssq_follows_its_exact_law(l, k):
     assert chdtrc(len(expected) - 1, chi2) >= 1e-3, (observed, expected)
 
 
+@pytest.mark.parametrize("k, lo, hi", [(500, 0.29, 0.345), (100, 0.25, 0.2526)])
+def test_e4_median_stat_at_the_acceptance_scale(k, lo, hi):
+    """At l = 1000 and 1000 trials, criterion 7's scale, where k = l pins
+    every stat at 0.5, the median stat at k = 500 and k = 100 must lie in a
+    fixed interval. The stat is min_ssq k / l^2, and by Cauchy-Schwarz the
+    500 kept draws spread over b nonempty bins have min_ssq >= 500^2 / b: at
+    k = 100 every trial reads at least 0.25, and at least 0.2526 when one
+    bin can never be drawn. Correct draws give a median of 0.251, draws over
+    k - 1 bins 0.2538 or more. At k = 500 the interval holds every single
+    trial's stat seen (0.299-0.333 over 300 seeds, 0.292-0.339 over this
+    config's trials); the median reads 0.317-0.318 at 21 seeds."""
+    cfg = ExperimentConfig(
+        experiment="E4_allocation", n_list=(1000,), trials=1000, master_seed=107, params={"l": 1000, "k": k}
+    )
+    median = run(cfg).summary["stat"]["p50"]
+    assert lo <= median < hi, median
+
+
 @pytest.mark.parametrize("l, k, key", [(5, 10, "k"), (0, 1, "l"), (10, 0, "k")])
 def test_e4_rejects_sizes_before_any_trial(l, k, key, monkeypatch):
     """sample_allocation needs 1 <= k <= l; the config fails before it is called."""
@@ -567,6 +585,13 @@ def test_e6_rows_and_summary():
         assert info["count"] == 2
         assert info["dominated"]["freq"] == 1.0
         assert info["max_ratio"] <= constants.FITTED[bound]
+    # the two bounds with a proven constant report how far the fit is below it
+    assert {b for b, info in res.summary["per_bound"].items() if "fitted_over_proven" in info} == {
+        "esseen", "berry_esseen"
+    }
+    for bound in ("esseen", "berry_esseen"):
+        ratio = res.summary["per_bound"][bound]["fitted_over_proven"]
+        assert ratio == constants.FITTED[bound] / constants.PROVEN[bound] < 1.0
 
 
 def test_e6_computes_each_distinct_exact_value_once_per_run(monkeypatch):

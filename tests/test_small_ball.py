@@ -1,3 +1,4 @@
+import bisect
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import product_concentration, window_sup_probability
@@ -150,104 +151,147 @@ def test_exact_concentration_matches_product_oracle(weights, v, t):
 FINITE_LAWS = (RADEMACHER, calibration.D3, calibration.D4, SKEW)
 
 
+def _merging_value(vals, probs, v, t) -> float:
+    return float(probs[np.abs(vals - v) < t].sum())
+
+
+def _window_on_atoms(vals, data):
+    """(v, t, whether an edge is on an atom): a window centred on an atom
+    with an edge on another, or (data None) on the second atom with an edge
+    on the last; t = 0.5 when the two atoms drawn are one."""
+    i, j = (1, vals.size - 1) if data is None else (
+        data.draw(st.integers(0, vals.size - 1), label=k) for k in "ij"
+    )
+    t = float(abs(vals[j] - vals[i]))
+    return float(vals[i]), t or 0.5, t > 0.0
+
+
 @given(
     dist=st.sampled_from(FINITE_LAWS),
     weights=st.lists(
         st.floats(min_value=0.1, max_value=2.0) | st.floats(min_value=-2.0, max_value=-0.1),
-        min_size=1,
-        max_size=8,
+        min_size=2,
+        max_size=11,
     ),
     repeat=st.booleans(),
     zeros=st.integers(min_value=0, max_value=2),
     data=st.data(),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @example(dist=SKEW, weights=[0.3, 1.7, -0.9], repeat=False, zeros=0, data=None)
 @example(dist=calibration.D3, weights=[0.3, 1.7, -0.9], repeat=True, zeros=1, data=None)
-def test_exact_enumeration_equals_the_merging_law_bit_for_bit(dist, weights, repeat, zeros, data):
-    """Generic weights take the distinct-sums path; a repeated weight makes
-    sums that tie in exact arithmetic, and a float tie falls back to merging.
-    Either way the value and atom count are those of _atom_law_of_sum, bit
-    for bit. Windows are centred on an atom with an edge exactly on another
-    atom, or drawn freely."""
+def test_split_enumeration_ci_holds_the_merging_law_value(dist, weights, repeat, zeros, data):
+    """On generic weights the split enumeration's ci holds the value of the
+    merged atom law (_atom_law_of_sum), whose float sums and window test
+    differ from the split path's. A repeated weight makes sums that tie in
+    exact arithmetic; m <= 12. The windows have an edge on an atom, where
+    the two routes may decide an atom differently, so the radius must cover
+    that atom's mass: it is positive there."""
     if repeat:
         weights = weights + weights[:1]
     x = np.array(weights[:1] + [0.0] * zeros + weights[1:])
-    vals, probs = small_ball._atom_law_of_sum(x[x != 0.0], dist, small_ball._ENUM_LIMIT)
-    if data is None:
-        v, t = float(vals[1]), float(abs(vals[-1] - vals[1]))
-    elif data.draw(st.booleans(), label="on_atoms"):
-        i, j = (data.draw(st.integers(0, vals.size - 1), label=k) for k in "ij")
-        v = float(vals[i])
-        t = float(abs(vals[j] - vals[i])) or 0.5
-    else:
-        v = data.draw(st.floats(min_value=-4.0, max_value=4.0), label="v")
-        t = data.draw(st.floats(min_value=0.01, max_value=3.0), label="t")
+    w = x[x != 0.0]
+    ratios = w / np.min(np.abs(w))
+    assume(not np.all(ratios == np.rint(ratios)))  # a lattice vector is merged, not split
+    vals, probs = small_ball._atom_law_of_sum(w, dist, small_ball._ENUM_LIMIT)
+    v, t, edge_on_atom = _window_on_atoms(vals, data)
     out = exact_concentration(SmallBallQuery(x=x, dist=dist, v=v, t=t))
-    expected = float(probs[np.abs(vals - v) < t].sum())
-    assert out.value.hex() == expected.hex()
-    assert out.metadata == {"path": "enumeration", "atoms": vals.size}
+    meta = out.metadata
+    assert meta["path"] == "enumeration" and meta["atoms"] == dist.support().size ** w.size
+    lo, hi = out.ci
+    assert lo <= out.value <= hi
+    assert lo <= _merging_value(vals, probs, v, t) <= hi
+    if edge_on_atom:
+        assert meta["error_radius"] > 0.0
+
+
+@given(
+    numerators=st.lists(st.integers(min_value=-63, max_value=63).filter(bool), min_size=2, max_size=16),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+@example(numerators=[3, 2, -5, 7], data=None)
+def test_split_enumeration_equals_the_merging_law_on_dyadic_weights(numerators, data):
+    """Rademacher weights k/16: every pattern sum, key and probability is a
+    dyadic float computed without rounding, so the split path and the merged
+    law decide every pattern alike and add exact masses, and their values
+    agree bit for bit, also with an edge exactly on an atom (where a closed
+    edge would count it)."""
+    w = np.array(numerators, dtype=float) / 16.0
+    ratios = w / np.min(np.abs(w))
+    assume(not np.all(ratios == np.rint(ratios)))
+    vals, probs = small_ball._atom_law_of_sum(w, RADEMACHER, small_ball._ENUM_LIMIT)
+    v, t, _ = _window_on_atoms(vals, data)
+    out = exact_concentration(SmallBallQuery(x=w, dist=RADEMACHER, v=v, t=t))
+    assert out.ci is not None  # the split path
+    assert out.value.hex() == _merging_value(vals, probs, v, t).hex()
+
+
+def _split_reference(x, dist, v, t) -> float:
+    """The split enumeration's value from its definition, pattern by pattern
+    in Python floats: pattern sums and probabilities left to right, the
+    right half stably sorted by sum with its running probability, and per
+    left pattern the right mass between the keys (v - t) - a and
+    (v + t) - a, the terms added by np.add.reduce in left-pattern order."""
+    sup, probs = dist.support().tolist(), dist.support_probs().tolist()
+
+    def patterns(weights):
+        out = [(0.0, 1.0)]
+        for w in weights.tolist():
+            out = [(s + w * a, p * q) for a, q in zip(sup, probs) for s, p in out]
+        return out
+
+    half = x.size // 2
+    right = sorted(patterns(x[half:]), key=lambda pattern: pattern[0])
+    sums = [s for s, _ in right]
+    cum = [0.0]
+    for _, p in right:
+        cum.append(cum[-1] + p)
+    terms = []
+    for a, p in patterns(x[:half]):
+        lo = bisect.bisect_right(sums, (v - t) - a)
+        hi = max(bisect.bisect_left(sums, (v + t) - a), lo)
+        terms.append(p * (cum[hi] - cum[lo]))
+    return float(np.add.reduce(np.array(terms)))
 
 
 @pytest.mark.parametrize("m", [8, 12, 16])
 @pytest.mark.parametrize("t", [0.5, 1.0])
 def test_exact_enumeration_adds_skew_window_mass_in_sum_order(m, t):
-    """SKEW atom probabilities differ in size, so adding the window's mass in
-    any order but the merged law's changes the last bits."""
+    """SKEW atom probabilities differ in size, so the order of the additions
+    shows in the last bits: the value is the split enumeration's, which adds
+    each right pattern's mass in the order of the right sums, bit for bit."""
     x = derive_stream(37, m).uniform(0.5, 2.0, m)
-    vals, probs = small_ball._atom_law_of_sum(x, SKEW, small_ball._ENUM_LIMIT)
     out = exact_concentration(SmallBallQuery(x=x, dist=SKEW, v=0.0, t=t))
-    assert out.value.hex() == float(probs[np.abs(vals) < t].sum()).hex()
-    assert out.metadata["atoms"] == vals.size == 2**m
-
-
-def test_distinct_sums_path_runs_on_generic_weights_only():
-    generic = np.log([2.0, 3.0, 5.0, 7.0]) * [1.0, -1.0, 1.0, 1.0]
-    for dist in FINITE_LAWS:
-        sums = small_ball._distinct_sums(generic, dist)
-        probs = small_ball._pattern_probs(np.arange(sums.size), dist.support_probs(), generic.size)
-        vals, merged = small_ball._atom_law_of_sum(generic, dist, small_ball._ENUM_LIMIT)
-        order = np.argsort(sums)
-        assert sums[order].tobytes() == vals.tobytes()
-        assert probs[order].tobytes() == merged.tobytes()
-    # two equal leading weights tie (0 + w s) + w s' with (0 + w s') + w s;
-    # lattice vectors are not tried
-    assert small_ball._distinct_sums(np.array([0.3, 0.3, 1.7]), SKEW) is not None
-    assert small_ball._distinct_window_mass(np.array([0.3, 0.3, 1.7]), SKEW, 0.0, 1.0) is None
-    assert small_ball._distinct_sums(np.ones(5), SKEW) is None
-    assert small_ball._distinct_sums(np.array([0.5, -1.5, 1.0]), SKEW) is None
-    # more patterns than the trial limit
-    assert small_ball._distinct_sums(derive_stream(36, 0).uniform(0.5, 2.0, 21), RADEMACHER) is None
+    assert out.value.hex() == _split_reference(x, SKEW, 0.0, t).hex()
+    assert out.metadata["atoms"] == 2**m
 
 
 @pytest.mark.parametrize("dist", [SKEW, calibration.D3], ids=["2 atoms", "3 atoms"])
 def test_pattern_probabilities_rebuilt_from_the_index_equal_the_merging_law(dist):
-    """Digit j of a pattern's index, in base |support|, is weight j's atom,
-    and its probability multiplies the atoms' left to right: on generic
-    weights, where nothing merges, these are _atom_law_of_sum's
-    probabilities in the order of the pattern sums, bit for bit."""
+    """Digit j of a pattern's index, in base |support|, is weight j's atom;
+    its sum adds the terms left to right and its probability multiplies the
+    atoms' left to right. On generic weights, where nothing merges, these
+    are _atom_law_of_sum's atoms and probabilities in the order of the
+    pattern sums, bit for bit."""
     x = derive_stream(38, dist.support().size).uniform(0.5, 2.0, 9)
-    sums = small_ball._distinct_sums(x, dist)
-    index = np.argsort(sums)
-    probs = small_ball._pattern_probs(index, dist.support_probs(), x.size)
+    sums, probs = small_ball._half_patterns(x, dist.support(), dist.support_probs())
     vals, merged = small_ball._atom_law_of_sum(x, dist, small_ball._ENUM_LIMIT)
+    order = np.argsort(sums)
     assert vals.size == sums.size == dist.support().size ** x.size
-    assert sums[index].tobytes() == vals.tobytes()
-    assert probs.tobytes() == merged.tobytes()
-    # and for a slice of the index in any order, not only all of it
-    some = index[::7][::-1]
-    assert small_ball._pattern_probs(some, dist.support_probs(), x.size).tobytes() == (
-        probs[::7][::-1].tobytes()
-    )
+    assert sums[order].tobytes() == vals.tobytes()
+    assert probs[order].tobytes() == merged.tobytes()
 
 
-def test_enumeration_holds_one_float_per_pattern():
-    """A generic m = 18 query enumerates 2^18 pattern sums and stores no
-    per-pattern probability: its traced peak stays within 12 B per pattern."""
-    x = derive_stream(39, 0).uniform(0.5, 2.0, 18)
-    q = SmallBallQuery(x=x, dist=RADEMACHER, v=0.0, t=0.5)
+@pytest.mark.parametrize("t", [0.5, 3.0])
+def test_split_enumeration_memory_stays_small_at_any_window(t):
+    """A generic m = 20 query enumerates 2^20 patterns from two halves of
+    2^10: its traced peak stays under 256 KiB, fixed before the first run,
+    against 8 MiB for the 2^20 pattern sums, at a narrow and a wide window."""
+    x = derive_stream(39, 0).uniform(0.5, 2.0, 20)
+    q = SmallBallQuery(x=x, dist=RADEMACHER, v=0.0, t=t)
     first = exact_concentration(q)
-    assert first.metadata == {"path": "enumeration", "atoms": 2**18}
+    assert first.metadata["atoms"] == 2**20
     tracemalloc.start()
     try:
         again = exact_concentration(q)
@@ -255,7 +299,7 @@ def test_enumeration_holds_one_float_per_pattern():
     finally:
         tracemalloc.stop()
     assert again.value == first.value
-    assert peak <= 12 * 2**18, peak / 2**18
+    assert peak <= 256 << 10, peak
 
 
 @pytest.mark.parametrize(
@@ -786,13 +830,15 @@ def test_berry_esseen_bound_holds_with_the_proven_constant(dist, weights, equal,
     Math. 82) proves sup_z |P(S <= z) - Phi(z/|x|)| <= 0.56 L with
     L = sum |x_j|^3 E|beta|^3 / |x|^3. At both window ends that gives
     P(|S - v| < t) <= Gaussian window mass + 1.12 L, under the bound's
-    mass + 2 L: its constant 1 is proven, so no query of the bound's regime
-    may exceed it, whatever the fitted constant. The four laws have mean 0
-    and variance 1, and m <= 12 keeps the exact value enumerated."""
+    mass + 2 L: its constant 1 (constants.PROVEN) is proven, so no query of
+    the bound's regime may exceed it, whatever the fitted constant. The four
+    laws have mean 0 and variance 1, and m <= 12 keeps the exact value
+    enumerated."""
     x = np.ones(len(weights)) if equal else np.array(weights)
     x = x / np.linalg.norm(x)
     q = SmallBallQuery(x=x, dist=dist, v=v, t=t_sqrt_m / math.sqrt(x.size))
-    assert exact_concentration(q).value <= berry_esseen_bound(q).value + 1e-12
+    proven = constants.PROVEN["berry_esseen"]
+    assert exact_concentration(q).value <= proven * berry_esseen_bound(q).value + 1e-12
 
 
 @given(
@@ -818,10 +864,11 @@ def test_esseen_bound_holds_with_the_proven_constant(dist, weights, equal, v_ove
     = t * integral_{|u| <= pi/(2t)} |phi_S(u)| du. Take lam = 2t and
     a = pi/(2t): then 1/a = 2t/pi < lam, and the window |S - v| < t lies in
     [v - t, v + t], so P(|S - v| < t) <= Q(S; 2t) <= 2 (96/95)^2 * value.
-    That constant, about 2.043, is proven: no query may exceed it. v and t
-    are drawn as in calibration._random_esseen, as fractions of |x|, over
-    the four finite laws, and m <= 12 keeps the exact value enumerated."""
+    That constant, about 2.043 (constants.PROVEN), is proven: no query may
+    exceed it. v and t are drawn as in calibration._random_esseen, as
+    fractions of |x|, over the four finite laws, and m <= 12 keeps the exact
+    value enumerated."""
     x = np.ones(len(weights)) if equal else np.array(weights)
     norm = float(np.linalg.norm(x))
     q = SmallBallQuery(x=x, dist=dist, v=v_over_norm * norm, t=t_over_norm * norm)
-    assert exact_concentration(q).value <= 2.0 * (96.0 / 95.0) ** 2 * esseen_bound(q).value + 1e-12
+    assert exact_concentration(q).value <= constants.PROVEN["esseen"] * esseen_bound(q).value + 1e-12
