@@ -35,6 +35,7 @@ from .small_ball import (
     berry_esseen_bound,
     empirical_sup_concentration,
     esseen_bound,
+    euclidean_norm,
     exact_concentration,
     halasz_integral_bound,
     halasz_profile_bound,
@@ -120,7 +121,7 @@ def exact_value(query: BoundQuery) -> float:
     if not query.dist.finite_support:
         if query.dist.kind != "gaussian":
             raise RegimeError(f"no exact window mass for the {query.dist.spec_string()} law")
-        A = float(np.linalg.norm(query.x))
+        A = euclidean_norm(query.x)
         return float(ndtr((query.v + query.t) / A) - ndtr((query.v - query.t) / A))
     return exact_concentration(
         SmallBallQuery(x=query.x, dist=query.dist, v=query.v, t=query.t)
@@ -215,7 +216,7 @@ def _random_esseen(rng, count: int) -> list[BoundQuery]:
         else:
             mags = rng.uniform(0.5, 2.0, size=m)
         x = mags * sample(RADEMACHER, rng, size=m)
-        scale = float(np.linalg.norm(x))
+        scale = euclidean_norm(x)
         t = float(rng.uniform(0.2, 2.0)) * scale
         v = 0.0 if rng.integers(0, 2) else float(rng.uniform(-scale, scale))
         out.append(BoundQuery("esseen", dist, x, v, t))
@@ -295,7 +296,7 @@ def _random_berry(rng, count: int) -> list[BoundQuery]:
         m = int(rng.integers(4, 33)) if dist is GAUSSIAN else int(rng.integers(4, 21))
         mags = rng.uniform(1.0, 2.0, size=m)
         x = mags * sample(RADEMACHER, rng, size=m)
-        x = x / np.linalg.norm(x)
+        x = x / euclidean_norm(x)
         t = float(rng.uniform(0.5, 5.0)) / math.sqrt(m)
         v = float(rng.uniform(0.0, 1.0))
         out.append(BoundQuery("berry_esseen", dist, x, v, t))

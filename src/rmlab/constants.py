@@ -9,7 +9,7 @@ cannot breach domination by sampling noise alone.
 from __future__ import annotations
 
 ARTIFACT_NAME = "rmlab"
-ARTIFACT_VERSION = "0.2.3"
+ARTIFACT_VERSION = "0.2.4"
 
 # ---------------------------------------------------------------- structural
 # Sphere partition defaults (recorded config values; see PartitionParams).

@@ -252,9 +252,12 @@ def _char_fn_of(dist: EntryDistribution):
     probs = dist.support_probs()
     if dist.is_symmetric:
         return lambda t: np.cos(np.multiply.outer(t, vals)) @ probs
-    return lambda t: np.hypot(
-        np.cos(np.multiply.outer(t, vals)) @ probs, np.sin(np.multiply.outer(t, vals)) @ probs
-    )
+
+    def modulus(t):
+        tv = np.multiply.outer(t, vals)
+        return np.hypot(np.cos(tv) @ probs, np.sin(tv) @ probs)
+
+    return modulus
 
 
 def cdf(dist: EntryDistribution, x):

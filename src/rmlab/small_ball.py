@@ -3,9 +3,9 @@
 The central quantity is P(|sum_j beta_j x_j - v| < t) for i.i.d. entries
 beta_j, a weight vector x, center v, and half-width t. This module provides
 
-  - exact oracles for finite-support laws (split enumeration and grid
-    convolution, each with a rigorous error radius, and the merged atom law
-    of lattice vectors),
+  - exact oracles for finite-support laws (split enumeration, the atom law
+    of lattice vectors on integer keys and grid convolution, each with a
+    rigorous error radius, and a float merge of the sums of other laws),
   - one Monte Carlo sum loop (`sample_sums`) and an estimator on it with
     exact binomial confidence intervals,
   - four upper-bound mechanisms: the characteristic-function integral bound,
@@ -46,6 +46,10 @@ from .sphere_profile import delta_profile
 _ENUM_LIMIT = 2**24
 _ENUM_TRIAL_LIMIT = 2**20
 _CONV_CELL_LIMIT = 2**26
+# cells of one integer-key law array, and the smallest pattern probability
+# that the key route lets a term product reach (far above float underflow)
+_KEY_SPAN_LIMIT = 2**20
+_PROB_FLOOR = 2.0**-1000
 _SCAN_BLOCK = 64
 _UNIT = 2.0**-53
 # Rademacher Monte Carlo rows per chunk, and raw words per chunk at most.
@@ -123,17 +127,47 @@ def clopper_pearson(count: int, trials: int) -> tuple[float, float]:
 # --------------------------------------------------------------- exact oracles
 
 
-def _atom_law_of_sum(weights: np.ndarray, dist: EntryDistribution, budget: int):
-    """Exact atom law of sum_j beta_j x_j by iterated convolution with merging.
+def _multiples_of(values: np.ndarray, unit) -> bool:
+    """Whether every value is an integer multiple of unit, exactly: np.fmod
+    returns the exact remainder."""
+    return not np.fmod(values, unit).any()
 
-    The running atom count is capped by budget: lattice-like weight vectors
-    stay small after merging even when support^m is astronomical, so the cap
-    is checked against actual growth rather than the worst case. Equal sums
-    (-0.0 against 0.0 counts as equal) merge into the first of them in
-    pattern order, and their probabilities are added from 0.0 in that order.
-    """
+
+@functools.lru_cache(maxsize=64)
+def _atom_keys(dist: EntryDistribution):
+    """(z, s0, probs) with dist.support() = z * s0 exactly, z an integer
+    list and s0 = min nonzero |atom|, and the atoms' probabilities as a
+    list; or None when an atom is not an integer multiple of s0. Read once
+    per law."""
     sup = dist.support()
-    sup_probs = dist.support_probs()
+    s0 = float(np.min(np.abs(sup[sup != 0.0])))
+    if not _multiples_of(sup, s0):
+        return None
+    return (sup / s0).astype(np.int64).tolist(), s0, dist.support_probs().tolist()
+
+
+def _lattice_keys(weights: np.ndarray, dist: EntryDistribution):
+    """(r, z, unit, probs) with weights = r * w0 exactly, r an integer list,
+    w0 = min|w|, unit = fl(w0 s0) and z, s0, probs from _atom_keys; or None
+    when the law's atoms or the weights are not integer multiples, when the
+    sum's key range would exceed _KEY_SPAN_LIMIT cells, or when a pattern
+    probability could underflow to 0, where a reachable key would look
+    unreached."""
+    atoms = _atom_keys(dist)
+    w0 = np.minimum.reduce(np.abs(weights))
+    if atoms is None or not _multiples_of(weights, w0):
+        return None
+    z, s0, probs = atoms
+    r = weights / w0
+    span = np.add.reduce(np.abs(r)) * (z[-1] - z[0])
+    if span >= _KEY_SPAN_LIMIT or min(probs) ** weights.size < _PROB_FLOOR:
+        return None
+    return r.astype(np.int64).tolist(), z, float(w0 * s0), probs
+
+
+def _float_merged_law(weights: np.ndarray, sup: np.ndarray, sup_probs: np.ndarray, budget: int):
+    """The atom law of sum_j beta_j x_j with equal float sums merged after
+    each term (see _atom_law_of_sum)."""
     vals = np.array([0.0])
     probs = np.array([1.0])
     for w in weights:
@@ -152,17 +186,80 @@ def _atom_law_of_sum(weights: np.ndarray, dist: EntryDistribution, budget: int):
     return vals, probs
 
 
+def _key_law(r: list, z: list, unit: float, sup_probs: list, budget: int):
+    """The atom law of sum_j r_j z(beta_j), on integer keys: one zeroed
+    array over the key range per term and one slice-add per atom. A key's
+    contributions are added in the order of the keys they come from, lowest
+    first, which is the float merge's pattern order: for r_j > 0 the
+    largest z first, for r_j < 0 the smallest first."""
+    probs = np.array([1.0])
+    lo = 0
+    for rj in r:
+        # a key array of n cells holds at most n reachable atoms
+        if probs.size * len(z) > budget and np.count_nonzero(probs) * len(z) > budget:
+            raise RegimeError("enumeration would exceed the atom budget")
+        steps = [rj * zk for zk in z]
+        first = min(steps)
+        new = np.zeros(probs.size + max(steps) - first)
+        atoms = range(len(z) - 1, -1, -1) if rj > 0 else range(len(z))
+        for k in atoms:
+            off = steps[k] - first
+            new[off : off + probs.size] += sup_probs[k] * probs
+        probs = new
+        lo += first
+    keys = np.flatnonzero(probs)
+    return (keys + lo) * unit, probs[keys]
+
+
+def _atom_law_of_sum(weights: np.ndarray, dist: EntryDistribution, budget: int):
+    """Exact atom law (vals ascending, probs) of sum_j beta_j x_j.
+
+    Two routes. When every weight is an integer multiple r_j of w0 = min|w|
+    and every atom one z_k of s0 = min nonzero |atom| (_lattice_keys), the
+    sum is convolved on the integer keys sum_j r_j z_k (_key_law). The law
+    has one atom per reachable key, the true law of the float weights and
+    atoms, and an atom's value fl(key fl(w0 s0)) is rounded twice, within
+    gamma_2 of the exact atom. Its probabilities are added in the float
+    merge's order, so where every float sum is exact (integer-valued
+    lattices, all Rademacher lattice vectors of the corpora) the two routes
+    give the same law bit for bit. A law with no integer key (weights or
+    atoms that are not integer multiples, as on generic weights), or whose
+    keys _lattice_keys turns down, keeps the float merge: the sum is
+    convolved term by term and sums that are equal as floats merge into the
+    first of them in pattern order (-0.0 and 0.0 are equal), their
+    probabilities added from 0.0 in that order. Its atoms are float sums,
+    off the exact ones by the rounding of each addition, and a lattice whose
+    float sums round apart is merged into too many atoms: 16 terms of law D4
+    (atoms -sqrt 2, 0, sqrt 2) on ones(16) give 79 atoms, against the 33 of
+    the key route. exact_concentration gives the errors of the window mass.
+
+    The budget caps the reachable atom count: a term that would take it
+    past the budget raises RegimeError. Lattice-like weight vectors stay
+    small even when support^m is astronomical, so the cap is checked against
+    actual growth rather than the worst case.
+    """
+    keys = _lattice_keys(weights, dist)
+    if keys is None:
+        return _float_merged_law(weights, dist.support(), dist.support_probs(), budget)
+    return _key_law(*keys, budget)
+
+
 def _merged_law(weights: np.ndarray, dist: EntryDistribution, budget: int):
-    """_atom_law_of_sum(weights, dist, budget), built once per key inside a
-    law_table() block on this thread and taken from the block's table
-    after that; outside any block, built at every call."""
+    """(vals, probs, keyed): _atom_law_of_sum(weights, dist, budget) and
+    whether it took the integer-key route, built once per key inside a
+    law_table() block on this thread and taken from the block's table after
+    that; outside any block, built at every call."""
     table = _LAWS.get()
-    if table is None:
-        return _atom_law_of_sum(weights, dist, budget)
     key = (weights.tobytes(), dist, budget)
-    if key not in table:
-        table[key] = _atom_law_of_sum(weights, dist, budget)
-    return table[key]
+    if table is not None and key in table:
+        return table[key]
+    law = (
+        *_atom_law_of_sum(weights, dist, budget),
+        _lattice_keys(weights, dist) is not None,
+    )
+    if table is not None:
+        table[key] = law
+    return law
 
 
 @contextlib.contextmanager
@@ -217,12 +314,13 @@ def _split_window_mass(weights: np.ndarray, dist: EntryDistribution, v: float, t
     searchsorted calls, and the value is sum_L p_L (C[hi_L] - C[lo_L]). See
     exact_concentration for e, the radius and the mass error.
     """
-    sup = dist.support()
-    sup_probs = dist.support_probs()
     m = weights.size
-    ratios = weights / np.min(np.abs(weights))
-    if sup.size**m > _ENUM_TRIAL_LIMIT or np.all(ratios == np.rint(ratios)):
+    if _multiples_of(weights, np.minimum.reduce(np.abs(weights))):
         return None
+    sup = dist.support()
+    if sup.size**m > _ENUM_TRIAL_LIMIT:
+        return None
+    sup_probs = dist.support_probs()
     left, left_probs = _half_patterns(weights[: m // 2], sup, sup_probs)
     right, right_probs = _half_patterns(weights[m // 2 :], sup, sup_probs)
     order = np.argsort(right, kind="stable")
@@ -276,46 +374,75 @@ def _convolve_on_grid(weights: np.ndarray, dist: EntryDistribution, h: float):
 def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationEstimate:
     """Exact P(|sum beta_j x_j - v| < t) for finite-support laws.
 
-    path='enumerate' takes one of two routes. When support^m <= 2^20 and the
-    weights are not all integer multiples of the smallest |w|, the split
-    enumeration (Horowitz and Sahni, J. ACM 1974) sums and weighs every
-    pattern of the first floor(m/2) weights and, apart, of the last
-    ceil(m/2); it sorts the right sums b with their cumulative probabilities
-    C and adds sum_L p_L (C[hi_L] - C[lo_L]) over the left patterns, with
-    lo_L and hi_L from searchsorted on the keys fl(fl(v -+ t) - a_L). It
-    holds O(support^(m/2)) floats at any window width (about 150 KB at 2^20
-    patterns), and metadata["atoms"] is the pattern count support^m.
-    Otherwise (a lattice vector, or more patterns) _atom_law_of_sum
-    convolves term by term and merges equal sums after each term, the merged
-    atom count must stay within 2^24 as terms accumulate, and
-    metadata["atoms"] is the merged atom count.
+    path='enumerate' takes one of three routes, each with its error.
 
-    The split route returns an interval. With u = 2^-53 and
-    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, sec. 3.1 and 4.2), let W = sum_j |w_j| max|s| and
-    B = |v| + t. A half's sum of k products is off its exact value by at
-    most gamma_k times its W, and fl(fl(v - t) - a_L) is off v - t - a_L by
-    at most gamma_2 (B + W). So b_R - key_L = (S - edge) + D with
-    |D| <= gamma_ceil(m/2) W + gamma_2 (B + W) <= rho = gamma_(m+2) (W + B):
-    a pattern counted by this route on the wrong side of an edge has its
-    exact sum S within rho of that edge. rho also bounds a left-to-right
-    evaluation of the whole sum compared as |fl(S - v)| < t, the merging
-    law's, so a pattern that it and this route decide differently lies
-    within rho of an edge too, and its split position b_R - key_L within
-    2 rho. metadata["sum_error"] is e = 3 rho, which leaves rho for the
-    rounding of the band keys key_L -+ e and of rho itself, and
-    metadata["error_radius"] is the mass of the patterns whose split
-    position lies within e of either edge's key. The masses, with n_L and
-    n_R patterns per half: a pattern probability is within gamma_ceil(m/2)
-    of its exact product, each cumulative sum C[k] within gamma_(n_R + m)
-    of the right mass before k, and after the difference, the product with
-    p_L and the sum over the left patterns (any order: gamma_(n_L)), value
-    and radius are each within mass_error = 2 gamma_(n_L + 2 n_R + 3m + 4)
-    of their exact masses; the factor 2 bounds the total pattern mass, as a
-    law's probabilities sum to 1 within 1e-12. So the exact value lies in
-    the ci, value -+ (radius + 2 mass_error), cut at 0 below; above it is
-    not cut at 1, since a law's float probabilities may sum to a little
-    more than 1.
+    Split: when support^m <= 2^20 and the weights are not all integer
+    multiples of the smallest |w|, the split enumeration (Horowitz and
+    Sahni, J. ACM 1974) sums and weighs every pattern of the first
+    floor(m/2) weights and, apart, of the last ceil(m/2); it sorts the right
+    sums b with their cumulative probabilities C and adds
+    sum_L p_L (C[hi_L] - C[lo_L]) over the left patterns, with lo_L and hi_L
+    from searchsorted on the keys fl(fl(v -+ t) - a_L). It holds
+    O(support^(m/2)) floats at any window width (about 150 KB at 2^20
+    patterns), and metadata["atoms"] is the pattern count support^m.
+
+    Integer keys: otherwise, when every weight is an integer multiple of
+    w0 = min|w| and every atom one of s0 = min nonzero |atom| (a lattice
+    vector and a lattice law, as all lattice queries of the calibration
+    corpora are), _atom_law_of_sum convolves on integer keys: one atom per
+    reachable key k, of value fl(k fl(w0 s0)), and the window adds the
+    atoms with fl(|fl(val - v)|) < t. metadata["atoms"] is the atom count.
+
+    Float merge: any other law (weights or atoms off one integer lattice
+    with more than 2^20 patterns, or a lattice of more than 2^20 keys, or
+    one whose pattern probabilities could underflow) is convolved term by
+    term with equal float sums merged after each term. Its atoms are float
+    sums, not the law's, so it returns no interval. The merged atom count
+    must stay within 2^24 as terms accumulate; metadata["atoms"] is that
+    count.
+
+    The split and integer-key routes return an interval, from rounding
+    bounds with u = 2^-53 and gamma_k = k u / (1 - k u) (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, sec. 3.1 and 4.2). Let
+    W = sum_j |w_j| max|s| and B = |v| + t.
+
+    On the split route, a half's sum of k products is off its exact value
+    by at most gamma_k times its W, and fl(fl(v - t) - a_L) is off
+    v - t - a_L by at most gamma_2 (B + W). So b_R - key_L = (S - edge) + D
+    with |D| <= gamma_ceil(m/2) W + gamma_2 (B + W) <= rho =
+    gamma_(m+2) (W + B): a pattern counted by this route on the wrong side
+    of an edge has its exact sum S within rho of that edge. rho also bounds
+    a left-to-right evaluation of the whole sum compared as
+    |fl(S - v)| < t, the float merge's, so a pattern that it and this route
+    decide differently lies within rho of an edge too, and its split
+    position b_R - key_L within 2 rho. metadata["sum_error"] is e = 3 rho,
+    which leaves rho for the rounding of the band keys key_L -+ e and of rho
+    itself, and metadata["error_radius"] is the mass of the patterns whose
+    split position lies within e of either edge's key. The masses, with n_L
+    and n_R patterns per half: a pattern probability is within
+    gamma_ceil(m/2) of its exact product, each cumulative sum C[k] within
+    gamma_(n_R + m) of the right mass before k, and after the difference,
+    the product with p_L and the sum over the left patterns (any order:
+    gamma_(n_L)), value and radius are each within
+    mass_error = 2 gamma_(n_L + 2 n_R + 3m + 4) of their exact masses.
+
+    On the integer-key route the exact atom is a = k w0 s0, as w_j = r_j w0
+    and s = z s0 hold exactly. fl(w0 s0) and fl(k fl(w0 s0)) round once
+    each, so the value is within gamma_2 |a| of a, and the difference
+    fl(val - v) rounds once more: it is within gamma_3 (|a| + |v|) <=
+    rho = gamma_3 (W + |v|) of a - v, and an atom decided on the wrong side
+    has its exact value within rho of an edge. metadata["sum_error"] is
+    e = 3 rho, which leaves rho for the rounding of fl(|fl(val - v)| - t)
+    and of e, and metadata["error_radius"] is the mass of the atoms with
+    |fl(|fl(val - v)| - t)| <= e. An atom's probability adds products of m
+    support probabilities with at most m |support| roundings, and the window
+    sums at most n atoms, so value and radius are within
+    mass_error = 2 gamma_(m |support| + n) of their exact masses.
+
+    On both, the factor 2 bounds the total pattern mass, as a law's
+    probabilities sum to 1 within 1e-12. So the exact value lies in the ci,
+    value -+ (radius + 2 mass_error), cut at 0 below; above it is not cut at
+    1, since a law's float probabilities may sum to a little more than 1.
 
     path='convolve' uses a grid at resolution h = t / (100 m), which keeps
     the accumulated placement drift m*h/2 well under the window scale; the
@@ -323,9 +450,10 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     drift+h of the window boundary) and the ci field brackets the true value
     by that radius.
 
-    path='auto' tries enumeration first, with the merged atom budget cut to
-    2^20, and falls back to the grid. Inside a law_table() block a merged
-    atom law is built once for all of the block's windows.
+    path='auto' tries enumeration first, with the atom budget of the
+    integer-key and float-merge routes cut to 2^20, and falls back to the
+    grid. Inside a law_table() block an atom law is built once for all of
+    the block's windows.
     """
     if not q.dist.finite_support:
         raise RegimeError("continuous dist rejected; use monte_carlo_concentration")
@@ -354,15 +482,33 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
         # with a reduced budget before falling back to the grid
         budget = _ENUM_LIMIT if path == "enumerate" else _ENUM_TRIAL_LIMIT
         try:
-            vals, probs = _merged_law(weights, q.dist, budget)
+            vals, probs, keyed = _merged_law(weights, q.dist, budget)
         except RegimeError:
             if path == "enumerate":
                 raise
         else:
+            gap = np.abs(vals - q.v)
+            value = float(probs[gap < q.t].sum())
+            if not keyed:
+                return ConcentrationEstimate(
+                    value=value, method="exact", metadata={"path": "enumeration", "atoms": vals.size}
+                )
+            z, s0, _ = _atom_keys(q.dist)
+            e = 3.0 * _gamma(3) * (math.fsum(np.abs(weights)) * s0 * max(-z[0], z[-1]) + abs(q.v))
+            radius = float(probs[np.abs(gap - q.t) <= e].sum())
+            mass_error = 2.0 * _gamma(m * len(z) + vals.size)
+            width = radius + 2.0 * mass_error
             return ConcentrationEstimate(
-                value=float(probs[np.abs(vals - q.v) < q.t].sum()),
+                value=value,
                 method="exact",
-                metadata={"path": "enumeration", "atoms": vals.size},
+                ci=(max(0.0, value - width), value + width),
+                metadata={
+                    "path": "enumeration",
+                    "atoms": vals.size,
+                    "sum_error": e,
+                    "error_radius": radius,
+                    "mass_error": mass_error,
+                },
             )
     h = q.t / (100.0 * m)
     origin, pmf = _convolve_on_grid(weights, q.dist, h)
@@ -526,6 +672,12 @@ def empirical_sup_concentration(samples, t, sort_in_place: bool = False):
 # ----------------------------------------------------------------- the bounds
 
 
+def euclidean_norm(x: np.ndarray) -> float:
+    """|x|, its squares summed by numpy's own add loop in a fixed order, not
+    by BLAS, so the value does not depend on the BLAS kernel."""
+    return math.sqrt(np.add.reduce(x * x))
+
+
 @functools.cache
 def _qagse() -> Callable:
     """QUADPACK's qagse, the routine scipy.integrate.quad runs on a finite
@@ -572,7 +724,7 @@ def esseen_bound(q: SmallBallQuery) -> ConcentrationEstimate:
     phi = _char_fn_of(q.dist)
 
     def integrand(s: float) -> float:
-        return float(np.prod(np.abs(phi(weights * (s / q.t)))))
+        return float(np.multiply.reduce(np.abs(phi(weights * (s / q.t)))))
 
     # args, full_output, epsabs, epsrel and limit, in quad's positional order
     out = _qagse()(integrand, -math.pi / 2.0, math.pi / 2.0, (), 1, 1e-8, 1.49e-8, 400)
@@ -615,18 +767,17 @@ def halasz_integral_bound(
         raise RegimeError(f"delta {delta} >= a/(2 pi) = {a / (2.0 * math.pi)}")
     if np.any(np.abs(x) < a):
         raise RegimeError(f"min |x_j| = {np.min(np.abs(x))} < a = {a}")
-    # two-sided positivity of each term at level a
+    # two-sided positivity of each term at level a; every atom has positive mass
     sup = dist.support()
-    sup_probs = dist.support_probs()
-    for w in x:
-        xi = w * sup
-        if sup_probs[xi > a].sum() <= 0 or sup_probs[xi < -a].sum() <= 0:
-            raise RegimeError(f"P(x_j beta > a) or P(x_j beta < -a) vanishes at x_j={w}")
+    terms = np.multiply.outer(x, sup)
+    two_sided = (np.maximum.reduce(terms, axis=1) > a) & (np.minimum.reduce(terms, axis=1) < -a)
+    if not two_sided.all():
+        w = x[np.argmin(two_sided)]
+        raise RegimeError(f"P(x_j beta > a) or P(x_j beta < -a) vanishes at x_j={w}")
 
     # the law of beta - beta'
-    dvals, dprobs = _merged_law(np.array([1.0, -1.0]), dist, sup.size**2)
-    centers = np.multiply.outer(x, dvals).ravel()
-    weights_ = np.broadcast_to(dprobs, (m, dvals.size)).ravel()
+    dvals, dprobs, _ = _merged_law(np.array([1.0, -1.0]), dist, sup.size**2)
+    centers = np.multiply.outer(x, dvals)
     half = math.pi * delta
     y_lo = 1.5 * a
     y_max = 2.0 * float(np.max(np.abs(x))) * dist.support_radius() + half
@@ -634,12 +785,13 @@ def halasz_integral_bound(
         integral = 0.0
         segments = 0
     else:
-        cuts = np.concatenate([centers - half, centers + half, [y_lo, y_max]])
+        cuts = np.concatenate([(centers - half).ravel(), (centers + half).ravel(), [y_lo, y_max]])
         cuts = np.unique(np.clip(cuts, y_lo, y_max))
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         lens = np.diff(cuts)
-        inside = (np.abs(mids[None, :] - centers[:, None]) <= half)
-        s_vals = weights_ @ inside
+        inside = np.abs(mids - centers[:, :, None]) <= half
+        # per segment, the count of weights whose difference atom k covers it, times its mass
+        s_vals = np.add.reduce(dprobs[:, None] * np.add.reduce(inside, axis=0), axis=0)
         integral = float(np.sum(s_vals**2 * lens))
         segments = int(mids.size)
     value = integral / (m**2.5 * delta)
@@ -712,7 +864,7 @@ def berry_esseen_bound(q: SmallBallQuery) -> ConcentrationEstimate:
     t_min = coeff / sq
     if q.t < t_min:
         raise RegimeError(f"t = {q.t} < {coeff}/sqrt(m) = {t_min}")
-    A = float(np.linalg.norm(x))
+    A = euclidean_norm(x)
     gaussian_mass = float(ndtr((q.v + q.t) / A) - ndtr((q.v - q.t) / A))
     be_error = 2.0 * float(np.sum(ax**3)) * abs_third_moment(q.dist) / A**3
     return ConcentrationEstimate(

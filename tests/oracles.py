@@ -3,13 +3,15 @@
 Everything here is deliberately naive: cyclic Jacobi for eigenvalues,
 Gauss-Jordan for the inverse, Bareiss elimination in Python ints for an
 exact integer determinant, exhaustive search for the subset minimizer,
-full product enumeration for concentration probabilities. None of it shares
-code with the package under test.
+full product enumeration for concentration probabilities, rational
+arithmetic for exact atom laws. None of it shares code with the package
+under test.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -145,6 +147,28 @@ def product_concentration(values, probs, x, v: float, t: float) -> float:
         if abs(s - v) < t:
             total += p
     return total
+
+
+def fraction_atom_law(values, probs, x) -> dict[Fraction, Fraction]:
+    """The atom law of sum_j beta_j x_j in exact rational arithmetic: every
+    float weight, atom value and probability is taken at its exact binary
+    value, and the law is convolved term by term with no rounding at all."""
+    law = {Fraction(0): Fraction(1)}
+    atoms = [(Fraction(a), Fraction(p)) for a, p in zip(values, probs)]
+    for w in map(Fraction, x):
+        new: dict[Fraction, Fraction] = {}
+        for s, p in law.items():
+            for a, q in atoms:
+                new[s + w * a] = new.get(s + w * a, Fraction(0)) + p * q
+        law = new
+    return law
+
+
+def fraction_concentration(values, probs, x, v: float, t: float) -> Fraction:
+    """P(|sum_j beta_j x_j - v| < t), exactly, from fraction_atom_law."""
+    v, t = Fraction(v), Fraction(t)
+    law = fraction_atom_law(values, probs, x)
+    return sum((p for s, p in law.items() if abs(s - v) < t), Fraction(0))
 
 
 def window_sup_probability(samples, t: float) -> float:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import product_concentration, window_sup_probability
+from oracles import (
+    fraction_atom_law,
+    fraction_concentration,
+    product_concentration,
+    window_sup_probability,
+)
 from test_distributions import _philox_state
 from rmlab import calibration, constants, small_ball
 from rmlab.distributions import GAUSSIAN, RADEMACHER, char_fn, discrete, sample
@@ -162,8 +168,8 @@ def _window_on_atoms(vals, data):
     i, j = (1, vals.size - 1) if data is None else (
         data.draw(st.integers(0, vals.size - 1), label=k) for k in "ij"
     )
-    t = float(abs(vals[j] - vals[i]))
-    return float(vals[i]), t or 0.5, t > 0.0
+    t = abs(vals[j] - vals[i])
+    return vals[i], t or 0.5, t > 0
 
 
 @given(
@@ -191,8 +197,7 @@ def test_split_enumeration_ci_holds_the_merging_law_value(dist, weights, repeat,
         weights = weights + weights[:1]
     x = np.array(weights[:1] + [0.0] * zeros + weights[1:])
     w = x[x != 0.0]
-    ratios = w / np.min(np.abs(w))
-    assume(not np.all(ratios == np.rint(ratios)))  # a lattice vector is merged, not split
+    assume(not small_ball._multiples_of(w, np.min(np.abs(w))))  # a lattice vector takes integer keys
     vals, probs = small_ball._atom_law_of_sum(w, dist, small_ball._ENUM_LIMIT)
     v, t, edge_on_atom = _window_on_atoms(vals, data)
     out = exact_concentration(SmallBallQuery(x=x, dist=dist, v=v, t=t))
@@ -218,8 +223,7 @@ def test_split_enumeration_equals_the_merging_law_on_dyadic_weights(numerators, 
     agree bit for bit, also with an edge exactly on an atom (where a closed
     edge would count it)."""
     w = np.array(numerators, dtype=float) / 16.0
-    ratios = w / np.min(np.abs(w))
-    assume(not np.all(ratios == np.rint(ratios)))
+    assume(not small_ball._multiples_of(w, np.min(np.abs(w))))
     vals, probs = small_ball._atom_law_of_sum(w, RADEMACHER, small_ball._ENUM_LIMIT)
     v, t, _ = _window_on_atoms(vals, data)
     out = exact_concentration(SmallBallQuery(x=w, dist=RADEMACHER, v=v, t=t))
@@ -314,7 +318,118 @@ def test_split_enumeration_memory_stays_small_at_any_window(t):
 )
 def test_lattice_vectors_report_merged_atom_counts(x, dist, atoms):
     out = exact_concentration(SmallBallQuery(x=x, dist=dist, v=0.0, t=0.5))
-    assert out.metadata == {"path": "enumeration", "atoms": atoms}
+    assert (out.metadata["path"], out.metadata["atoms"]) == ("enumeration", atoms)
+    assert out.ci is not None  # the integer-key route carries its error
+
+
+def test_lattice_law_of_a_lazy_law_has_one_atom_per_key():
+    """16 terms of D4 (atoms -sqrt 2, 0, sqrt 2 of mass 1/4, 1/2, 1/4) on
+    ones(16) are 32 Rademacher signs over sqrt 2: 33 atoms, and |S| < sqrt 2
+    holds only S = 0, of mass C(32, 16) / 4^16. The float sums of k sqrt 2
+    round apart, and merging them as floats gave 79 atoms and 0.1530."""
+    out = exact_concentration(SmallBallQuery(x=np.ones(16), dist=calibration.D4, v=0.0, t=SQRT2))
+    assert out.metadata["atoms"] == 33
+    assert out.value == math.comb(32, 16) / 4**16
+    lo, hi = out.ci
+    assert lo <= Fraction(math.comb(32, 16), 4**16) <= hi
+
+
+def _keyed_weights(numerators) -> np.ndarray:
+    """Integer weights with a 1 among them, so that every weight is an
+    integer multiple of the smallest |w| and the law takes the key route."""
+    return np.array([1] + numerators, dtype=float)
+
+
+@given(
+    dist=st.sampled_from(FINITE_LAWS),
+    numerators=st.lists(st.integers(min_value=-4, max_value=4).filter(bool), max_size=7),
+    scale=st.sampled_from([1.0, 0.375]),
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_key_law_equals_the_rational_law(dist, numerators, scale):
+    """m <= 8: the key route's law has the atoms of the exact rational law,
+    one each and in order. An atom's value key * fl(w0 s0) is rounded twice,
+    so it lies within gamma_2 of the exact atom, and its probability adds
+    products of m support probabilities, so it lies within gamma_(m |support|)
+    of the exact mass; both are exact on dyadic values (Rademacher, and D4's
+    probabilities)."""
+    w = _keyed_weights(numerators) * scale
+    sup, sup_probs = dist.support(), dist.support_probs()
+    assert small_ball._lattice_keys(w, dist) is not None
+    vals, probs = small_ball._atom_law_of_sum(w, dist, small_ball._ENUM_LIMIT)
+    exact = sorted(fraction_atom_law(sup, sup_probs, w).items())
+    assert vals.size == len(exact)
+    value_error, mass_error = small_ball._gamma(2), small_ball._gamma(w.size * sup.size)
+    for val, p, (atom, mass) in zip(vals.tolist(), probs.tolist(), exact):
+        assert abs(Fraction(val) - atom) <= value_error * abs(atom)
+        assert abs(Fraction(p) - mass) <= mass_error * mass
+        if dist is RADEMACHER:
+            assert (Fraction(val), Fraction(p)) == (atom, mass)
+
+
+# an integer-valued law with three atoms and probabilities that are not dyadic
+INTEGER3 = discrete(((-3.0, 1 / 18), (0.0, 8 / 9), (3.0, 1 / 18)))
+
+
+@pytest.mark.parametrize("dist", [RADEMACHER, INTEGER3], ids=["rademacher", "integer3"])
+@pytest.mark.parametrize(
+    "x", [x for _, x, _ in calibration._halasz_vectors()], ids=lambda x: f"{x[0]:g}..{x[-1]:g}x{x.size}"
+)
+def test_integer_key_law_is_the_float_merge_on_the_calibration_lattices(x, dist):
+    """Every sum of a Halasz corpus vector under an integer-valued law is an
+    exact float, so the float merge is right there too, and the key route
+    adds each atom's probabilities in its order: the laws agree bit for bit.
+    With three atoms a key adds three rounded terms, so that order shows."""
+    sup, sup_probs = dist.support(), dist.support_probs()
+    assert small_ball._lattice_keys(x, dist) is not None
+    vals, probs = small_ball._atom_law_of_sum(x, dist, small_ball._ENUM_LIMIT)
+    merged_vals, merged_probs = small_ball._float_merged_law(x, sup, sup_probs, small_ball._ENUM_LIMIT)
+    assert vals.tobytes() == merged_vals.tobytes()
+    assert probs.tobytes() == merged_probs.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x, dist, atoms",
+    [(np.ones(500), SKEW, 501), (np.array([1.0, 2.0**21]), RADEMACHER, 4)],
+    ids=["underflow", "wide key range"],
+)
+def test_laws_the_key_route_cannot_hold_keep_the_float_merge(x, dist, atoms):
+    """At m = 500 a term product of SKEW's 0.2 falls below 2^-1000, and a
+    reached key whose mass underflowed would look unreached; weights 1 and
+    2^21 span more than 2^20 keys for 4 atoms. Both laws keep the float
+    merge, exact on these integer-valued sums, with every reachable atom."""
+    assert small_ball._lattice_keys(x, dist) is None
+    vals, _ = small_ball._atom_law_of_sum(x, dist, small_ball._ENUM_LIMIT)
+    assert vals.size == atoms
+
+
+@given(
+    dist=st.sampled_from(FINITE_LAWS),
+    numerators=st.lists(st.integers(min_value=-5, max_value=5).filter(bool), max_size=9),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+@example(dist=calibration.D4, numerators=[1] * 9, data=None)
+@example(dist=calibration.D3, numerators=[2, -3, 5], data=None)
+def test_integer_key_ci_holds_the_rational_value(dist, numerators, data):
+    """m <= 10, a window with an edge on an atom of the exact rational law
+    (centre and half-width rounded to floats): the exact value of the float
+    weights, atoms and probabilities lies in the key route's ci, and the
+    radius is positive, since the computed edge atom is within e of the
+    edge. Where an atom rounds to the other side of the edge, a radius of the
+    atoms computed exactly on an edge alone misses it."""
+    w = _keyed_weights(numerators)
+    sup, sup_probs = dist.support(), dist.support_probs()
+    atoms = np.array(sorted(fraction_atom_law(sup, sup_probs, w)), dtype=object)
+    v, t, edge_on_atom = _window_on_atoms(atoms, data)
+    v, t = float(v), float(t)
+    out = exact_concentration(SmallBallQuery(x=w, dist=dist, v=v, t=t))
+    meta = out.metadata
+    assert (meta["path"], meta["atoms"]) == ("enumeration", atoms.size)
+    lo, hi = out.ci
+    assert lo <= fraction_concentration(sup, sup_probs, w, v, t) <= hi
+    if edge_on_atom:
+        assert meta["error_radius"] > 0.0
 
 
 def test_monte_carlo_concentration_brackets_exact():
@@ -737,9 +852,11 @@ def test_halasz_integral_bound_regime_errors():
         halasz_integral_bound(x, RADEMACHER, 0.01, 0.0)
     with pytest.raises(ConfigError, match="a must be positive"):  # was a RegimeError
         halasz_integral_bound(x, RADEMACHER, 0.01, math.nan)
-    # SKEW scaled so the positive atom cannot clear the level
+    # SKEW scaled so the positive atom cannot clear the level; the first such weight is named
     with pytest.raises(RegimeError):
         halasz_integral_bound(np.ones(4), SKEW, 0.01, 0.7)
+    with pytest.raises(RegimeError, match=r"x_j=1\.25$"):
+        halasz_integral_bound(np.array([3.0, 1.25, 1.0]), SKEW, 0.01, 0.7)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.01, math.nan, math.inf])
