@@ -400,8 +400,8 @@ def fit_bounds(bounds, seed: int, count: int) -> dict[str, FitReport]:
     exact/bound ratio over build_corpus(bound, seed, count). One table of
     exact values serves the call, so an (x, law, v, t) that corpora share
     (the two Halasz corpora share their structured queries) is evaluated once,
-    and one law_table() block, so a merged atom law that several windows or
-    Halasz integral queries ask for is built once. Neither outlives the call."""
+    and one law_table() block, so an integer-key atom law that several
+    windows ask for is built once. Neither outlives the call."""
     exact: dict = {}
     reports = {}
     with law_table():

@@ -45,7 +45,7 @@ from .distributions import sample
 from .errors import ConfigError, RegimeError
 from .matrices import operator_norm, sample_matrix, spectral_summary
 from .rng import STREAM_ENTRIES, derive_stream, derive_substream_seed, thread_map
-from .small_ball import clopper_pearson, empirical_sup_concentration, sample_sums
+from .small_ball import clopper_pearson, empirical_sup_concentration, euclidean_norm, sample_sums
 from .sphere_profile import (
     PartitionParams,
     _classify_spread,
@@ -286,7 +286,7 @@ def _run_e2b(config, payload):
     v = block[:, 0] * scale
     for j in range(1, spikes):
         v += block[:, j] * scale
-    ax = math.sqrt(np.add.reduce(v * v))
+    ax = euclidean_norm(v)
     small = int(ax <= config.params["coeff"] * math.sqrt(n))
     return [(idx, n, config.dist.spec_string(), seed, ax, small)]
 

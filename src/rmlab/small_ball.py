@@ -3,9 +3,11 @@
 The central quantity is P(|sum_j beta_j x_j - v| < t) for i.i.d. entries
 beta_j, a weight vector x, center v, and half-width t. This module provides
 
-  - exact oracles for finite-support laws (split enumeration, the atom law
-    of lattice vectors on integer keys and grid convolution, each with a
-    rigorous error radius, and a float merge of the sums of other laws),
+  - one exact oracle for finite-support laws with three routes: the atom
+    law of a lattice vector under a lattice law on integer keys, split
+    enumeration of the patterns of any other instance of at most 2^20
+    patterns, and grid convolution otherwise; each answer carries a ci from
+    rigorous bounds on its rounding and, on the grid, its placement,
   - one Monte Carlo sum loop (`sample_sums`) and an estimator on it with
     exact binomial confidence intervals,
   - four upper-bound mechanisms: the characteristic-function integral bound,
@@ -43,22 +45,21 @@ from .errors import ConfigError, RegimeError
 from .rng import RngStream
 from .sphere_profile import delta_profile
 
-_ENUM_LIMIT = 2**24
 _ENUM_TRIAL_LIMIT = 2**20
 _CONV_CELL_LIMIT = 2**26
-# cells of one integer-key law array, and the smallest pattern probability
-# that the key route lets a term product reach (far above float underflow)
+# cells of one integer-key law array
 _KEY_SPAN_LIMIT = 2**20
-_PROB_FLOOR = 2.0**-1000
 _SCAN_BLOCK = 64
 _UNIT = 2.0**-53
+# the smallest subnormal: a product that underflows is off by at most half of it
+_TINY = 2.0**-1074
 # Rademacher Monte Carlo rows per chunk, and raw words per chunk at most.
 # Per row a chunk holds its Philox words, one term and the table index that
 # np.take casts a group's sign bytes to (336 KiB at n <= 64): fewer, larger
 # chunks would hand the GIL between pool threads less often but hold more.
 _CHUNK_ROWS = 14 << 10
 _CHUNK_WORDS = 1 << 17
-# the merged atom laws of the innermost law_table() block, per thread
+# the integer-key atom laws (or None) of the innermost law_table() block, per thread
 _LAWS: ContextVar[dict | None] = ContextVar("rmlab_small_ball_laws", default=None)
 # where scipy keeps its compiled QUADPACK module, scipy.integrate._quadpack
 _QUADPACK_DIR = Path(scipy.__file__).parent / "integrate"
@@ -149,114 +150,87 @@ def _atom_keys(dist: EntryDistribution):
 def _lattice_keys(weights: np.ndarray, dist: EntryDistribution):
     """(r, z, unit, probs) with weights = r * w0 exactly, r an integer list,
     w0 = min|w|, unit = fl(w0 s0) and z, s0, probs from _atom_keys; or None
-    when the law's atoms or the weights are not integer multiples, when the
-    sum's key range would exceed _KEY_SPAN_LIMIT cells, or when a pattern
-    probability could underflow to 0, where a reachable key would look
-    unreached."""
+    when the law's atoms or the weights are not integer multiples, or when
+    the sum's key range would reach _KEY_SPAN_LIMIT cells."""
     atoms = _atom_keys(dist)
     w0 = np.minimum.reduce(np.abs(weights))
     if atoms is None or not _multiples_of(weights, w0):
         return None
     z, s0, probs = atoms
     r = weights / w0
-    span = np.add.reduce(np.abs(r)) * (z[-1] - z[0])
-    if span >= _KEY_SPAN_LIMIT or min(probs) ** weights.size < _PROB_FLOOR:
+    if np.add.reduce(np.abs(r)) * (z[-1] - z[0]) >= _KEY_SPAN_LIMIT:
         return None
     return r.astype(np.int64).tolist(), z, float(w0 * s0), probs
 
 
-def _float_merged_law(weights: np.ndarray, sup: np.ndarray, sup_probs: np.ndarray, budget: int):
-    """The atom law of sum_j beta_j x_j with equal float sums merged after
-    each term (see _atom_law_of_sum)."""
-    vals = np.array([0.0])
-    probs = np.array([1.0])
-    for w in weights:
-        if vals.size * sup.size > budget:
-            raise RegimeError("enumeration would exceed the atom budget")
-        new_vals = (vals[:, None] + w * sup[None, :]).ravel()
-        new_probs = (probs[:, None] * sup_probs[None, :]).ravel()
-        # stable, so each atom's patterns stay in pattern order
-        order = np.argsort(new_vals, kind="stable")
-        new_vals = new_vals[order]
-        first = np.empty(new_vals.size, dtype=bool)
-        first[0] = True
-        np.not_equal(new_vals[1:], new_vals[:-1], out=first[1:])
-        vals = new_vals[first]
-        probs = np.bincount(np.cumsum(first) - 1, weights=new_probs[order])
-    return vals, probs
-
-
-def _key_law(r: list, z: list, unit: float, sup_probs: list, budget: int):
-    """The atom law of sum_j r_j z(beta_j), on integer keys: one zeroed
-    array over the key range per term and one slice-add per atom. A key's
-    contributions are added in the order of the keys they come from, lowest
-    first, which is the float merge's pattern order: for r_j > 0 the
-    largest z first, for r_j < 0 the smallest first."""
-    probs = np.array([1.0])
+def _slice_add_law(terms):
+    """(lo, pmf): the law of a sum of independent integer-valued terms on the
+    keys lo, lo + 1, ..., each term a list of (key, probability) pairs. Per
+    term one zeroed array over the sum's key range and one slice-add per
+    pair, in list order, so each cell adds its contributions in that order.
+    RegimeError when an array would pass _CONV_CELL_LIMIT cells."""
+    pmf = np.array([1.0])
     lo = 0
-    for rj in r:
-        # a key array of n cells holds at most n reachable atoms
-        if probs.size * len(z) > budget and np.count_nonzero(probs) * len(z) > budget:
-            raise RegimeError("enumeration would exceed the atom budget")
-        steps = [rj * zk for zk in z]
-        first = min(steps)
-        new = np.zeros(probs.size + max(steps) - first)
-        atoms = range(len(z) - 1, -1, -1) if rj > 0 else range(len(z))
-        for k in atoms:
-            off = steps[k] - first
-            new[off : off + probs.size] += sup_probs[k] * probs
-        probs = new
+    for term in terms:
+        keys = [k for k, _ in term]
+        first = min(keys)
+        size = pmf.size + max(keys) - first
+        if size > _CONV_CELL_LIMIT:
+            raise RegimeError(f"the sum's law would take {size} > 2^26 cells")
+        new = np.zeros(size)
+        for k, p in term:
+            off = k - first
+            new[off : off + pmf.size] += p * pmf
+        pmf = new
         lo += first
+    return lo, pmf
+
+
+def _key_law(r: list, z: list, unit: float, sup_probs: list):
+    """The atom law of sum_j r_j z(beta_j) on integer keys (_slice_add_law).
+    A key adds its contributions in the order of the keys they come from,
+    lowest first, so each term's atoms go by step r_j z_k, largest first:
+    for r_j > 0 the largest z first, for r_j < 0 the smallest first. Keys
+    whose mass is 0 (unreached, or underflowed) are dropped."""
+    terms = (sorted(zip((rj * zk for zk in z), sup_probs), reverse=True) for rj in r)
+    lo, probs = _slice_add_law(terms)
     keys = np.flatnonzero(probs)
     return (keys + lo) * unit, probs[keys]
 
 
-def _atom_law_of_sum(weights: np.ndarray, dist: EntryDistribution, budget: int):
-    """Exact atom law (vals ascending, probs) of sum_j beta_j x_j.
+def _atom_law_of_sum(weights: np.ndarray, dist: EntryDistribution):
+    """Exact atom law (vals ascending, probs) of sum_j beta_j x_j on integer
+    keys, or None when the weights and the law have none.
 
-    Two routes. When every weight is an integer multiple r_j of w0 = min|w|
-    and every atom one z_k of s0 = min nonzero |atom| (_lattice_keys), the
-    sum is convolved on the integer keys sum_j r_j z_k (_key_law). The law
-    has one atom per reachable key, the true law of the float weights and
-    atoms, and an atom's value fl(key fl(w0 s0)) is rounded twice, within
-    gamma_2 of the exact atom. Its probabilities are added in the float
-    merge's order, so where every float sum is exact (integer-valued
-    lattices, all Rademacher lattice vectors of the corpora) the two routes
-    give the same law bit for bit. A law with no integer key (weights or
-    atoms that are not integer multiples, as on generic weights), or whose
-    keys _lattice_keys turns down, keeps the float merge: the sum is
-    convolved term by term and sums that are equal as floats merge into the
-    first of them in pattern order (-0.0 and 0.0 are equal), their
-    probabilities added from 0.0 in that order. Its atoms are float sums,
-    off the exact ones by the rounding of each addition, and a lattice whose
-    float sums round apart is merged into too many atoms: 16 terms of law D4
-    (atoms -sqrt 2, 0, sqrt 2) on ones(16) give 79 atoms, against the 33 of
-    the key route. exact_concentration gives the errors of the window mass.
-
-    The budget caps the reachable atom count: a term that would take it
-    past the budget raises RegimeError. Lattice-like weight vectors stay
-    small even when support^m is astronomical, so the cap is checked against
-    actual growth rather than the worst case.
+    When every weight is an integer multiple r_j of w0 = min|w| and every
+    atom one z_k of s0 = min nonzero |atom| (_lattice_keys, an exact test),
+    the sum is convolved on the integer keys sum_j r_j z_k (_key_law). The
+    law has one atom per reachable key, the true law of the float weights
+    and atoms, and an atom's value fl(key fl(w0 s0)) is rounded twice,
+    within gamma_2 of the exact atom. Its probabilities are sums of
+    products of support probabilities, each within gamma_(m |support|) of
+    its exact mass, or off it by at most 2^-1074 per slice-add where a
+    product underflows; a key whose mass underflows to 0 is dropped. Where
+    every float sum is exact (integer-valued lattices, all Rademacher
+    lattice vectors of the corpora) the law equals, bit for bit, the merge
+    of equal float sums in pattern order that the tests keep as a
+    reference. exact_concentration gives the errors of the window mass; it
+    takes the split enumeration or the grid when this is None.
     """
     keys = _lattice_keys(weights, dist)
-    if keys is None:
-        return _float_merged_law(weights, dist.support(), dist.support_probs(), budget)
-    return _key_law(*keys, budget)
+    return None if keys is None else _key_law(*keys)
 
 
-def _merged_law(weights: np.ndarray, dist: EntryDistribution, budget: int):
-    """(vals, probs, keyed): _atom_law_of_sum(weights, dist, budget) and
-    whether it took the integer-key route, built once per key inside a
-    law_table() block on this thread and taken from the block's table after
-    that; outside any block, built at every call."""
+def _merged_law(weights: np.ndarray, dist: EntryDistribution):
+    """_atom_law_of_sum(weights, dist), the key law or None, built once per
+    (weights, law) inside a law_table() block on this thread and taken from
+    the block's table after that, None as well; outside any block, built at
+    every call."""
     table = _LAWS.get()
-    key = (weights.tobytes(), dist, budget)
+    key = (weights.tobytes(), dist)
     if table is not None and key in table:
         return table[key]
-    law = (
-        *_atom_law_of_sum(weights, dist, budget),
-        _lattice_keys(weights, dist) is not None,
-    )
+    law = _atom_law_of_sum(weights, dist)
     if table is not None:
         table[key] = law
     return law
@@ -264,9 +238,10 @@ def _merged_law(weights: np.ndarray, dist: EntryDistribution, budget: int):
 
 @contextlib.contextmanager
 def law_table():
-    """A block in which each merged atom law (weights, law, budget) that
-    exact_concentration or halasz_integral_bound asks for is built once, on
-    this thread, and dropped at the block's end: no law outlives it."""
+    """A block in which the integer-key atom law of each (weights, law) that
+    exact_concentration asks for is built once, on this thread, and dropped
+    at the block's end: no law outlives it. A pair with no integer keys is
+    held as None, so its key test runs once too."""
     token = _LAWS.set({})
     try:
         yield
@@ -302,10 +277,9 @@ def _gamma(k: int) -> float:
 
 
 def _split_window_mass(weights: np.ndarray, dist: EntryDistribution, v: float, t: float):
-    """(P(|S - v| < t), error radius, sum error e, mass error) from the
-    patterns of the two halves of the weights, or None when support^m
-    exceeds _ENUM_TRIAL_LIMIT or every weight is an integer multiple of the
-    smallest |w| (a lattice vector, whose sums merge at once).
+    """(P(|S - v| < t), error radius, sum error e, mass error, pattern
+    count) from the patterns of the two halves of the weights, or None when
+    the pattern count support^m exceeds _ENUM_TRIAL_LIMIT.
 
     The first floor(m/2) weights give the left sums a with probabilities p,
     the last ceil(m/2) the right sums b, sorted, with the cumulative
@@ -315,8 +289,6 @@ def _split_window_mass(weights: np.ndarray, dist: EntryDistribution, v: float, t
     exact_concentration for e, the radius and the mass error.
     """
     m = weights.size
-    if _multiples_of(weights, np.minimum.reduce(np.abs(weights))):
-        return None
     sup = dist.support()
     if sup.size**m > _ENUM_TRIAL_LIMIT:
         return None
@@ -341,8 +313,23 @@ def _split_window_mass(weights: np.ndarray, dist: EntryDistribution, v: float, t
     hi_a = np.maximum(np.searchsorted(right, key_hi - e, side="left"), lo_b)
     hi_b = np.maximum(np.searchsorted(right, key_hi + e, side="right"), hi_a)
     radius = np.add.reduce(left_probs * ((cum[lo_b] - cum[lo_a]) + (cum[hi_b] - cum[hi_a])))
-    mass_error = 2.0 * _gamma(left.size + 2 * right.size + 3 * m + 4)
-    return float(value), float(radius), e, mass_error
+    products = m * (left.size + right.size)
+    mass_error = 2.0 * _gamma(left.size + 2 * right.size + 3 * m + 4) + products * _TINY
+    return float(value), float(radius), e, mass_error, left.size * right.size
+
+
+def _key_window_mass(vals, probs, weights: np.ndarray, dist: EntryDistribution, v: float, t: float):
+    """(P(|S - v| < t), error radius, sum error e, mass error, atom count)
+    from the integer-key law (vals, probs) of the weights; see
+    exact_concentration for e, the radius and the mass error."""
+    gap = np.abs(vals - v)
+    value = float(probs[gap < t].sum())
+    z, s0, _ = _atom_keys(dist)
+    e = 3.0 * _gamma(3) * (math.fsum(np.abs(weights)) * s0 * max(-z[0], z[-1]) + abs(v))
+    radius = float(probs[np.abs(gap - t) <= e].sum())
+    ops = weights.size * len(z)
+    mass_error = 2.0 * _gamma(ops + vals.size) + ops * _KEY_SPAN_LIMIT * _TINY
+    return value, radius, e, mass_error, vals.size
 
 
 def _convolve_on_grid(weights: np.ndarray, dist: EntryDistribution, h: float):
@@ -350,61 +337,60 @@ def _convolve_on_grid(weights: np.ndarray, dist: EntryDistribution, h: float):
 
     Each term's atoms are attributed to the nearest grid multiple of h with
     halves rounded up, so a single term is displaced by at most h/2 and the
-    full sum by at most len(weights) * h / 2.
+    full sum by at most len(weights) * h / 2. The cells are convolved by
+    _slice_add_law, each term's atoms in support order.
     """
     sup = dist.support()
-    sup_probs = dist.support_probs()
-    pmf = np.array([1.0])
-    origin = 0
-    for w in weights:
-        idxs = np.floor(w * sup / h + 0.5).astype(np.int64)
-        span = int(idxs.max() - idxs.min())
-        new_len = pmf.size + span
-        if new_len > _CONV_CELL_LIMIT:
-            raise RegimeError("instance too large for both exact paths")
-        new = np.zeros(new_len)
-        base = idxs - idxs.min()
-        for p_s, off in zip(sup_probs, base):
-            new[off : off + pmf.size] += p_s * pmf
-        pmf = new
-        origin += int(idxs.min())
-    return origin, pmf
+    sup_probs = dist.support_probs().tolist()
+    idxs = (np.floor(w * sup / h + 0.5).astype(np.int64).tolist() for w in weights)
+    return _slice_add_law([*zip(idx, sup_probs)] for idx in idxs)
+
+
+def _with_ci(value: float, method: str, radius: float, mass_error: float, **metadata):
+    """The estimate with ci value -+ (radius + 2 mass_error), cut at 0."""
+    width = radius + 2.0 * mass_error
+    return ConcentrationEstimate(
+        value=value,
+        method=method,
+        ci=(max(0.0, value - width), value + width),
+        metadata={**metadata, "error_radius": radius, "mass_error": mass_error},
+    )
 
 
 def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationEstimate:
-    """Exact P(|sum beta_j x_j - v| < t) for finite-support laws.
+    """Exact P(|sum beta_j x_j - v| < t) for finite-support laws, with a ci
+    that holds it. Zero weights are dropped; m counts the others.
 
-    path='enumerate' takes one of three routes, each with its error.
+    The routes, in the order they are tried; each returns its ci.
 
-    Split: when support^m <= 2^20 and the weights are not all integer
-    multiples of the smallest |w|, the split enumeration (Horowitz and
-    Sahni, J. ACM 1974) sums and weighs every pattern of the first
-    floor(m/2) weights and, apart, of the last ceil(m/2); it sorts the right
-    sums b with their cumulative probabilities C and adds
-    sum_L p_L (C[hi_L] - C[lo_L]) over the left patterns, with lo_L and hi_L
-    from searchsorted on the keys fl(fl(v -+ t) - a_L). It holds
-    O(support^(m/2)) floats at any window width (about 150 KB at 2^20
-    patterns), and metadata["atoms"] is the pattern count support^m.
+    Integer keys: when every weight is an integer multiple of w0 = min|w|
+    and every atom one of s0 = min nonzero |atom| (a lattice vector and a
+    lattice law, as all lattice queries of the calibration corpora are),
+    and the sum spans fewer than 2^20 keys, _atom_law_of_sum convolves on
+    integer keys: one atom per reachable key k, of value fl(k fl(w0 s0)),
+    and the window adds the atoms with fl(|fl(val - v)|) < t.
+    metadata["atoms"] is the atom count.
 
-    Integer keys: otherwise, when every weight is an integer multiple of
-    w0 = min|w| and every atom one of s0 = min nonzero |atom| (a lattice
-    vector and a lattice law, as all lattice queries of the calibration
-    corpora are), _atom_law_of_sum convolves on integer keys: one atom per
-    reachable key k, of value fl(k fl(w0 s0)), and the window adds the
-    atoms with fl(|fl(val - v)|) < t. metadata["atoms"] is the atom count.
+    Split: any other instance of support^m <= 2^20 patterns, lattice weights
+    included, takes the split enumeration (Horowitz and Sahni, J. ACM 1974).
+    It sums and weighs every pattern of the first floor(m/2) weights and,
+    apart, of the last ceil(m/2); it sorts the right sums b with their
+    cumulative probabilities C and adds sum_L p_L (C[hi_L] - C[lo_L]) over
+    the left patterns, with lo_L and hi_L from searchsorted on the keys
+    fl(fl(v -+ t) - a_L). It holds O(support^(m/2)) floats at any window
+    width (about 150 KB at 2^20 patterns), and metadata["atoms"] is the
+    pattern count support^m.
 
-    Float merge: any other law (weights or atoms off one integer lattice
-    with more than 2^20 patterns, or a lattice of more than 2^20 keys, or
-    one whose pattern probabilities could underflow) is convolved term by
-    term with equal float sums merged after each term. Its atoms are float
-    sums, not the law's, so it returns no interval. The merged atom count
-    must stay within 2^24 as terms accumulate; metadata["atoms"] is that
-    count.
+    Grid: otherwise path='auto' convolves on a grid (below) and
+    path='enumerate' raises RegimeError. So an instance with no integer keys
+    and more than 2^20 patterns gets the grid's value and ci, or RegimeError
+    where the grid would pass 2^26 cells. path='convolve' always takes the
+    grid.
 
-    The split and integer-key routes return an interval, from rounding
-    bounds with u = 2^-53 and gamma_k = k u / (1 - k u) (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2002, sec. 3.1 and 4.2). Let
-    W = sum_j |w_j| max|s| and B = |v| + t.
+    The errors are rounding bounds with u = 2^-53 and
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 3.1 and 4.2). Let W = sum_j |w_j| max|s| and
+    B = |v| + t.
 
     On the split route, a half's sum of k products is off its exact value
     by at most gamma_k times its W, and fl(fl(v - t) - a_L) is off
@@ -413,7 +399,7 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     gamma_(m+2) (W + B): a pattern counted by this route on the wrong side
     of an edge has its exact sum S within rho of that edge. rho also bounds
     a left-to-right evaluation of the whole sum compared as
-    |fl(S - v)| < t, the float merge's, so a pattern that it and this route
+    |fl(S - v)| < t, so a pattern that such an evaluation and this route
     decide differently lies within rho of an edge too, and its split
     position b_R - key_L within 2 rho. metadata["sum_error"] is e = 3 rho,
     which leaves rho for the rounding of the band keys key_L -+ e and of rho
@@ -424,7 +410,11 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     gamma_(n_R + m) of the right mass before k, and after the difference,
     the product with p_L and the sum over the left patterns (any order:
     gamma_(n_L)), value and radius are each within
-    mass_error = 2 gamma_(n_L + 2 n_R + 3m + 4) of their exact masses.
+    mass_error = 2 gamma_(n_L + 2 n_R + 3m + 4) + m (n_L + n_R) 2^-1074
+    of their exact masses. The last term is for underflow: a product that
+    underflows is off by at most 2^-1075 more, and each of the at most
+    m (n_L + n_R) products behind the two sums reaches them through factors
+    whose sum is at most 1.
 
     On the integer-key route the exact atom is a = k w0 s0, as w_j = r_j w0
     and s = z s0 hold exactly. fl(w0 s0) and fl(k fl(w0 s0)) round once
@@ -434,25 +424,30 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     has its exact value within rho of an edge. metadata["sum_error"] is
     e = 3 rho, which leaves rho for the rounding of fl(|fl(val - v)| - t)
     and of e, and metadata["error_radius"] is the mass of the atoms with
-    |fl(|fl(val - v)| - t)| <= e. An atom's probability adds products of m
-    support probabilities with at most m |support| roundings, and the window
-    sums at most n atoms, so value and radius are within
-    mass_error = 2 gamma_(m |support| + n) of their exact masses.
+    |fl(|fl(val - v)| - t)| <= e. A key's mass adds products of m support
+    probabilities with at most m |support| roundings, and the window sums at
+    most n atoms, so value and radius are within
+    mass_error = 2 gamma_(m |support| + n) + m |support| 2^20 2^-1074 of
+    their exact masses: the key route convolves key masses, not pattern
+    products, and a slice-add product that underflows is off by at most
+    2^-1075 more, at most m |support| 2^20 of them (each array has fewer
+    than 2^20 cells). A key whose mass underflows to 0 is dropped; its mass
+    is within that term.
 
-    On both, the factor 2 bounds the total pattern mass, as a law's
-    probabilities sum to 1 within 1e-12. So the exact value lies in the ci,
-    value -+ (radius + 2 mass_error), cut at 0 below; above it is not cut at
-    1, since a law's float probabilities may sum to a little more than 1.
+    On all three routes the factor 2 bounds the total pattern mass, as a
+    law's probabilities sum to 1 within 1e-12. So the exact value lies in
+    the ci, value -+ (radius + 2 mass_error), cut at 0 below; above it is not
+    cut at 1, since a law's float probabilities may sum to a little more
+    than 1.
 
-    path='convolve' uses a grid at resolution h = t / (100 m), which keeps
-    the accumulated placement drift m*h/2 well under the window scale; the
-    returned metadata carries a rigorous error radius (the grid mass within
-    drift+h of the window boundary) and the ci field brackets the true value
-    by that radius.
+    The grid has resolution h = t / (100 m), which keeps the accumulated
+    placement drift m h / 2 well under the window scale. Its radius is the
+    grid mass within drift + h of either window edge, and its cells are
+    convolved like the integer keys (_slice_add_law), so value and radius
+    are within mass_error = 2 gamma_(m |support| + cells) +
+    m |support| cells 2^-1074 of the grid's exact masses.
 
-    path='auto' tries enumeration first, with the atom budget of the
-    integer-key and float-merge routes cut to 2^20, and falls back to the
-    grid. Inside a law_table() block an atom law is built once for all of
+    Inside a law_table() block an integer-key law is built once for all of
     the block's windows.
     """
     if not q.dist.finite_support:
@@ -461,55 +456,19 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
         raise ConfigError(f"unknown path {path!r}")
     weights = q.x[q.x != 0.0]
     m = weights.size
+    support = q.dist.support().size
     if path != "convolve":
-        split = _split_window_mass(weights, q.dist, q.v, q.t)
-        if split is not None:
-            value, radius, e, mass_error = split
-            width = radius + 2.0 * mass_error
-            return ConcentrationEstimate(
-                value=value,
-                method="exact",
-                ci=(max(0.0, value - width), value + width),
-                metadata={
-                    "path": "enumeration",
-                    "atoms": q.dist.support().size ** m,
-                    "sum_error": e,
-                    "error_radius": radius,
-                    "mass_error": mass_error,
-                },
-            )
-        # lattice-like weights merge to few atoms, so attempt enumeration
-        # with a reduced budget before falling back to the grid
-        budget = _ENUM_LIMIT if path == "enumerate" else _ENUM_TRIAL_LIMIT
-        try:
-            vals, probs, keyed = _merged_law(weights, q.dist, budget)
-        except RegimeError:
-            if path == "enumerate":
-                raise
+        law = _merged_law(weights, q.dist)
+        if law is None:
+            exact = _split_window_mass(weights, q.dist, q.v, q.t)
         else:
-            gap = np.abs(vals - q.v)
-            value = float(probs[gap < q.t].sum())
-            if not keyed:
-                return ConcentrationEstimate(
-                    value=value, method="exact", metadata={"path": "enumeration", "atoms": vals.size}
-                )
-            z, s0, _ = _atom_keys(q.dist)
-            e = 3.0 * _gamma(3) * (math.fsum(np.abs(weights)) * s0 * max(-z[0], z[-1]) + abs(q.v))
-            radius = float(probs[np.abs(gap - q.t) <= e].sum())
-            mass_error = 2.0 * _gamma(m * len(z) + vals.size)
-            width = radius + 2.0 * mass_error
-            return ConcentrationEstimate(
-                value=value,
-                method="exact",
-                ci=(max(0.0, value - width), value + width),
-                metadata={
-                    "path": "enumeration",
-                    "atoms": vals.size,
-                    "sum_error": e,
-                    "error_radius": radius,
-                    "mass_error": mass_error,
-                },
-            )
+            exact = _key_window_mass(*law, weights, q.dist, q.v, q.t)
+        if exact is not None:
+            value, radius, e, mass_error, atoms = exact
+            meta = {"path": "enumeration", "atoms": atoms, "sum_error": e}
+            return _with_ci(value, "exact", radius, mass_error, **meta)
+        if path == "enumerate":
+            raise RegimeError(f"no integer keys and {support}^{m} patterns > 2^20: no exact route")
     h = q.t / (100.0 * m)
     origin, pmf = _convolve_on_grid(weights, q.dist, h)
     grid = (np.arange(pmf.size) + origin) * h
@@ -517,18 +476,9 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     value = float(pmf[dist_to_v < q.t].sum())
     drift = m * h / 2.0
     radius = float(pmf[np.abs(dist_to_v - q.t) <= drift + h].sum())
-    return ConcentrationEstimate(
-        value=value,
-        method="convolution",
-        ci=(max(0.0, value - radius), min(1.0, value + radius)),
-        metadata={
-            "path": "convolution",
-            "h": h,
-            "drift_bound": drift,
-            "error_radius": radius,
-            "cells": int(pmf.size),
-        },
-    )
+    mass_error = 2.0 * _gamma(m * support + pmf.size) + m * support * pmf.size * _TINY
+    meta = {"path": "convolution", "h": h, "drift_bound": drift, "cells": int(pmf.size)}
+    return _with_ci(value, "convolution", radius, mass_error, **meta)
 
 
 def _sign_tables(x: np.ndarray) -> np.ndarray:
@@ -741,6 +691,14 @@ def esseen_bound(q: SmallBallQuery) -> ConcentrationEstimate:
     )
 
 
+def _pair_difference_law(dist: EntryDistribution):
+    """The law of beta - beta' for independent beta, beta' of law dist, one
+    atom per pair of atoms (s_i - s_k, p_i p_k) in row order, equal
+    differences not merged."""
+    sup, probs = dist.support(), dist.support_probs()
+    return np.subtract.outer(sup, sup).ravel(), np.multiply.outer(probs, probs).ravel()
+
+
 def halasz_integral_bound(
     x, dist: EntryDistribution, delta: float, a: float
 ) -> ConcentrationEstimate:
@@ -775,8 +733,7 @@ def halasz_integral_bound(
         w = x[np.argmin(two_sided)]
         raise RegimeError(f"P(x_j beta > a) or P(x_j beta < -a) vanishes at x_j={w}")
 
-    # the law of beta - beta'
-    dvals, dprobs, _ = _merged_law(np.array([1.0, -1.0]), dist, sup.size**2)
+    dvals, dprobs = _pair_difference_law(dist)
     centers = np.multiply.outer(x, dvals)
     half = math.pi * delta
     y_lo = 1.5 * a

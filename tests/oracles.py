@@ -4,7 +4,7 @@ Everything here is deliberately naive: cyclic Jacobi for eigenvalues,
 Gauss-Jordan for the inverse, Bareiss elimination in Python ints for an
 exact integer determinant, exhaustive search for the subset minimizer,
 full product enumeration for concentration probabilities, rational
-arithmetic for exact atom laws. None of it shares code with the package
+arithmetic for exact atom laws, and a merge of equal float sums. None of it shares code with the package
 under test.
 """
 from __future__ import annotations
@@ -147,6 +147,32 @@ def product_concentration(values, probs, x, v: float, t: float) -> float:
         if abs(s - v) < t:
             total += p
     return total
+
+
+def float_merged_law(weights: np.ndarray, sup: np.ndarray, sup_probs: np.ndarray):
+    """The atom law (vals ascending, probs) of sum_j beta_j x_j with equal
+    float sums merged after each term: the sum is convolved term by term,
+    and sums that are equal as floats merge into the first of them in
+    pattern order (-0.0 and 0.0 are equal), their probabilities added from
+    0.0 in that order. Its atoms are float sums, off the exact ones by the
+    rounding of each addition, and a lattice whose float sums round apart
+    merges into too many atoms. Where every float sum is exact it is the
+    exact law, and on generic weights, where nothing merges, it holds every
+    pattern in the order of the pattern sums."""
+    vals = np.array([0.0])
+    probs = np.array([1.0])
+    for w in weights:
+        new_vals = (vals[:, None] + w * sup[None, :]).ravel()
+        new_probs = (probs[:, None] * sup_probs[None, :]).ravel()
+        # stable, so each atom's patterns stay in pattern order
+        order = np.argsort(new_vals, kind="stable")
+        new_vals = new_vals[order]
+        first = np.empty(new_vals.size, dtype=bool)
+        first[0] = True
+        np.not_equal(new_vals[1:], new_vals[:-1], out=first[1:])
+        vals = new_vals[first]
+        probs = np.bincount(np.cumsum(first) - 1, weights=new_probs[order])
+    return vals, probs
 
 
 def fraction_atom_law(values, probs, x) -> dict[Fraction, Fraction]:

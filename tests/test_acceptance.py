@@ -138,7 +138,9 @@ def test_criterion_1_oracle_equivalence(capsys):
         )
         enum = exact_concentration(q, path="enumerate")
         conv = exact_concentration(q, path="convolve")
-        if abs(enum.value - conv.value) > conv.metadata["error_radius"] + 1e-12:
+        # the enumeration's value lies in the grid's ci, and the two cis overlap
+        (enum_lo, enum_hi), (conv_lo, conv_hi) = enum.ci, conv.ci
+        if not (conv_lo <= enum.value <= conv_hi and enum_lo <= conv_hi and conv_lo <= enum_hi):
             conv_bad += 1
         conv_checked += 1
 
@@ -168,8 +170,8 @@ def test_criterion_1_oracle_equivalence(capsys):
         1,
         ok,
         f"min-ssq exact {ssq_checked - ssq_bad}/{ssq_checked}, "
-        f"enumeration-vs-convolution {conv_checked - conv_bad}/{conv_checked} within "
-        f"reported error, spectral-vs-Jacobi {spec_checked - spec_bad}/{spec_checked} "
+        f"enumeration-vs-convolution {conv_checked - conv_bad}/{conv_checked} inside "
+        f"the grid's ci, spectral-vs-Jacobi {spec_checked - spec_bad}/{spec_checked} "
         f"at {spec_tol:g}, {elapsed:.1f}s (< 60s)",
     )
 

@@ -291,10 +291,11 @@ def test_fit_all_evaluates_each_distinct_exact_value_once(monkeypatch):
 
 
 def test_fit_bounds_builds_each_merged_atom_law_once(monkeypatch):
-    """Within one fit_bounds call each merged atom law (weights, law, budget)
-    is built once: E6's berry_esseen grid asks for one lattice law at up to
-    8 windows, and every halasz_integral query for its law's difference law
-    (91 builds of 39 laws without the table). A second call builds them all
+    """Within one fit_bounds call the integer-key law of each (weights, law)
+    that an exact query asks for is built once, and a pair with no integer
+    keys is tested once: E6's berry_esseen grid asks for one lattice law at
+    up to 8 windows (85 builds, 61 of them laws, without the table; 36 laws
+    and 24 pairs with no keys with it). A second call builds them all
     again. That every value equals its query's evaluated alone, outside any
     table, is test_e6_computes_each_distinct_exact_value_once_per_run's check
     of the same fit."""
@@ -302,12 +303,14 @@ def test_fit_bounds_builds_each_merged_atom_law_once(monkeypatch):
     built = []
     real = small_ball._atom_law_of_sum
 
-    def counting(weights, dist, budget):
-        built.append((weights.tobytes(), dist, budget))
-        return real(weights, dist, budget)
+    def counting(weights, dist):
+        law = real(weights, dist)
+        built.append((weights.tobytes(), dist, law is not None))
+        return law
 
     monkeypatch.setattr(small_ball, "_atom_law_of_sum", counting)
     fit_bounds(DOMINATION_BOUNDS, seed, count)
-    assert len(built) == len(set(built)) == 39
+    assert len(built) == len(set(built)) == 60
+    assert sum(keyed for *_, keyed in built) == 36
     fit_bounds(DOMINATION_BOUNDS, seed, count)
-    assert len(built) == 78  # no law outlives the call that built it
+    assert len(built) == 120  # no law outlives the call that built it

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    float_merged_law,
     fraction_atom_law,
     fraction_concentration,
     product_concentration,
@@ -21,7 +22,7 @@ from oracles import (
 )
 from test_distributions import _philox_state
 from rmlab import calibration, constants, small_ball
-from rmlab.distributions import GAUSSIAN, RADEMACHER, char_fn, discrete, sample
+from rmlab.distributions import GAUSSIAN, RADEMACHER, char_fn, discrete, parse_dist_spec, sample
 from rmlab.errors import ConfigError, RegimeError
 from rmlab.rng import derive_stream
 from rmlab.small_ball import (
@@ -117,7 +118,7 @@ def test_exact_concentration_convolution_brackets_truth():
 
 
 def test_exact_concentration_auto_falls_back_to_grid():
-    # incommensurate weights do not merge, so enumeration blows its budget
+    # incommensurate weights have no integer keys, and 2^22 patterns are too many to split
     rng = derive_stream(31, 0)
     x = rng.uniform(0.9, 1.1, size=22)
     out = exact_concentration(SmallBallQuery(x=x, dist=RADEMACHER, v=0.0, t=1.0))
@@ -188,17 +189,17 @@ def _window_on_atoms(vals, data):
 @example(dist=calibration.D3, weights=[0.3, 1.7, -0.9], repeat=True, zeros=1, data=None)
 def test_split_enumeration_ci_holds_the_merging_law_value(dist, weights, repeat, zeros, data):
     """On generic weights the split enumeration's ci holds the value of the
-    merged atom law (_atom_law_of_sum), whose float sums and window test
-    differ from the split path's. A repeated weight makes sums that tie in
-    exact arithmetic; m <= 12. The windows have an edge on an atom, where
+    float-merged atom law (oracles.float_merged_law), whose float sums and
+    window test differ from the split path's. A repeated weight makes sums
+    that tie in exact arithmetic; m <= 12. The windows have an edge on an atom, where
     the two routes may decide an atom differently, so the radius must cover
     that atom's mass: it is positive there."""
     if repeat:
         weights = weights + weights[:1]
     x = np.array(weights[:1] + [0.0] * zeros + weights[1:])
     w = x[x != 0.0]
-    assume(not small_ball._multiples_of(w, np.min(np.abs(w))))  # a lattice vector takes integer keys
-    vals, probs = small_ball._atom_law_of_sum(w, dist, small_ball._ENUM_LIMIT)
+    assume(small_ball._lattice_keys(w, dist) is None)  # a lattice vector takes integer keys
+    vals, probs = float_merged_law(w, dist.support(), dist.support_probs())
     v, t, edge_on_atom = _window_on_atoms(vals, data)
     out = exact_concentration(SmallBallQuery(x=x, dist=dist, v=v, t=t))
     meta = out.metadata
@@ -223,8 +224,8 @@ def test_split_enumeration_equals_the_merging_law_on_dyadic_weights(numerators, 
     agree bit for bit, also with an edge exactly on an atom (where a closed
     edge would count it)."""
     w = np.array(numerators, dtype=float) / 16.0
-    assume(not small_ball._multiples_of(w, np.min(np.abs(w))))
-    vals, probs = small_ball._atom_law_of_sum(w, RADEMACHER, small_ball._ENUM_LIMIT)
+    assume(small_ball._lattice_keys(w, RADEMACHER) is None)
+    vals, probs = float_merged_law(w, RADEMACHER.support(), RADEMACHER.support_probs())
     v, t, _ = _window_on_atoms(vals, data)
     out = exact_concentration(SmallBallQuery(x=w, dist=RADEMACHER, v=v, t=t))
     assert out.ci is not None  # the split path
@@ -276,11 +277,11 @@ def test_pattern_probabilities_rebuilt_from_the_index_equal_the_merging_law(dist
     """Digit j of a pattern's index, in base |support|, is weight j's atom;
     its sum adds the terms left to right and its probability multiplies the
     atoms' left to right. On generic weights, where nothing merges, these
-    are _atom_law_of_sum's atoms and probabilities in the order of the
+    are the float-merged law's atoms and probabilities in the order of the
     pattern sums, bit for bit."""
     x = derive_stream(38, dist.support().size).uniform(0.5, 2.0, 9)
     sums, probs = small_ball._half_patterns(x, dist.support(), dist.support_probs())
-    vals, merged = small_ball._atom_law_of_sum(x, dist, small_ball._ENUM_LIMIT)
+    vals, merged = float_merged_law(x, dist.support(), dist.support_probs())
     order = np.argsort(sums)
     assert vals.size == sums.size == dist.support().size ** x.size
     assert sums[order].tobytes() == vals.tobytes()
@@ -356,7 +357,7 @@ def test_integer_key_law_equals_the_rational_law(dist, numerators, scale):
     w = _keyed_weights(numerators) * scale
     sup, sup_probs = dist.support(), dist.support_probs()
     assert small_ball._lattice_keys(w, dist) is not None
-    vals, probs = small_ball._atom_law_of_sum(w, dist, small_ball._ENUM_LIMIT)
+    vals, probs = small_ball._atom_law_of_sum(w, dist)
     exact = sorted(fraction_atom_law(sup, sup_probs, w).items())
     assert vals.size == len(exact)
     value_error, mass_error = small_ball._gamma(2), small_ball._gamma(w.size * sup.size)
@@ -377,30 +378,47 @@ INTEGER3 = discrete(((-3.0, 1 / 18), (0.0, 8 / 9), (3.0, 1 / 18)))
 )
 def test_integer_key_law_is_the_float_merge_on_the_calibration_lattices(x, dist):
     """Every sum of a Halasz corpus vector under an integer-valued law is an
-    exact float, so the float merge is right there too, and the key route
-    adds each atom's probabilities in its order: the laws agree bit for bit.
-    With three atoms a key adds three rounded terms, so that order shows."""
-    sup, sup_probs = dist.support(), dist.support_probs()
+    exact float, so the float merge (oracles.float_merged_law) is right
+    there too, and the key route adds each atom's probabilities in its
+    order: the laws agree bit for bit. With three atoms a key adds three
+    rounded terms, so that order shows."""
     assert small_ball._lattice_keys(x, dist) is not None
-    vals, probs = small_ball._atom_law_of_sum(x, dist, small_ball._ENUM_LIMIT)
-    merged_vals, merged_probs = small_ball._float_merged_law(x, sup, sup_probs, small_ball._ENUM_LIMIT)
+    vals, probs = small_ball._atom_law_of_sum(x, dist)
+    merged_vals, merged_probs = float_merged_law(x, dist.support(), dist.support_probs())
     assert vals.tobytes() == merged_vals.tobytes()
     assert probs.tobytes() == merged_probs.tobytes()
 
 
-@pytest.mark.parametrize(
-    "x, dist, atoms",
-    [(np.ones(500), SKEW, 501), (np.array([1.0, 2.0**21]), RADEMACHER, 4)],
-    ids=["underflow", "wide key range"],
-)
-def test_laws_the_key_route_cannot_hold_keep_the_float_merge(x, dist, atoms):
-    """At m = 500 a term product of SKEW's 0.2 falls below 2^-1000, and a
-    reached key whose mass underflowed would look unreached; weights 1 and
-    2^21 span more than 2^20 keys for 4 atoms. Both laws keep the float
-    merge, exact on these integer-valued sums, with every reachable atom."""
-    assert small_ball._lattice_keys(x, dist) is None
-    vals, _ = small_ball._atom_law_of_sum(x, dist, small_ball._ENUM_LIMIT)
-    assert vals.size == atoms
+def test_a_lattice_of_more_than_2_20_keys_takes_the_split_route():
+    """Weights 1 and 2^21 span more than 2^20 keys for 4 atoms, so they take
+    no integer keys; the split enumeration counts the 4 patterns, all exact
+    floats, and holds the value in its ci."""
+    x = np.array([1.0, 2.0**21])
+    assert small_ball._lattice_keys(x, RADEMACHER) is None
+    out = exact_concentration(SmallBallQuery(x=x, dist=RADEMACHER, v=2.0**21, t=2.0))
+    assert (out.metadata["path"], out.metadata["atoms"]) == ("enumeration", 4)
+    assert out.value == 0.5
+    lo, hi = out.ci
+    assert lo <= 0.5 <= hi
+
+
+def test_keys_whose_mass_underflows_are_dropped_within_the_ci():
+    """At m = 500 SKEW's extreme keys have masses down to 0.2^500, below the
+    smallest subnormal: the key route still takes the law, drops the keys
+    whose mass underflowed to 0 and keeps the reachable rest, and its ci
+    holds the exact values of the windows at the bottom and in the middle,
+    where the dropped mass is within the ci's underflow term."""
+    x = np.ones(500)
+    assert small_ball._lattice_keys(x, SKEW) is not None
+    vals, probs = small_ball._atom_law_of_sum(x, SKEW)
+    assert 490 < vals.size < 501 and probs.min() > 0.0
+    for v, t in ((-1000.0, 2.5), (0.0, 3.0)):
+        out = exact_concentration(SmallBallQuery(x=x, dist=SKEW, v=v, t=t))
+        # the sum is 2.5 k - 1000 for k atoms 0.5: the windows hold k = 0 and k = 399, 400, 401
+        keys = [0] if v < 0 else [399, 400, 401]
+        exact = sum(math.comb(500, k) * Fraction(0.8) ** k * Fraction(0.2) ** (500 - k) for k in keys)
+        lo, hi = out.ci
+        assert out.metadata["atoms"] == vals.size and lo <= exact <= hi
 
 
 @given(
@@ -430,6 +448,64 @@ def test_integer_key_ci_holds_the_rational_value(dist, numerators, data):
     assert lo <= fraction_concentration(sup, sup_probs, w, v, t) <= hi
     if edge_on_atom:
         assert meta["error_radius"] > 0.0
+
+
+# mean 0, variance 1, atoms -3 s and 2 s for s = 1/sqrt 6: neither |atom|
+# is an integer multiple of the other, so no weights give it integer keys
+RATIO = parse_dist_spec("discrete:-1.224744871391589:0.4,0.816496580927726:0.6")
+
+
+@given(
+    dist=st.sampled_from((RADEMACHER, SKEW, calibration.D4, RATIO)),
+    numerators=st.lists(st.integers(min_value=-4, max_value=4).filter(bool), max_size=9),
+    generic=st.booleans(),
+    path=st.sampled_from(("auto", "enumerate", "convolve")),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+@example(dist=RATIO, numerators=[1] * 7, generic=False, path="auto", data=None)
+@example(dist=RATIO, numerators=[1] * 7, generic=False, path="enumerate", data=None)
+@example(dist=SKEW, numerators=[2, -3, 1], generic=True, path="convolve", data=None)
+def test_every_route_returns_a_ci_that_holds_the_rational_value(dist, numerators, generic, path, data):
+    """m <= 10 on lattice weights (integer keys under the three lattice laws,
+    the split enumeration under RATIO) and m <= 8 on generic ones (the split
+    enumeration; the rational law of 3^10 generic patterns takes seconds),
+    through all three paths, with an edge on an atom of the exact rational
+    law: every answer has a ci, and it holds the exact value of the float
+    weights, atoms and probabilities. Merging equal float sums, 8 ones under
+    RATIO were off in 14 of 18 such windows, by up to 0.090, with no ci."""
+    w = _keyed_weights(numerators)
+    if generic:
+        w = w[:8] * np.sqrt(np.arange(2.0, min(w.size, 8) + 2.0))
+    sup, sup_probs = dist.support(), dist.support_probs()
+    atoms = np.array(sorted(fraction_atom_law(sup, sup_probs, w)), dtype=object)
+    v, t, _ = _window_on_atoms(atoms, data)
+    v, t = float(v), float(t)
+    out = exact_concentration(SmallBallQuery(x=w, dist=dist, v=v, t=t), path=path)
+    assert out.ci is not None
+    lo, hi = out.ci
+    assert lo <= fraction_concentration(sup, sup_probs, w, v, t) <= hi
+
+
+def test_grid_ci_holds_the_rational_value_with_an_edge_on_an_atom():
+    """24 ones under RATIO through the grid, centred on each of the 25 atoms
+    with an edge 1, 2 or 3 atoms away: the grid's ci holds the exact value
+    in all 75 windows. Without the mass-rounding term 2 mass_error it missed
+    the 3 centred on the top atom, by 2e-20 to 1e-18: there the edge atom
+    lies inside the rational window, and the exact value is the grid's
+    value plus its radius but for the rounding of the grid's masses."""
+    w = np.ones(24)
+    sup, sup_probs = RATIO.support(), RATIO.support_probs()
+    law = fraction_atom_law(sup, sup_probs, w)
+    atoms = sorted(law)
+    for i, atom in enumerate(atoms):
+        for d in (1, 2, 3):
+            other = atoms[i + d] if i + d < len(atoms) else atoms[i - d]
+            v, t = Fraction(float(atom)), Fraction(float(abs(other - atom)))
+            out = exact_concentration(SmallBallQuery(x=w, dist=RATIO, v=float(v), t=float(t)), path="convolve")
+            exact = sum((p for s, p in law.items() if abs(s - v) < t), Fraction(0))
+            lo, hi = out.ci
+            assert lo <= exact <= hi, (i, d, out)
 
 
 def test_monte_carlo_concentration_brackets_exact():
@@ -823,11 +899,11 @@ def test_esseen_bound_dominates_exact_with_fitted_constant():
 
 
 def test_pair_difference_atom_law_rademacher():
-    """The law of beta - beta', which halasz_integral_bound integrates."""
-    vals, probs = small_ball._atom_law_of_sum(np.array([1.0, -1.0]), RADEMACHER, 4)
-    assert np.array_equal(vals, [-2.0, 0.0, 2.0])
-    assert np.allclose(probs, [0.25, 0.5, 0.25])
-    assert probs.sum() == pytest.approx(1.0)
+    """The law of beta - beta', which halasz_integral_bound integrates: one
+    atom per pair of atoms, equal differences not merged."""
+    vals, probs = small_ball._pair_difference_law(RADEMACHER)
+    assert np.array_equal(vals, [0.0, -2.0, 2.0, 0.0])
+    assert np.array_equal(probs, [0.25] * 4)
 
 
 def test_halasz_integral_bound_all_ones_closed_form():
