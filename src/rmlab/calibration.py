@@ -39,7 +39,6 @@ from .small_ball import (
     exact_concentration,
     halasz_integral_bound,
     halasz_profile_bound,
-    law_table,
     sample_sums,
 )
 from .sphere_profile import PartitionParams, classify_profile, sample_spread_direction
@@ -104,11 +103,12 @@ class FitReport:
 def _mc_values(group: list[BoundQuery]) -> list[float]:
     """The Monte Carlo values of regular-vector queries that share (x, law,
     mc_seed), one per window t: the REG_MC_SAMPLES sums drawn from
-    derive_stream(mc_seed, 0), one fresh array (1.6 MB), sorted in place and
-    scanned at every window of the group."""
+    derive_stream(mc_seed, 0), one fresh array (1.6 MB) that
+    empirical_sup_concentration sorts in place and scans at every window of
+    the group."""
     first = group[0]
     sums = sample_sums(first.dist, first.x, REG_MC_SAMPLES, derive_stream(first.mc_seed, 0))
-    return empirical_sup_concentration(sums, [q.t for q in group], sort_in_place=True).tolist()
+    return empirical_sup_concentration(sums, [q.t for q in group]).tolist()
 
 
 def exact_value(query: BoundQuery) -> float:
@@ -398,17 +398,17 @@ def build_corpus(bound: str, seed: int, count: int) -> list[BoundQuery]:
 def fit_bounds(bounds, seed: int, count: int) -> dict[str, FitReport]:
     """The FitReport of each bound, in order: its raw constant is the largest
     exact/bound ratio over build_corpus(bound, seed, count). One table of
-    exact values serves the call, so an (x, law, v, t) that corpora share
-    (the two Halasz corpora share their structured queries) is evaluated once,
-    and one law_table() block, so an integer-key atom law that several
-    windows ask for is built once. Neither outlives the call."""
+    exact values, keyed on (x, law, v, t), serves the call, so an (x, law,
+    v, t) that corpora share (the two Halasz corpora share their structured
+    queries) is evaluated once. It is the fit's one cache, and it does not
+    outlive the call: each window that asks for an integer-key atom law
+    builds it anew."""
     exact: dict = {}
     reports = {}
-    with law_table():
-        for bound in bounds:
-            results = _evaluate(build_corpus(bound, seed, count), exact)
-            raw = max(res.ratio for res in results)
-            reports[bound] = FitReport(bound=bound, seed=seed, raw=raw, results=results)
+    for bound in bounds:
+        results = _evaluate(build_corpus(bound, seed, count), exact)
+        raw = max(res.ratio for res in results)
+        reports[bound] = FitReport(bound=bound, seed=seed, raw=raw, results=results)
     return reports
 
 

@@ -313,7 +313,7 @@ def _run_e3(config, payload):
     seed = derive_substream_seed(config.master_seed, idx)
     # the windows delta .. 8 delta that FITTED["regular_smallball"] was fitted on
     ts = [mult * p["delta"] for mult in range(1, 9)]
-    q_hats = empirical_sup_concentration(sums, ts, sort_in_place=True).tolist()
+    q_hats = empirical_sup_concentration(sums, ts).tolist()
     return [
         (idx, n, config.dist.spec_string(), seed, t, q_hat, cls.min_ssq, cls.threshold)
         for t, q_hat in zip(ts, q_hats)

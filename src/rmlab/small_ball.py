@@ -20,10 +20,8 @@ front of them are fitted once by `rmlab.calibration` and frozen in
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
@@ -59,8 +57,6 @@ _TINY = 2.0**-1074
 # chunks would hand the GIL between pool threads less often but hold more.
 _CHUNK_ROWS = 14 << 10
 _CHUNK_WORDS = 1 << 17
-# the integer-key atom laws (or None) of the innermost law_table() block, per thread
-_LAWS: ContextVar[dict | None] = ContextVar("rmlab_small_ball_laws", default=None)
 # where scipy keeps its compiled QUADPACK module, scipy.integrate._quadpack
 _QUADPACK_DIR = Path(scipy.__file__).parent / "integrate"
 
@@ -221,34 +217,6 @@ def _atom_law_of_sum(weights: np.ndarray, dist: EntryDistribution):
     return None if keys is None else _key_law(*keys)
 
 
-def _merged_law(weights: np.ndarray, dist: EntryDistribution):
-    """_atom_law_of_sum(weights, dist), the key law or None, built once per
-    (weights, law) inside a law_table() block on this thread and taken from
-    the block's table after that, None as well; outside any block, built at
-    every call."""
-    table = _LAWS.get()
-    key = (weights.tobytes(), dist)
-    if table is not None and key in table:
-        return table[key]
-    law = _atom_law_of_sum(weights, dist)
-    if table is not None:
-        table[key] = law
-    return law
-
-
-@contextlib.contextmanager
-def law_table():
-    """A block in which the integer-key atom law of each (weights, law) that
-    exact_concentration asks for is built once, on this thread, and dropped
-    at the block's end: no law outlives it. A pair with no integer keys is
-    held as None, so its key test runs once too."""
-    token = _LAWS.set({})
-    try:
-        yield
-    finally:
-        _LAWS.reset(token)
-
-
 def _half_patterns(weights: np.ndarray, sup: np.ndarray, sup_probs: np.ndarray):
     """The sums and probabilities of every pattern of atoms on weights.
 
@@ -318,15 +286,20 @@ def _split_window_mass(weights: np.ndarray, dist: EntryDistribution, v: float, t
     return float(value), float(radius), e, mass_error, left.size * right.size
 
 
+def _window_mass(vals, probs, v: float, t: float, band: float):
+    """(mass of the atoms with |val - v| < t, mass of those with
+    ||val - v| - t| <= band), each difference rounded once in floats."""
+    gap = np.abs(vals - v)
+    return float(probs[gap < t].sum()), float(probs[np.abs(gap - t) <= band].sum())
+
+
 def _key_window_mass(vals, probs, weights: np.ndarray, dist: EntryDistribution, v: float, t: float):
     """(P(|S - v| < t), error radius, sum error e, mass error, atom count)
     from the integer-key law (vals, probs) of the weights; see
     exact_concentration for e, the radius and the mass error."""
-    gap = np.abs(vals - v)
-    value = float(probs[gap < t].sum())
     z, s0, _ = _atom_keys(dist)
     e = 3.0 * _gamma(3) * (math.fsum(np.abs(weights)) * s0 * max(-z[0], z[-1]) + abs(v))
-    radius = float(probs[np.abs(gap - t) <= e].sum())
+    value, radius = _window_mass(vals, probs, v, t, e)
     ops = weights.size * len(z)
     mass_error = 2.0 * _gamma(ops + vals.size) + ops * _KEY_SPAN_LIMIT * _TINY
     return value, radius, e, mass_error, vals.size
@@ -446,9 +419,6 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     convolved like the integer keys (_slice_add_law), so value and radius
     are within mass_error = 2 gamma_(m |support| + cells) +
     m |support| cells 2^-1074 of the grid's exact masses.
-
-    Inside a law_table() block an integer-key law is built once for all of
-    the block's windows.
     """
     if not q.dist.finite_support:
         raise RegimeError("continuous dist rejected; use monte_carlo_concentration")
@@ -458,7 +428,7 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     m = weights.size
     support = q.dist.support().size
     if path != "convolve":
-        law = _merged_law(weights, q.dist)
+        law = _atom_law_of_sum(weights, q.dist)
         if law is None:
             exact = _split_window_mass(weights, q.dist, q.v, q.t)
         else:
@@ -472,10 +442,8 @@ def exact_concentration(q: SmallBallQuery, path: str = "auto") -> ConcentrationE
     h = q.t / (100.0 * m)
     origin, pmf = _convolve_on_grid(weights, q.dist, h)
     grid = (np.arange(pmf.size) + origin) * h
-    dist_to_v = np.abs(grid - q.v)
-    value = float(pmf[dist_to_v < q.t].sum())
     drift = m * h / 2.0
-    radius = float(pmf[np.abs(dist_to_v - q.t) <= drift + h].sum())
+    value, radius = _window_mass(grid, pmf, q.v, q.t, drift + h)
     mass_error = 2.0 * _gamma(m * support + pmf.size) + m * support * pmf.size * _TINY
     meta = {"path": "convolution", "h": h, "drift_bound": drift, "cells": int(pmf.size)}
     return _with_ci(value, "convolution", radius, mass_error, **meta)
@@ -568,7 +536,7 @@ def monte_carlo_concentration(
     )
 
 
-def empirical_sup_concentration(samples, t, sort_in_place: bool = False):
+def empirical_sup_concentration(samples, t):
     """Empirical sup over v of P(|S - v| < t) from a sample of S.
 
     Every open window of width 2t over the sample coincides with some
@@ -578,11 +546,12 @@ def empirical_sup_concentration(samples, t, sort_in_place: bool = False):
 
     t is one window (a float is returned) or a 1-d array of windows (an
     array of one value per window is returned, each equal to the scalar
-    call's). The sample is sorted once for all of them: into a copy, or,
-    with sort_in_place and a float64 samples array, in place, which leaves
-    the caller's array sorted and allocates nothing of the sample's size.
-    Either way the sample must be finite and nonempty and every window
-    positive (ConfigError).
+    call's). The sample is sorted once for all of them, as
+    np.asarray(samples, dtype=float) is: a float64 array in place, which
+    leaves the caller's array sorted and allocates nothing of the sample's
+    size, and any other input (a list, another dtype) in the fresh array
+    that asarray makes, which leaves the input as it was. The sample must
+    be finite and nonempty and every window positive (ConfigError).
 
     With s sorted, anchor i counts hi(i) - i samples, hi(i) =
     searchsorted(s, s[i] + 2t). hi never decreases, so every anchor of a
@@ -599,10 +568,7 @@ def empirical_sup_concentration(samples, t, sort_in_place: bool = False):
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ConfigError("samples must be a nonempty 1-d array")
-    if sort_in_place:
-        s.sort()
-    else:
-        s = np.sort(s)
+    s.sort()
     # sorting puts -inf first and +inf and nan last
     if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
         raise ConfigError("samples must be finite")

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtr
 
 from test_distributions import _philox_state
-from rmlab import calibration, constants, small_ball
+from rmlab import calibration, constants
 from rmlab.calibration import (
     BOUNDS,
     D3,
@@ -288,29 +288,3 @@ def test_fit_all_evaluates_each_distinct_exact_value_once(monkeypatch):
         assert fits[bound].raw == single.raw
         if bound in corpora:
             assert pairs == [(r.exact, r.bound_value) for r in map(evaluate_query, corpora[bound])]
-
-
-def test_fit_bounds_builds_each_merged_atom_law_once(monkeypatch):
-    """Within one fit_bounds call the integer-key law of each (weights, law)
-    that an exact query asks for is built once, and a pair with no integer
-    keys is tested once: E6's berry_esseen grid asks for one lattice law at
-    up to 8 windows (85 builds, 61 of them laws, without the table; 36 laws
-    and 24 pairs with no keys with it). A second call builds them all
-    again. That every value equals its query's evaluated alone, outside any
-    table, is test_e6_computes_each_distinct_exact_value_once_per_run's check
-    of the same fit."""
-    seed, count = constants.VALIDATION_SEED, 30
-    built = []
-    real = small_ball._atom_law_of_sum
-
-    def counting(weights, dist):
-        law = real(weights, dist)
-        built.append((weights.tobytes(), dist, law is not None))
-        return law
-
-    monkeypatch.setattr(small_ball, "_atom_law_of_sum", counting)
-    fit_bounds(DOMINATION_BOUNDS, seed, count)
-    assert len(built) == len(set(built)) == 60
-    assert sum(keyed for *_, keyed in built) == 36
-    fit_bounds(DOMINATION_BOUNDS, seed, count)
-    assert len(built) == 120  # no law outlives the call that built it

@@ -722,6 +722,15 @@ def test_empirical_sup_infinite_window_holds_everything():
     assert empirical_sup_concentration([-3.0, 0.0, 2.5], math.inf) == 1.0
 
 
+def test_empirical_sup_sorts_a_float64_array_in_place_and_leaves_a_list():
+    samples = np.array([2.5, -3.0, 0.0, 1.0])
+    assert empirical_sup_concentration(samples, 1.0) == 0.5
+    assert samples.tolist() == [-3.0, 0.0, 1.0, 2.5]
+    given = [2.5, -3.0, 0.0, 1.0]
+    assert empirical_sup_concentration(given, 1.0) == 0.5
+    assert given == [2.5, -3.0, 0.0, 1.0]
+
+
 @st.composite
 def _window_samples(draw):
     """1 to 400 samples, so sizes below, at and across several 64-anchor
